@@ -74,7 +74,6 @@ from .presentation import (
 from .reconstruct import (
     LoewyData,
     Reconstruction,
-    cyclic_sequences,
     loewy_data_of,
     reconstruct_afbg,
     roundtrip_check,

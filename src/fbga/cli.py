@@ -14,15 +14,9 @@ from pathlib import Path
 
 from . import fileio
 from .afbg import Afbg, is_admissible, reduced_form, rep_finite_report
-from .covering import cover_finite, cover_window, smallest_cut
+from .covering import cover_finite, smallest_cut
 from .errors import AmbiguityError, InputError, InvalidCut, MathPreconditionError, MissingDegree
-from .gentle import (
-    gentle_cover,
-    repetitive_window,
-    ribbon_graph_of_gentle,
-    r_fold_trivial_extension,
-    validate_gentle,
-)
+from .gentle import r_fold_trivial_extension, repetitive_window, trivial_extension
 from .invariants import compare, fingerprint
 from .presentation import build_presentation, dimension, render_text
 from .reconstruct import reconstruct_afbg
@@ -96,61 +90,76 @@ def _parse_window(arg: str):
 
 # -- subcommands -----------------------------------------------------------------
 
-def cmd_validate(args) -> int:
-    graph, degrees = fileio.parse_ribbon(_read(args.graph))
-    lines = ["ribbon structure: ok",
-             f"vertices: {len(graph.vertices)}  edges: {graph.num_edges()}  "
-             f"faces: {len(graph.faces())}",
-             f"connected: {'yes' if graph.connected else 'no'}"]
-    code = 0
+def _validation(graph, degrees) -> dict:
+    res = {"ribbon_ok": True, "connected": graph.connected,
+           "num_vertices": len(graph.vertices), "num_edges": graph.num_edges(),
+           "num_faces": len(graph.faces())}
     if degrees is None:
+        return res
+    a, violations = is_admissible(graph, degrees)
+    res["admissible"] = a is not None
+    res["violations"] = [str(v) for v in violations]
+    if a is None:
+        return res
+    res["multiplicities"] = {v: str(m) for v, m in a.multiplicities().items()}
+    res["brauer_graph"] = a.is_brauer_graph()
+    res["nakayama_order"] = a.nakayama_order()
+    rep = rep_finite_report(a)
+    res["finite_type"] = rep.rep_finite
+    if rep.rep_finite:
+        res["tree_edges"] = rep.tree_edge_count
+        res["exceptional_multiplicity"] = rep.exceptional_multiplicity
+        res["candidate_order"] = rep.nakayama_order
+    else:
+        res["finite_type_reason"] = rep.reason
+    return res
+
+
+def _validation_text(res: dict) -> str:
+    lines = ["ribbon structure: ok",
+             f"vertices: {res['num_vertices']}  edges: {res['num_edges']}  "
+             f"faces: {res['num_faces']}",
+             f"connected: {'yes' if res['connected'] else 'no'}"]
+    if "admissible" not in res:
         lines.append("degrees: absent (structure check only)")
+    elif not res["admissible"]:
+        lines.append("admissible: no")
+        lines.extend(f"  {v}" for v in res["violations"])
     else:
-        a, violations = is_admissible(graph, degrees)
-        if a is None:
-            lines.append("admissible: no")
-            lines.extend(f"  {v}" for v in violations)
-            code = 2
+        lines.append("admissible: yes")
+        mults = ", ".join(f"{v}={m}" for v, m in sorted(res["multiplicities"].items()))
+        lines.append(f"multiplicities: {mults}")
+        lines.append(f"brauer graph: {'yes' if res['brauer_graph'] else 'no'}")
+        lines.append(f"nakayama order: {res['nakayama_order']}")
+        if res["finite_type"]:
+            lines.append(f"finite type: yes (tree edges {res['tree_edges']}, "
+                         f"exceptional multiplicity {res['exceptional_multiplicity']}, "
+                         f"candidate order {res['candidate_order']})")
         else:
-            lines.append("admissible: yes")
-            mults = ", ".join(f"{v}={m}" for v, m in sorted(a.multiplicities().items()))
-            lines.append(f"multiplicities: {mults}")
-            lines.append(f"brauer graph: {'yes' if a.is_brauer_graph() else 'no'}")
-            lines.append(f"nakayama order: {a.nakayama_order()}")
-            rep = rep_finite_report(a)
-            if rep.rep_finite:
-                lines.append(f"finite type: yes (tree edges {rep.tree_edge_count}, "
-                             f"exceptional multiplicity {rep.exceptional_multiplicity}, "
-                             f"candidate order {rep.nakayama_order})")
-            else:
-                lines.append(f"finite type: no ({rep.reason})")
+            lines.append(f"finite type: no ({res['finite_type_reason']})")
+    return "\n".join(lines) + "\n"
+
+
+def cmd_validate(args) -> int:
+    res = _validation(*fileio.parse_ribbon(_read(args.graph)))
     if args.format == "json":
-        obj = {"ribbon_ok": True, "connected": graph.connected,
-               "num_vertices": len(graph.vertices), "num_edges": graph.num_edges(),
-               "num_faces": len(graph.faces())}
-        if degrees is not None:
-            a, violations = is_admissible(graph, degrees)
-            obj["admissible"] = a is not None
-            obj["violations"] = [str(v) for v in violations]
-            if a is not None:
-                obj["multiplicities"] = {v: str(m) for v, m in a.multiplicities().items()}
-                obj["brauer_graph"] = a.is_brauer_graph()
-                obj["nakayama_order"] = a.nakayama_order()
-        _emit(args, fileio.dumps(obj))
+        _emit(args, fileio.dumps(res))
     else:
-        _emit(args, "\n".join(lines) + "\n")
-    return code
+        _emit(args, _validation_text(res))
+    return 2 if res.get("admissible") is False else 0
 
 
-def cmd_present(args) -> int:
-    a = _load_afbg(args.graph)
-    pres = build_presentation(a)
+def _presentation_output(args, pres) -> None:
     if args.format == "dot":
         _emit(args, fileio.dot_of_presentation(pres))
     elif args.format == "json":
         _emit(args, fileio.dumps(fileio.presentation_to_dict(pres)))
     else:
-        _emit(args, render_text(pres) + f"\ndimension: {dimension(a)}\n")
+        _emit(args, render_text(pres) + f"\ndimension: {dimension(pres.afbg)}\n")
+
+
+def cmd_present(args) -> int:
+    _presentation_output(args, build_presentation(_load_afbg(args.graph)))
     return 0
 
 
@@ -172,42 +181,34 @@ def cmd_cover(args) -> int:
 
 def cmd_gentle_trivext(args) -> int:
     p = fileio.parse_gentle(_read(args.gentle))
-    problems = validate_gentle(p)
-    if problems:
-        raise InputError("not a gentle presentation: " + "; ".join(problems))
     if args.r == 1:
-        pres = build_presentation(ribbon_graph_of_gentle(p).afbg)
+        pres = trivial_extension(p)
     else:
         pres = r_fold_trivial_extension(p, args.r)
-    if args.format == "dot":
-        _emit(args, fileio.dot_of_presentation(pres))
-    elif args.format == "json":
-        _emit(args, fileio.dumps(fileio.presentation_to_dict(pres)))
-    else:
-        _emit(args, render_text(pres) + f"\ndimension: {dimension(pres.afbg)}\n")
+    _presentation_output(args, pres)
     return 0
 
 
 def cmd_repetitive_window(args) -> int:
     p = fileio.parse_gentle(_read(args.gentle))
     lo, hi = _parse_window(args.window)
-    bp = repetitive_window(p, lo, hi)
+    win = repetitive_window(p, lo, hi)
     if args.format == "dot":
-        _emit(args, fileio.dot_of_presentation(bp))
+        _emit(args, fileio.dot_of_presentation(win))
     elif args.format == "json":
-        _emit(args, fileio.dumps(fileio.bordered_to_dict(bp)))
+        _emit(args, fileio.dumps(fileio.bordered_to_dict(win)))
     else:
         lines = [f"window sheets {lo}..{hi}",
-                 f"quiver vertices ({len(bp.quiver_vertices)}): "
-                 + ", ".join(bp.quiver_vertices),
-                 f"arrows ({len(bp.arrows)}):"]
-        for name in sorted(bp.arrows):
-            a = bp.arrows[name]
+                 f"quiver vertices ({len(win.quiver_vertices)}): "
+                 + ", ".join(win.quiver_vertices),
+                 f"arrows ({len(win.arrows)}):"]
+        for name in sorted(win.arrows):
+            a = win.arrows[name]
             tgt = a.target if a.target is not None else "(out of window)"
             lines.append(f"  {name}: {a.source} -> {tgt}")
         lines.append(f"commutation relations inside window: "
-                     f"{len(bp.commutation_relations)}")
-        lines.append(f"zero relations inside window: {len(bp.zero_relations)}")
+                     f"{len(win.commutation_relations)}")
+        lines.append(f"zero relations inside window: {len(win.zero_relations)}")
         _emit(args, "\n".join(lines) + "\n")
     return 0
 

@@ -141,8 +141,9 @@ class BorderedRibbonGraph:
 
     Rotation is partial: the last half-edge of a star on the top sheet
     has no successor (it points out of the window), and the first
-    half-edge on the bottom sheet has no predecessor.  Display device
-    only — this is not a ribbon graph.
+    half-edge on the bottom sheet has no predecessor.  This is not a
+    ribbon graph; the presentation builder reads its attach, pairing and
+    partial rotation.
     """
 
     vertices: tuple
@@ -157,9 +158,6 @@ class BorderedRibbonGraph:
     @property
     def half_edges(self):
         return tuple(sorted(self.attach))
-
-    def edge_pairs(self):
-        return sorted(tuple(sorted((a, b))) for a, b in self.pairing.items() if a < b)
 
 
 def cover_window(base: Afbg, cut: dict, lo: int, hi: int) -> BorderedRibbonGraph:

@@ -4,6 +4,7 @@ Three families, mirroring the CLI exit codes: input problems (parse or
 structural validation, exit 1), mathematical precondition failures
 (exit 2), and ambiguous reconstruction (exit 4).  Negative verdicts
 (compare/iso, exit 3) are ordinary return values, not exceptions.
+``InvariantError`` belongs to none of them: it reports a defect.
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ from __future__ import annotations
 
 class FbgaError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class InvariantError(FbgaError):
+    """A result failed its own consistency check (a defect, not bad input)."""
 
 
 # -- input problems (exit 1) -------------------------------------------------

@@ -22,7 +22,7 @@ import json
 
 from .afbg import Afbg
 from .errors import ParseError
-from .gentle import BorderedPresentation, GentlePresentation
+from .gentle import GentlePresentation
 from .presentation import Presentation
 from .reconstruct import LoewyData
 from .ribbon import RibbonGraph
@@ -162,7 +162,8 @@ def presentation_to_dict(p: Presentation) -> dict:
     }
 
 
-def bordered_to_dict(b: BorderedPresentation) -> dict:
+def bordered_to_dict(b: Presentation) -> dict:
+    """A repetitive window (a presentation whose ``window`` is set)."""
     return {
         "conventions": dict(PATH_CONVENTIONS),
         "window": [b.window.lo, b.window.hi],
@@ -196,7 +197,8 @@ def dot_of_graph(graph: RibbonGraph, degrees=None) -> str:
 
 
 def dot_of_presentation(p) -> str:
-    """Directed quiver of a Presentation or BorderedPresentation."""
+    """Directed quiver of a presentation; dangling arrows of a window
+    point at a shared boundary node."""
     lines = ["digraph Q {"]
     for v in p.quiver_vertices:
         lines.append(f"  {_q(v)};")

@@ -20,14 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .afbg import Afbg
-from .covering import (
-    BorderedRibbonGraph,
-    CoverResult,
-    cover_finite,
-    cover_window,
-)
+from .covering import CoverResult, cover_finite, cover_window
 from .errors import InputError, OccurrenceMismatch, UnboundedPath
-from .presentation import Presentation, arrow_name, build_presentation
+from .presentation import Presentation, _present, build_presentation
 from .ribbon import EDGE_SEP, RibbonGraph, edge_id_of_pair
 
 
@@ -290,73 +285,11 @@ def r_fold_trivial_extension(p: GentlePresentation, r: int) -> Presentation:
 
 # -- repetitive-algebra windows --------------------------------------------------
 
-@dataclass(frozen=True)
-class BorderedArrow:
-    name: str
-    half_edge: str
-    source: str
-    target: str | None  # None: the arrow dangles out of the window
-
-
-@dataclass(frozen=True)
-class BorderedPresentation:
-    """Window of the quiver of the repetitive algebra.  Boundary arrows
-    whose rotation step leaves the window keep their source but dangle;
-    relations are listed only when entirely inside the window."""
-
-    window: BorderedRibbonGraph
-    quiver_vertices: tuple
-    arrows: dict  # name -> BorderedArrow
-    commutation_relations: tuple
-    zero_relations: tuple
-
-    @property
-    def dangling(self) -> tuple:
-        return tuple(sorted(n for n, a in self.arrows.items() if a.target is None))
-
-
-def repetitive_window(p: GentlePresentation, lo: int, hi: int) -> BorderedPresentation:
+def repetitive_window(p: GentlePresentation, lo: int, hi: int) -> Presentation:
+    """Window of sheets lo..hi of the quiver of the repetitive algebra: the
+    presentation of the induced Brauer graph over the window's partial
+    rotation.  Boundary arrows whose rotation step leaves the window keep
+    their source but dangle; relations are listed only when entirely
+    inside the window."""
     res = ribbon_graph_of_gentle(p)
-    win = cover_window(res.afbg, res.cut, lo, hi)
-
-    def edge_of(h):
-        return edge_id_of_pair(h, win.pairing[h])
-
-    arrows = {}
-    for h in win.half_edges:
-        nxt = win.rotation.get(h)
-        arrows[arrow_name(h)] = BorderedArrow(
-            arrow_name(h), h, edge_of(h),
-            edge_of(nxt) if nxt is not None else None)
-
-    def try_walk(h, length):
-        seq = []
-        cur = h
-        for _ in range(length):
-            seq.append(arrow_name(cur))
-            cur = win.rotation.get(cur)
-            if cur is None and len(seq) < length:
-                return None
-        return tuple(seq)
-
-    commutations = []
-    for x, y in win.edge_pairs():
-        wx = try_walk(x, res.afbg.degrees[win.attach[x]])
-        wy = try_walk(y, res.afbg.degrees[win.attach[y]])
-        if wx is not None and wy is not None:
-            commutations.append((wx, wy))
-
-    zeros = []
-    for h in win.half_edges:
-        nxt = win.rotation.get(h)
-        if nxt is not None:
-            zeros.append((arrow_name(win.pairing[nxt]), arrow_name(h)))
-
-    quiver_vertices = tuple(sorted(edge_of(a) for a, b in win.edge_pairs()))
-    return BorderedPresentation(
-        window=win,
-        quiver_vertices=quiver_vertices,
-        arrows=arrows,
-        commutation_relations=tuple(sorted(commutations)),
-        zero_relations=tuple(sorted(zeros)),
-    )
+    return _present(res.afbg, cover_window(res.afbg, res.cut, lo, hi))

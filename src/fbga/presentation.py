@@ -3,8 +3,9 @@
 Quiver vertices are the edges of the graph; every half-edge ``h``
 contributes one arrow from its own edge to the edge of ``rotation(h)``.
 Paths multiply right to left: in a product ``b*a`` the arrow ``a`` acts
-first.  Walks are stored in *application order* (first-applied arrow
-first); the pretty-printer reverses them.
+first.  A walk is a start half-edge and a length; its arrow names, in
+*application order* (first-applied arrow first), come from ``walk`` and
+the pretty-printer reverses them.
 
 Relations:
 
@@ -13,6 +14,9 @@ Relations:
   walk starting with the arrow of ``g``;
 * one zero relation per half-edge ``h``: the arrow of
   ``pairing(rotation(h))`` composed after the arrow of ``h`` vanishes.
+
+One builder serves closed graphs and the windows of repetitive algebras,
+whose rotation is partial (see ``gentle.repetitive_window``).
 
 ``oracle_dimension`` recomputes the dimension from the relation data
 alone (exhaustive path enumeration with rewriting) and is used to
@@ -24,8 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .afbg import Afbg
-from .errors import SizeLimitExceeded
-from .ribbon import orbits
+from .covering import BorderedRibbonGraph
+from .errors import InvariantError, SizeLimitExceeded
+from .ribbon import edge_id_of_pair, orbits
 
 ARROW_PREFIX = "a_"
 
@@ -39,7 +44,7 @@ class Arrow:
     name: str
     half_edge: str
     source: str  # edge id
-    target: str  # edge id
+    target: str | None  # edge id; None when the rotation step leaves a window
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,11 @@ class Presentation:
     arrows: dict  # name -> Arrow
     commutation_relations: tuple  # ((walk, walk), ...) in application order
     zero_relations: tuple  # ((later, earlier), ...)
+    window: BorderedRibbonGraph | None = None  # set for repetitive windows
+
+    @property
+    def dangling(self) -> tuple:
+        return tuple(sorted(n for n, a in self.arrows.items() if a.target is None))
 
     def arrow_of(self, half_edge: str) -> Arrow:
         return self.arrows[arrow_name(half_edge)]
@@ -60,42 +70,68 @@ class Presentation:
         return [a for a in self.arrows.values() if a.target == quiver_vertex]
 
 
+def _run(rotation: dict, half_edge: str, length: int):
+    """Half-edges ``half_edge``, ``rotation(half_edge)``, ... of a walk of
+    ``length`` arrows, or None when a partial rotation ends first (the
+    last arrow may dangle)."""
+    run = []
+    h = half_edge
+    for _ in range(length):
+        if h is None:
+            return None
+        run.append(h)
+        h = rotation.get(h)
+    return run
+
+
 def walk(a: Afbg, half_edge: str, length: int) -> tuple:
     """Arrow names of the walk from ``half_edge``: first arrow is its own,
     then the arrows of successive rotations.  Application order."""
-    g = a.graph
-    seq = []
-    h = half_edge
-    for _ in range(length):
-        seq.append(arrow_name(h))
-        h = g.rotation[h]
-    return tuple(seq)
+    return tuple(map(arrow_name, _run(a.graph.rotation, half_edge, length)))
 
 
 def build_presentation(a: Afbg) -> Presentation:
-    g = a.graph
+    return _present(a)
+
+
+def _present(a: Afbg, window: BorderedRibbonGraph | None = None) -> Presentation:
+    """The presentation over ``a.graph``, or over a window of a cover of
+    it, with the degrees of ``a``.  A window's rotation is partial: an
+    arrow without a rotation successor dangles, and a relation is kept
+    only when all of its arrows lie inside the window."""
+    g = a.graph if window is None else window
+    rotation, pairing = g.rotation, g.pairing
+
+    def edge_of(h):
+        return edge_id_of_pair(h, pairing[h])
+
     arrows = {}
-    for h in g.half_edges:
-        arrows[arrow_name(h)] = Arrow(
-            arrow_name(h), h, g.edge_of(h), g.edge_of(g.rotation[h]))
-
-    commutations = []
-    for x, y in g.edge_pairs():
-        wx = walk(a, x, a.degrees[g.attach[x]])
-        wy = walk(a, y, a.degrees[g.attach[y]])
-        commutations.append((wx, wy))
-
     zeros = []
-    for h in g.half_edges:
-        later = arrow_name(g.pairing[g.rotation[h]])
-        zeros.append((later, arrow_name(h)))
+    for h in sorted(g.attach):
+        nxt = rotation.get(h)
+        arrows[arrow_name(h)] = Arrow(
+            arrow_name(h), h, edge_of(h), None if nxt is None else edge_of(nxt))
+        if nxt is not None:
+            zeros.append((arrow_name(pairing[nxt]), arrow_name(h)))
 
+    pairs = sorted((x, y) for x, y in pairing.items() if x < y)
+    commutations = []
+    for x, y in pairs:
+        wx = _run(rotation, x, a.degrees[g.attach[x]])
+        wy = _run(rotation, y, a.degrees[g.attach[y]])
+        if wx is not None and wy is not None:
+            commutations.append((tuple(map(arrow_name, wx)), tuple(map(arrow_name, wy))))
+
+    quiver_vertices = [edge_id_of_pair(x, y) for x, y in pairs]
+    if window is not None:
+        quiver_vertices.sort()  # windows list their edge ids sorted
     return Presentation(
         afbg=a,
-        quiver_vertices=tuple(g.edge_ids()),
+        quiver_vertices=tuple(quiver_vertices),
         arrows=arrows,
         commutation_relations=tuple(sorted(commutations)),
         zero_relations=tuple(sorted(zeros)),
+        window=window,
     )
 
 
@@ -118,11 +154,7 @@ class BasisElement:
     kind: str        # "idempotent" | "walk" | "socle"
     edge: str        # quiver vertex the element starts at
     start: str       # half-edge of the walk ("" for idempotents)
-    arrows: tuple    # application order
-
-    @property
-    def length(self) -> int:
-        return len(self.arrows)
+    length: int      # arrows in the walk; walk(a, start, length) names them
 
 
 def basis(a: Afbg) -> list:
@@ -134,12 +166,12 @@ def basis(a: Afbg) -> list:
     out = []
     for x, y in g.edge_pairs():
         e = g.edge_of(x)
-        out.append(BasisElement("idempotent", e, "", ()))
-        out.append(BasisElement("socle", e, x, walk(a, x, a.degrees[g.attach[x]])))
+        out.append(BasisElement("idempotent", e, "", 0))
+        out.append(BasisElement("socle", e, x, a.degrees[g.attach[x]]))
     for h in g.half_edges:
-        d = a.degrees[g.attach[h]]
-        for m in range(1, d):
-            out.append(BasisElement("walk", g.edge_of(h), h, walk(a, h, m)))
+        e = g.edge_of(h)
+        for m in range(1, a.degrees[g.attach[h]]):
+            out.append(BasisElement("walk", e, h, m))
     out.sort(key=lambda b: (b.edge, b.kind, b.start, b.length))
     return out
 
@@ -161,15 +193,11 @@ def loewy_table(a: Afbg) -> dict:
         e = g.edge_of(x)
         strands = []
         for h in (x, y):
-            d = a.degrees[g.attach[h]]
-            cur = h
-            strand = []
-            for _ in range(d - 1):
-                cur = g.rotation[cur]
-                strand.append(g.edge_of(cur))
-            strands.append(tuple(strand))
+            run = _run(g.rotation, h, a.degrees[g.attach[h]])
+            strands.append(tuple([g.edge_of(s) for s in run[1:]]))
         socle = g.edge_of(a.nakayama[x])
-        assert socle == g.edge_of(a.nakayama[y])  # forced by admissibility (a)
+        if socle != g.edge_of(a.nakayama[y]):  # forced by admissibility (a)
+            raise InvariantError(f"the two full walks of edge {e!r} end on different edges")
         uniserial = not (strands[0] and strands[1])
         table[e] = LoewyRow(e, tuple(strands), socle, uniserial)
     return table
@@ -197,9 +225,8 @@ def nakayama_on_presentation(a: Afbg) -> PresentationAutomorphism:
     for h in g.half_edges:
         e = g.edge_of(h)
         image = g.edge_of(nu_inv[h])
-        if e in vertex_map:
-            assert vertex_map[e] == image
-        vertex_map[e] = image
+        if vertex_map.setdefault(e, image) != image:  # forced by admissibility (a)
+            raise InvariantError(f"nakayama sends edge {e!r} to two edges")
     return PresentationAutomorphism(vertex_map, arrow_map)
 
 
@@ -324,7 +351,7 @@ def presentation_isomorphism(p1: Presentation, p2: Presentation):
     """Arrow bijection induced by a degree-aware graph isomorphism, or None.
 
     When the underlying graphs are isomorphic the induced map carries
-    walks to walks, hence relations to relations; this is asserted."""
+    walks to walks, hence relations to relations; this is checked."""
     from .ribbon import is_isomorphic
 
     phi = is_isomorphic(p1.afbg.graph, p2.afbg.graph,
@@ -341,5 +368,6 @@ def presentation_isomorphism(p1: Presentation, p2: Presentation):
     c2 = {tuple(sorted((a, b))) for a, b in p2.commutation_relations}
     z1 = {(amap[l], amap[e]) for l, e in p1.zero_relations}
     z2 = set(p2.zero_relations)
-    assert c1 == c2 and z1 == z2
+    if c1 != c2 or z1 != z2:
+        raise InvariantError("the graph isomorphism does not carry relations to relations")
     return amap

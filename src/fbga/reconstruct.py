@@ -80,12 +80,6 @@ class LoewyData:
                 "socles must permute the simples (each label exactly once)")
         return cls(tuple(sorted(rows, key=lambda r: r.label)))
 
-    def row(self, label: str) -> SimpleRow:
-        for r in self.rows:
-            if r.label == label:
-                return r
-        raise KeyError(label)
-
 
 def loewy_data_of(a: Afbg):
     """Loewy data of an algebra, with edges relabeled s0, s1, ...
@@ -100,43 +94,6 @@ def loewy_data_of(a: Afbg):
                     r.uniserial,
                     name[r.socle]))
     return LoewyData.build(raw), name
-
-
-def cyclic_sequences(data: LoewyData) -> dict:
-    """The periodic label sequence that each side's rotation walk traces.
-
-    Keyed by (label, side).  Each value is the repeating block, rotated
-    to its lexicographic minimum.  The walk is extended by the socle
-    recurrence and each step is checked against the strands of the row
-    it passes through; a walk that cannot continue or never closes up
-    raises ``InconsistentInput``."""
-    out = {}
-    cap = 2 * len(data.rows) + 1
-    for row in data.rows:
-        for side, w in enumerate(row.strands):
-            d = len(w) + 1
-            x = [row.label, *w, row.socle]
-            start = tuple(x[:d])
-            period = None
-            for t in range(1, cap + 1):
-                while len(x) < t + d:
-                    q = len(x)
-                    prev = data.row(x[q - d])
-                    window = tuple(x[q - d + 1:q])
-                    if window not in prev.strands:
-                        raise InconsistentInput(
-                            f"walk from side {side} of {row.label!r} needs a strand "
-                            f"{window!r} on {prev.label!r}, which has none")
-                    x.append(prev.socle)
-                if tuple(x[t:t + d]) == start:
-                    period = t
-                    break
-            if period is None:
-                raise InconsistentInput(
-                    f"walk from side {side} of {row.label!r} does not close up")
-            cyc = tuple(x[:period])
-            out[(row.label, side)] = min(cyc[i:] + cyc[:i] for i in range(len(cyc)))
-    return out
 
 
 @dataclass(frozen=True)

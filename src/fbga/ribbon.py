@@ -27,6 +27,7 @@ from .errors import (
     DisconnectedInput,
     DuplicateHalfEdge,
     FixedPointPairing,
+    InvariantError,
     OrbitMismatch,
     RibbonStructureError,
     UnknownVertex,
@@ -253,6 +254,18 @@ def _rooted_word(graph, root, rinv, degrees):
     return tuple(word), label
 
 
+def _min_rooted_word(graph: RibbonGraph, degrees):
+    """(word, labels) of the first root, in half-edge order, whose rooted
+    word is lexicographically minimal."""
+    rinv = graph.rotation_inverse()
+    best = None
+    for root in graph.half_edges:
+        word, label = _rooted_word(graph, root, rinv, degrees)
+        if best is None or word < best[0]:
+            best = (word, label)
+    return best
+
+
 def canonical_code(graph: RibbonGraph, degrees: dict | None = None) -> tuple:
     """Lexicographically minimal rooted code over all root half-edges.
 
@@ -265,9 +278,7 @@ def canonical_code(graph: RibbonGraph, degrees: dict | None = None) -> tuple:
         raise DisconnectedInput("canonical_code requires a connected graph")
     if not graph.attach:
         return ()
-    rinv = graph.rotation_inverse()
-    return min(_rooted_word(graph, root, rinv, degrees)[0]
-               for root in graph.half_edges)
+    return _min_rooted_word(graph, degrees)[0]
 
 
 def is_isomorphic(g1: RibbonGraph, g2: RibbonGraph,
@@ -286,34 +297,19 @@ def is_isomorphic(g1: RibbonGraph, g2: RibbonGraph,
     if not g1.attach:
         return {}
 
-    rinv1 = g1.rotation_inverse()
-    rinv2 = g2.rotation_inverse()
-    dd1 = d1 if use_degrees else None
-    dd2 = d2 if use_degrees else None
-
-    best1 = None
-    for root in g1.half_edges:
-        w, lab = _rooted_word(g1, root, rinv1, dd1)
-        if best1 is None or w < best1[0]:
-            best1 = (w, lab)
-    best2 = None
-    for root in g2.half_edges:
-        w, lab = _rooted_word(g2, root, rinv2, dd2)
-        if best2 is None or w < best2[0]:
-            best2 = (w, lab)
-
-    if best1[0] != best2[0]:
+    word1, label1 = _min_rooted_word(g1, d1 if use_degrees else None)
+    word2, label2 = _min_rooted_word(g2, d2 if use_degrees else None)
+    if word1 != word2:
         return None
-    label1, label2 = best1[1], best2[1]
     by_label2 = {i: h for h, i in label2.items()}
     mapping = {h: by_label2[i] for h, i in label1.items()}
 
-    # paranoia: verify the claimed isomorphism explicitly
+    # verify the claimed isomorphism explicitly
     for h, h2 in mapping.items():
-        assert mapping[g1.pairing[h]] == g2.pairing[h2]
-        assert mapping[g1.rotation[h]] == g2.rotation[h2]
-        if use_degrees:
-            assert d1[g1.attach[h]] == d2[g2.attach[h2]]
+        if (mapping[g1.pairing[h]] != g2.pairing[h2]
+                or mapping[g1.rotation[h]] != g2.rotation[h2]
+                or use_degrees and d1[g1.attach[h]] != d2[g2.attach[h2]]):
+            raise InvariantError(f"equal codes but the induced map fails at {h!r}")
     return mapping
 
 

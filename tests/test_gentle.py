@@ -220,3 +220,22 @@ def test_repetitive_window_agrees_with_itself_shifted():
     assert lo_arrows == hi_arrows
     assert len(lo.commutation_relations) == len(hi.commutation_relations)
     assert len(lo.zero_relations) == len(hi.zero_relations)
+
+
+def test_repetitive_window_is_the_cover_presentation_cut_at_the_border():
+    """The window [0, r-1] and the r-fold trivial extension come from the
+    same builder: they agree except where the cover's rotation wraps."""
+    for p in (kronecker(), aprime()):
+        win = repetitive_window(p, 0, 1)
+        cov = r_fold_trivial_extension(p, 2)
+        assert win.afbg == ribbon_graph_of_gentle(p).afbg
+        assert win.window.lo == 0 and win.window.hi == 1
+        assert cov.window is None and cov.dangling == ()
+        assert set(win.arrows) == set(cov.arrows)
+        for name, arrow in win.arrows.items():
+            if arrow.target is not None:
+                assert arrow == cov.arrows[name]
+        assert len(win.dangling) == len(win.afbg.graph.vertices)
+        assert set(win.commutation_relations) < set(cov.commutation_relations)
+        assert set(win.zero_relations) < set(cov.zero_relations)
+        assert sorted(win.quiver_vertices) == sorted(cov.quiver_vertices)

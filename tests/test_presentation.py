@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 from fbga.afbg import Afbg
-from fbga.errors import SizeLimitExceeded
+from fbga.errors import InvariantError, SizeLimitExceeded
 from fbga.presentation import (
     basis,
     build_presentation,
@@ -113,6 +113,32 @@ def test_basis_counts_match_dimension():
         kinds = [x.kind for x in b]
         assert kinds.count("idempotent") == a.graph.num_edges()
         assert kinds.count("socle") == a.graph.num_edges()
+
+
+def test_basis_elements_are_walks_from_their_start():
+    a = lambda_afbg()
+    b = basis(a)
+    assert [(x.kind, x.start, x.length) for x in b if x.edge == "h~ih"] == [
+        ("idempotent", "", 0), ("socle", "h", 2), ("walk", "h", 1), ("walk", "ih", 1)]
+    p = build_presentation(a)
+    for x in b:
+        arrows = walk(a, x.start, x.length)
+        assert len(arrows) == x.length
+        if arrows:
+            assert p.arrows[arrows[0]].source == x.edge
+    socles = {walk(a, x.start, x.length) for x in b if x.kind == "socle"}
+    assert socles == {wx for wx, _ in p.commutation_relations}
+
+
+def test_inadmissible_afbg_fails_consistency_checks():
+    """Bypassing Afbg.build with a nakayama map that breaks condition (a)
+    makes the checks raise (they are not asserts, so -O keeps them)."""
+    g = lambda_afbg().graph
+    bad = Afbg(g, {"u": 1, "w": 2}, {"h": "hp", "hp": "h", "ih": "ih", "ihp": "ihp"})
+    with pytest.raises(InvariantError):
+        loewy_table(bad)
+    with pytest.raises(InvariantError):
+        nakayama_on_presentation(bad)
 
 
 def test_loewy_table_shapes():

@@ -7,7 +7,6 @@ from fbga.errors import Ambiguous, Exceptional, InconsistentInput, InputError
 from fbga.randgen import random_afbg
 from fbga.reconstruct import (
     LoewyData,
-    cyclic_sequences,
     loewy_data_of,
     reconstruct_afbg,
     roundtrip_check,
@@ -71,30 +70,6 @@ def test_build_pads_missing_strand():
     assert data.rows[0].uniserial is True
 
 
-# ---------------------------------------------------------- cyclic sequences
-
-def test_cyclic_sequences_double_edge():
-    data, _ = loewy_data_of(lambda_afbg())
-    seqs = cyclic_sequences(data)
-    assert set(seqs) == {("s0", 0), ("s0", 1), ("s1", 0), ("s1", 1)}
-    assert all(v == ("s0", "s1") for v in seqs.values())
-
-
-def test_cyclic_sequences_loop():
-    data, _ = loewy_data_of(loop_afbg(4))
-    assert set(cyclic_sequences(data).values()) == {("s0",)}
-
-
-def test_cyclic_sequences_reject_impossible_walk():
-    # the walk from side 0 of a needs b to carry a strand (b,), and it has none
-    data = LoewyData.build([
-        ("a", (("b",), ()), True, "b"),
-        ("b", ((), ()), True, "a"),
-    ])
-    with pytest.raises(InconsistentInput):
-        cyclic_sequences(data)
-
-
 # ------------------------------------------------------------ reconstruction
 
 def test_reconstruct_double_edge_unique():
@@ -119,6 +94,16 @@ def test_reconstruct_exceptional_pair_rejected():
         data, _ = loewy_data_of(a)
         with pytest.raises(Exceptional):
             reconstruct_afbg(data)
+
+
+def test_cyclic_sequences_reject_impossible_walk():
+    # the walk from side 0 of a needs b to carry a strand (b,), and it has none
+    data = LoewyData.build([
+        ("a", (("b",), ()), True, "b"),
+        ("b", ((), ()), True, "a"),
+    ])
+    with pytest.raises(InconsistentInput, match="successor requirements do not match"):
+        reconstruct_afbg(data)
 
 
 def test_reconstruct_mismatched_requirements():
