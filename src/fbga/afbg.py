@@ -71,7 +71,7 @@ def _check_degrees(graph, degrees):
         d = degrees.get(v)
         if d is None:
             raise MissingDegree(f"vertex {v!r} has no degree")
-        if not isinstance(d, int) or d < 1:
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
             raise MissingDegree(f"degree of {v!r} must be a positive integer, got {d!r}")
 
 

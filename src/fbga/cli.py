@@ -26,41 +26,27 @@ from .ribbon import canonical_code
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _graph_text(graph, degrees=None) -> str:
+def _graph_text(graph, degrees=None, extra=None) -> str:
     lines = [f"vertices: {len(graph.vertices)}  edges: {graph.num_edges()}  "
              f"faces: {len(graph.faces())}"]
     for v in sorted(graph.vertices):
         deg = f"  degree {degrees[v]}" if degrees else ""
         lines.append(f"  {v}: ({' '.join(graph.stars[v])}){deg}")
     lines.append("edges: " + ", ".join(graph.edge_ids()))
-    return "\n".join(lines)
+    lines.extend(f"{k}: {v}" for k, v in (extra or {}).items())
+    return "\n".join(lines) + "\n"
 
 
-def _graph_output(args, graph, degrees=None, extra=None) -> None:
-    if args.format == "dot":
-        _emit(args, fileio.dot_of_graph(graph, degrees))
-    elif args.format == "json":
-        obj = fileio.ribbon_to_dict(graph, degrees)
-        if extra:
-            obj.update(extra)
-        _emit(args, fileio.dumps(obj))
-    else:
-        text = _graph_text(graph, degrees)
-        if extra:
-            for k, v in extra.items():
-                text += f"\n{k}: {v}"
-        _emit(args, text + "\n")
+def _graph_output(graph, degrees=None, extra=None) -> dict:
+    """A graph's renderers; ``extra`` facts follow the graph in text and json."""
+    return {"text": lambda: _graph_text(graph, degrees, extra),
+            "json": lambda: fileio.dumps({**fileio.ribbon_to_dict(graph, degrees),
+                                          **(extra or {})}),
+            "dot": lambda: fileio.dot_of_graph(graph, degrees)}
 
 
 def _load_afbg(path: str) -> Afbg:
@@ -89,6 +75,8 @@ def _parse_window(arg: str):
 
 
 # -- subcommands -----------------------------------------------------------------
+# Each ``cmd_*`` computes its result once and returns (exit code, renderers):
+# a zero-argument callable per format; ``main`` calls the requested one or "text".
 
 def _validation(graph, degrees) -> dict:
     res = {"ribbon_ok": True, "connected": graph.connected,
@@ -140,146 +128,118 @@ def _validation_text(res: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_validate(args) -> int:
+def _window_text(win) -> str:
+    lines = [f"window sheets {win.window.lo}..{win.window.hi}",
+             f"quiver vertices ({len(win.quiver_vertices)}): "
+             + ", ".join(win.quiver_vertices),
+             f"arrows ({len(win.arrows)}):"]
+    for name in sorted(win.arrows):
+        a = win.arrows[name]
+        tgt = a.target if a.target is not None else "(out of window)"
+        lines.append(f"  {name}: {a.source} -> {tgt}")
+    lines.append(f"commutation relations inside window: {len(win.commutation_relations)}")
+    lines.append(f"zero relations inside window: {len(win.zero_relations)}")
+    return "\n".join(lines) + "\n"
+
+
+def _fingerprint_text(d: dict) -> str:
+    lines = [f"vertices: {d['num_vertices']}",
+             f"edges: {d['num_edges']}",
+             f"multiplicities: {', '.join(d['multiplicities'])}",
+             f"bipartite: {'yes' if d['bipartite'] else 'no'}",
+             f"nakayama order: {d['nakayama_order']}",
+             f"reduced form: {d['reduced']['num_vertices']} vertices, "
+             f"{d['reduced']['num_edges']} edges, "
+             f"multiplicities {', '.join(d['reduced']['multiplicities'])}, "
+             f"bipartite {'yes' if d['reduced']['bipartite'] else 'no'}",
+             f"face perimeters: {list(d['face_perimeters'])}",
+             f"special orbits: {list(d['special_orbits'])}"]
+    return "\n".join(lines) + "\n"
+
+
+def cmd_validate(args):
     res = _validation(*fileio.parse_ribbon(_read(args.graph)))
-    if args.format == "json":
-        _emit(args, fileio.dumps(res))
-    else:
-        _emit(args, _validation_text(res))
-    return 2 if res.get("admissible") is False else 0
+    return (2 if res.get("admissible") is False else 0,
+            {"text": lambda: _validation_text(res), "json": lambda: fileio.dumps(res)})
 
 
-def _presentation_output(args, pres) -> None:
-    if args.format == "dot":
-        _emit(args, fileio.dot_of_presentation(pres))
-    elif args.format == "json":
-        _emit(args, fileio.dumps(fileio.presentation_to_dict(pres)))
-    else:
-        _emit(args, render_text(pres) + f"\ndimension: {dimension(pres.afbg)}\n")
+def _presentation_output(pres) -> dict:
+    return {"text": lambda: render_text(pres) + f"\ndimension: {dimension(pres.afbg)}\n",
+            "json": lambda: fileio.dumps(fileio.presentation_to_dict(pres)),
+            "dot": lambda: fileio.dot_of_presentation(pres)}
 
 
-def cmd_present(args) -> int:
-    _presentation_output(args, build_presentation(_load_afbg(args.graph)))
-    return 0
+def cmd_present(args):
+    return 0, _presentation_output(build_presentation(_load_afbg(args.graph)))
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args):
+    red = reduced_form(_load_afbg(args.graph))
+    return 0, _graph_output(red.graph, red.degrees)
+
+
+def cmd_cover(args):
     a = _load_afbg(args.graph)
-    red = reduced_form(a)
-    _graph_output(args, red.graph, red.degrees)
-    return 0
+    res = cover_finite(a, _pick_cut(args, a.graph), args.r)
+    return 0, _graph_output(res.cover.graph, res.cover.degrees, {"sheets": res.sheets})
 
 
-def cmd_cover(args) -> int:
-    a = _load_afbg(args.graph)
-    cut = _pick_cut(args, a.graph)
-    res = cover_finite(a, cut, args.r)
-    extra = {"sheets": res.sheets} if args.format != "dot" else None
-    _graph_output(args, res.cover.graph, res.cover.degrees, extra)
-    return 0
-
-
-def cmd_gentle_trivext(args) -> int:
+def cmd_gentle_trivext(args):
     p = fileio.parse_gentle(_read(args.gentle))
-    if args.r == 1:
-        pres = trivial_extension(p)
-    else:
-        pres = r_fold_trivial_extension(p, args.r)
-    _presentation_output(args, pres)
-    return 0
+    pres = trivial_extension(p) if args.r == 1 else r_fold_trivial_extension(p, args.r)
+    return 0, _presentation_output(pres)
 
 
-def cmd_repetitive_window(args) -> int:
+def cmd_repetitive_window(args):
     p = fileio.parse_gentle(_read(args.gentle))
-    lo, hi = _parse_window(args.window)
-    win = repetitive_window(p, lo, hi)
-    if args.format == "dot":
-        _emit(args, fileio.dot_of_presentation(win))
-    elif args.format == "json":
-        _emit(args, fileio.dumps(fileio.bordered_to_dict(win)))
-    else:
-        lines = [f"window sheets {lo}..{hi}",
-                 f"quiver vertices ({len(win.quiver_vertices)}): "
-                 + ", ".join(win.quiver_vertices),
-                 f"arrows ({len(win.arrows)}):"]
-        for name in sorted(win.arrows):
-            a = win.arrows[name]
-            tgt = a.target if a.target is not None else "(out of window)"
-            lines.append(f"  {name}: {a.source} -> {tgt}")
-        lines.append(f"commutation relations inside window: "
-                     f"{len(win.commutation_relations)}")
-        lines.append(f"zero relations inside window: {len(win.zero_relations)}")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+    win = repetitive_window(p, *_parse_window(args.window))
+    return 0, {"text": lambda: _window_text(win),
+               "json": lambda: fileio.dumps(fileio.bordered_to_dict(win)),
+               "dot": lambda: fileio.dot_of_presentation(win)}
 
 
-def cmd_invariants(args) -> int:
-    a = _load_afbg(args.graph)
-    fp = fingerprint(a)
-    if args.format == "json":
-        _emit(args, fileio.dumps(fp.as_dict()))
-    else:
-        d = fp.as_dict()
-        lines = [f"vertices: {d['num_vertices']}",
-                 f"edges: {d['num_edges']}",
-                 f"multiplicities: {', '.join(d['multiplicities'])}",
-                 f"bipartite: {'yes' if d['bipartite'] else 'no'}",
-                 f"nakayama order: {d['nakayama_order']}",
-                 f"reduced form: {d['reduced']['num_vertices']} vertices, "
-                 f"{d['reduced']['num_edges']} edges, "
-                 f"multiplicities {', '.join(d['reduced']['multiplicities'])}, "
-                 f"bipartite {'yes' if d['reduced']['bipartite'] else 'no'}",
-                 f"face perimeters: {list(d['face_perimeters'])}",
-                 f"special orbits: {list(d['special_orbits'])}"]
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+def cmd_invariants(args):
+    fp = fingerprint(_load_afbg(args.graph))
+    return 0, {"text": lambda: _fingerprint_text(fp.as_dict()),
+               "json": lambda: fileio.dumps(fp.as_dict())}
 
 
-def cmd_compare(args) -> int:
-    a = _load_afbg(args.left)
-    b = _load_afbg(args.right)
-    result = compare(a, b)
-    if args.format == "json":
-        obj = {"consistent": result.consistent,
-               "distinguished_by": result.distinguished_by,
-               "left": result.left.as_dict(),
-               "right": result.right.as_dict()}
-        _emit(args, fileio.dumps(obj))
-    else:
-        _emit(args, result.describe() + "\n")
-    return 0 if result.consistent else 3
+def cmd_compare(args):
+    result = compare(_load_afbg(args.left), _load_afbg(args.right))
+    return (0 if result.consistent else 3,
+            {"text": lambda: result.describe() + "\n",
+             "json": lambda: fileio.dumps({"consistent": result.consistent,
+                                           "distinguished_by": result.distinguished_by,
+                                           "left": result.left.as_dict(),
+                                           "right": result.right.as_dict()})})
 
 
-def cmd_reconstruct(args) -> int:
-    data = fileio.parse_loewy(_read(args.loewy))
-    res = reconstruct_afbg(data)
+def cmd_reconstruct(args):
+    res = reconstruct_afbg(fileio.parse_loewy(_read(args.loewy)))
     labels = {eid: res.edge_labels[eid] for eid in sorted(res.edge_labels)}
-    extra = {"edge_labels": labels, "wirings_tried": res.wirings_tried}
-    _graph_output(args, res.afbg.graph, res.afbg.degrees,
-                  extra if args.format != "dot" else None)
-    return 0
+    return 0, _graph_output(res.afbg.graph, res.afbg.degrees,
+                            {"edge_labels": labels, "wirings_tried": res.wirings_tried})
 
 
-def cmd_iso(args) -> int:
+def cmd_iso(args):
     ga, da = fileio.parse_ribbon(_read(args.left))
     gb, db = fileio.parse_ribbon(_read(args.right))
     if (da is None) != (db is None):
         raise InputError("either both graphs carry degrees or neither")
     same = canonical_code(ga, da) == canonical_code(gb, db)
-    _emit(args, ("isomorphic" if same else "not isomorphic") + "\n")
-    return 0 if same else 3
+    return (0 if same else 3,
+            {"text": lambda: ("isomorphic" if same else "not isomorphic") + "\n",
+             "json": lambda: fileio.dumps({"isomorphic": same})})
 
 
-def cmd_export(args) -> int:
+def cmd_export(args):
     graph, degrees = fileio.parse_ribbon(_read(args.graph))
-    if args.loewy:
-        if degrees is None:
-            raise MissingDegree("--loewy needs vertex degrees")
-        a = Afbg.build(graph, degrees)
-        _emit(args, fileio.dumps(fileio.loewy_to_list(a)))
-    else:
-        _graph_output(args, graph, degrees)
-    return 0
+    if not args.loewy:
+        return 0, _graph_output(graph, degrees)
+    if degrees is None:
+        raise MissingDegree("--loewy needs vertex degrees")
+    a = Afbg.build(graph, degrees)
+    return 0, {"text": lambda: fileio.dumps(fileio.loewy_to_list(a))}
 
 
 # -- wiring ----------------------------------------------------------------------
@@ -351,7 +311,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, renderers = args.func(args)
+        text = renderers.get(args.format, renderers["text"])()
+        if args.out:
+            try:
+                Path(args.out).write_text(text)
+            except OSError as exc:
+                raise InputError(f"cannot write {args.out}: {exc}") from exc
+        else:
+            sys.stdout.write(text)
+        return code
     except AmbiguityError as exc:
         print(f"ambiguous: {exc}", file=sys.stderr)
         return 4

@@ -10,7 +10,9 @@ none.  Cut files are ``[{"vertex": ..., "half_edge": ...}]``.  Gentle
 files are ``{"vertices": [...], "arrows": [{"id","from","to"}],
 "zero_relations": [[later, earlier]]}`` — a listed relation kills the
 composite later∘earlier.  Loewy files are a list of ``{"id", "strands",
-"socle"}`` rows ("uniserial" optional; derived when absent).
+"socle"}`` rows ("uniserial" optional; derived when absent).  Ids, half-edges
+and labels are strings and degrees are integers; anything else is a
+:class:`ParseError`.
 
 Exported paths list arrows in application order (first arrow first);
 exported zero relations are ``[later, earlier]`` pairs.
@@ -36,14 +38,31 @@ PATH_CONVENTIONS = {
 def _load(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+          bool: "true or false"}
+
+
+def _typed(value, kind, where: str):
+    """``value`` if it is a ``kind`` (an int is never a bool), else a ParseError."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"{where}: expected {_KINDS[kind]}, got {value!r:.60}")
+    return value
+
+
 def _need(obj: dict, key: str, where: str):
-    if not isinstance(obj, dict) or key not in obj:
+    if key not in _typed(obj, dict, where):
         raise ParseError(f"{where}: missing key {key!r}")
     return obj[key]
+
+
+def _strings(value, where: str) -> list:
+    if not (isinstance(value, list) and set(map(type, value)) <= {str}):
+        raise ParseError(f"{where}: expected a list of strings, got {value!r:.60}")
+    return value
 
 
 # -- ribbon graphs -------------------------------------------------------------
@@ -51,19 +70,22 @@ def _need(obj: dict, key: str, where: str):
 def parse_ribbon(text: str):
     """Returns (RibbonGraph, degrees-or-None)."""
     obj = _load(text)
-    vrows = _need(obj, "vertices", "graph file")
-    erows = _need(obj, "edges", "graph file")
+    vrows = _typed(_need(obj, "vertices", "graph file"), list, "graph vertices")
+    erows = _typed(_need(obj, "edges", "graph file"), list, "graph edges")
     rotations = {}
     degrees = {}
     for row in vrows:
-        vid = _need(row, "id", "vertex entry")
-        rotations[vid] = list(_need(row, "rotation", f"vertex {vid!r}"))
+        vid = _typed(_need(row, "id", "vertex entry"), str, "vertex id")
+        if vid in rotations:
+            raise ParseError(f"graph file: vertex {vid!r} listed twice")
+        rotations[vid] = _strings(_need(row, "rotation", f"vertex {vid!r}"),
+                                  f"rotation of {vid!r}")
         if "degree" in row:
-            degrees[vid] = row["degree"]
+            degrees[vid] = _typed(row["degree"], int, f"degree of {vid!r}")
     if degrees and set(degrees) != set(rotations):
         missing = sorted(set(rotations) - set(degrees))
         raise ParseError(f"degrees given for some vertices but not {missing}")
-    graph = RibbonGraph.build(rotations, [list(e) for e in erows])
+    graph = RibbonGraph.build(rotations, [_strings(e, "edge") for e in erows])
     return graph, (degrees or None)
 
 
@@ -88,8 +110,8 @@ def parse_cut(text: str) -> dict:
         raise ParseError("cut file: expected a list of {vertex, half_edge}")
     cut = {}
     for row in obj:
-        v = _need(row, "vertex", "cut entry")
-        h = _need(row, "half_edge", "cut entry")
+        v = _typed(_need(row, "vertex", "cut entry"), str, "cut vertex")
+        h = _typed(_need(row, "half_edge", "cut entry"), str, "cut half-edge")
         if v in cut:
             raise ParseError(f"cut file: vertex {v!r} listed twice")
         cut[v] = h
@@ -104,14 +126,13 @@ def cut_to_list(cut: dict) -> list:
 
 def parse_gentle(text: str) -> GentlePresentation:
     obj = _load(text)
-    vertices = _need(obj, "vertices", "gentle file")
-    arrows = [( _need(a, "id", "arrow entry"),
-                _need(a, "from", "arrow entry"),
-                _need(a, "to", "arrow entry"))
-              for a in _need(obj, "arrows", "gentle file")]
+    vertices = _strings(_need(obj, "vertices", "gentle file"), "gentle vertices")
+    arrows = [tuple(_typed(_need(a, key, "arrow entry"), str, f"arrow {key!r}")
+                    for key in ("id", "from", "to"))
+              for a in _typed(_need(obj, "arrows", "gentle file"), list, "gentle arrows")]
     rels = []
-    for pair in obj.get("zero_relations", []):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+    for pair in _typed(obj.get("zero_relations", []), list, "gentle zero_relations"):
+        if len(_strings(pair, "gentle relation")) != 2:
             raise ParseError(f"gentle file: bad relation {pair!r}")
         rels.append((pair[0], pair[1]))
     return GentlePresentation.build(vertices, arrows, rels)
@@ -126,10 +147,12 @@ def parse_loewy(text: str) -> LoewyData:
     raw = []
     for row in obj:
         label = _need(row, "id", "loewy row")
-        strands = [tuple(s) for s in _need(row, "strands", f"loewy row {label!r}")]
-        socle = _need(row, "socle", f"loewy row {label!r}")
+        where = f"loewy row {label!r}"
+        strands = [tuple(_strings(s, f"{where} strand"))
+                   for s in _typed(_need(row, "strands", where), list, f"{where} strands")]
+        socle = _typed(_need(row, "socle", where), str, f"{where} socle")
         nonempty = sum(1 for s in strands if s)
-        uniserial = row.get("uniserial", nonempty <= 1)
+        uniserial = _typed(row.get("uniserial", nonempty <= 1), bool, f"{where} uniserial")
         raw.append((label, strands, uniserial, socle))
     return LoewyData.build(raw)
 

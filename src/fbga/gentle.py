@@ -170,11 +170,6 @@ class AugmentedPaths:
     trivial: tuple        # quiver vertices carrying a trivial path
     occurrences: dict     # quiver vertex -> list of (graph-vertex key, position)
 
-    def graph_vertex_keys(self) -> list[str]:
-        keys = [PATH_PREFIX + PATH_JOIN.join(c) for c in self.paths]
-        keys += [TRIVIAL_PREFIX + v for v in self.trivial]
-        return sorted(keys)
-
 
 def augmented_vertex_set(p: GentlePresentation) -> AugmentedPaths:
     """Maximal paths plus trivial paths, validated to cover every quiver

@@ -319,31 +319,25 @@ def oracle_dimension(pres: Presentation) -> int:
 
 # -- rendering -----------------------------------------------------------------
 
-def product_str(seq, alias=None) -> str:
+def product_str(seq) -> str:
     """Right-to-left product string of an application-order arrow sequence."""
-    names = [(alias or {}).get(n, n) for n in seq]
-    return "*".join(reversed(names))
+    return "*".join(reversed(seq))
 
 
-def render_text(pres: Presentation, alias: dict | None = None) -> str:
-    alias = alias or {}
-
-    def nm(x):
-        return alias.get(x, x)
-
+def render_text(pres: Presentation) -> str:
     lines = []
     lines.append(f"quiver vertices ({len(pres.quiver_vertices)}): "
                  + ", ".join(pres.quiver_vertices))
     lines.append(f"arrows ({len(pres.arrows)}):")
     for name in sorted(pres.arrows):
         a = pres.arrows[name]
-        lines.append(f"  {nm(name)}: {a.source} -> {a.target}")
+        lines.append(f"  {name}: {a.source} -> {a.target}")
     lines.append(f"commutation relations ({len(pres.commutation_relations)}):")
     for wx, wy in pres.commutation_relations:
-        lines.append(f"  {product_str(wx, alias)} = {product_str(wy, alias)}")
+        lines.append(f"  {product_str(wx)} = {product_str(wy)}")
     lines.append(f"zero relations ({len(pres.zero_relations)}):")
     for later, earlier in pres.zero_relations:
-        lines.append(f"  {nm(later)}*{nm(earlier)} = 0")
+        lines.append(f"  {later}*{earlier} = 0")
     return "\n".join(lines)
 
 

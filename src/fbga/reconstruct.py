@@ -31,7 +31,7 @@ from .errors import (
     NotAdmissible,
 )
 from .presentation import loewy_table
-from .ribbon import EDGE_SEP, RibbonGraph, canonical_code, edge_id_of_pair
+from .ribbon import EDGE_SEP, RibbonGraph, canonical_code, edge_id_of_pair, orbits
 
 WIRING_CAP = 4096
 
@@ -192,17 +192,7 @@ def reconstruct_afbg(data: LoewyData) -> Reconstruction:
 def _build_candidate(successor, strand_len, edges):
     rotations = {}
     degrees = {}
-    seen = set()
-    for start in sorted(successor):
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        cur = successor[start]
-        while cur != start:
-            cycle.append(cur)
-            seen.add(cur)
-            cur = successor[cur]
+    for cycle in orbits(successor):
         depths = {strand_len[h] + 1 for h in cycle}
         if len(depths) != 1:
             return None

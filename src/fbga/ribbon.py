@@ -149,15 +149,6 @@ class RibbonGraph:
     def num_edges(self) -> int:
         return len(self.pairing) // 2
 
-    def underlying_graph(self) -> list[tuple]:
-        """Edges of the underlying multigraph as (vertex, vertex, edge id),
-        endpoint pair sorted, rows sorted by edge id."""
-        rows = []
-        for a, b in self.edge_pairs():
-            u, w = sorted((self.attach[a], self.attach[b]))
-            rows.append((u, w, edge_id_of_pair(a, b)))
-        return sorted(rows, key=lambda r: r[2])
-
     def is_bipartite(self) -> bool:
         """2-colorability of the underlying multigraph; a loop is an odd cycle."""
         adj = {v: [] for v in self.vertices}
@@ -194,12 +185,6 @@ class RibbonGraph:
 
     def rotation_inverse(self) -> dict:
         return {b: a for a, b in self.rotation.items()}
-
-    def to_rotations_and_edges(self):
-        """Deterministic (rotations, edges) pair; inverse of :meth:`build`."""
-        rotations = {v: list(self.stars[v]) for v in self.vertices}
-        edges = [list(p) for p in self.edge_pairs()]
-        return rotations, edges
 
 
 def _is_connected(vertices, attach, pairing) -> bool:

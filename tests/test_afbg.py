@@ -52,6 +52,8 @@ def test_missing_and_bad_degrees():
         nakayama_permutation(g, {"u": 2, "w": 0})
     with pytest.raises(MissingDegree):
         nakayama_permutation(g, {"u": 2, "w": Fraction(3, 2)})
+    with pytest.raises(MissingDegree):
+        nakayama_permutation(g, {"u": 2, "w": True})
 
 
 def test_loop_degree_one_violates_both_ways():

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from fbga.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -41,6 +43,43 @@ def test_validate_inadmissible_exits_2(tmp_path, capsys):
 
 def test_validate_missing_file_exits_1(capsys):
     assert run(capsys, "validate", "no/such/file.rg")[0] == 1
+
+
+LOOP = {"vertices": [{"id": "v", "rotation": ["a", "b"], "degree": 2}],
+        "edges": [["a", "b"]]}
+MALFORMED = {
+    "graph-vertices-not-a-list": (["validate"], {"vertices": 5, "edges": []}),
+    "graph-edges-not-a-list": (["validate"], {**LOOP, "edges": 5}),
+    "graph-edge-not-a-list": (["validate"], {**LOOP, "edges": [5]}),
+    "vertex-id-a-list": (["validate"], {"vertices": [{"id": ["v"], "rotation": ["a", "b"]}],
+                                        "edges": [["a", "b"]]}),
+    "vertex-id-repeated": (["validate"], {"vertices": [LOOP["vertices"][0]] * 2,
+                                          "edges": [["a", "b"]]}),
+    "rotation-a-string": (["validate"], {"vertices": [{"id": "v", "rotation": "ab"}],
+                                         "edges": [["a", "b"]]}),
+    "degree-a-bool": (["iso", "{input}"], {"vertices": [{"id": "v", "rotation": ["a", "b"],
+                                                         "degree": True}],
+                                           "edges": [["a", "b"]]}),
+    "gentle-vertices-not-a-list": (["gentle-trivext"], {"vertices": 5, "arrows": []}),
+    "loewy-strands-not-a-list": (["reconstruct"], [{"id": "s", "strands": 5, "socle": "s"}]),
+    "loewy-socle-a-list": (["reconstruct"], [{"id": "s", "strands": [], "socle": ["s"]}]),
+    "not-utf8": (["validate"], b"\xff\xfe"),
+    "nested-too-deep": (["validate"], b"[" * 100_000 + b"]" * 100_000),
+    "out-unwritable": (["validate", "--out", "{tmp}/missing/out.txt"], LOOP),
+}
+
+
+@pytest.mark.parametrize("argv, content", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_a_one_line_error(tmp_path, capsys, argv, content):
+    path = tmp_path / "input.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content))
+    command, *rest = [a.format(input=path, tmp=tmp_path) for a in argv]
+    assert main([command, str(path), *rest]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_present_text_and_json(tmp_path, capsys):

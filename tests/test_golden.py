@@ -4,9 +4,19 @@
 arguments (paths relative to the repository root).  Every case runs in
 each of the three formats; ``<name>.<format>.out`` holds the exact
 stdout, and ``<name>.<format>.err`` the exact stderr followed by the line
-``exit <code>``.
+``exit <code>``.  Every non-empty ``*.json.out`` must also parse as JSON.
+
+The files are regenerated, from the repository root, by::
+
+    while read -r name argv; do for fmt in text json dot; do
+      { PYTHONPATH=src python -m fbga.cli $argv --format $fmt 2>&1 \
+          > tests/golden/$name.$fmt.out; echo "exit $?"; } > tests/golden/$name.$fmt.err
+    done; done < tests/golden/cases.txt
+
+Commit only the files whose change the commit intends.
 """
 
+import json
 from pathlib import Path
 
 from fbga.cli import main
@@ -27,6 +37,11 @@ def test_cli_output_matches_golden_files(capsys, monkeypatch):
             stem = GOLDEN / f"{name}.{fmt}"
             if out.encode() != Path(f"{stem}.out").read_bytes():
                 mismatched.append(f"{stem.name}.out")
+            if fmt == "json" and out:
+                try:
+                    json.loads(out)
+                except json.JSONDecodeError:
+                    mismatched.append(f"{stem.name}.out is not JSON")
             if (err + f"exit {code}\n").encode() != Path(f"{stem}.err").read_bytes():
                 mismatched.append(f"{stem.name}.err")
     assert not mismatched
