@@ -11,8 +11,8 @@ files are ``{"vertices": [...], "arrows": [{"id","from","to"}],
 "zero_relations": [[later, earlier]]}`` — a listed relation kills the
 composite later∘earlier.  Loewy files are a list of ``{"id", "strands",
 "socle"}`` rows ("uniserial" optional; derived when absent).  Ids, half-edges
-and labels are strings and degrees are integers; anything else is a
-:class:`ParseError`.
+and labels are strings and degrees are positive integers; anything else is
+a :class:`ParseError`.
 
 Exported paths list arrows in application order (first arrow first);
 exported zero relations are ``[later, earlier]`` pairs.
@@ -82,6 +82,9 @@ def parse_ribbon(text: str):
                                   f"rotation of {vid!r}")
         if "degree" in row:
             degrees[vid] = _typed(row["degree"], int, f"degree of {vid!r}")
+            if degrees[vid] < 1:
+                raise ParseError(f"degree of {vid!r}: expected a positive integer, "
+                                 f"got {degrees[vid]}")
     if degrees and set(degrees) != set(rotations):
         missing = sorted(set(rotations) - set(degrees))
         raise ParseError(f"degrees given for some vertices but not {missing}")

@@ -21,6 +21,7 @@ is phrased in terms of these three maps.  Instances are immutable; use
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -208,93 +209,130 @@ def _is_connected(vertices, attach, pairing) -> bool:
 
 # -- canonical form and isomorphism ------------------------------------------
 
-def _rooted_word(graph, root, rinv, degrees):
-    """Label half-edges by BFS from ``root`` over the moves
-    (pairing, rotation, rotation^-1); return the induced code word.
+def _root_keys(graph, degrees) -> dict:
+    """Isomorphism-invariant key of every half-edge: the valency and the face
+    length at it and at its partner, then both degrees when given."""
+    pair, attach = graph.pairing, graph.attach
+    valency = {h: len(star) for star in graph.stars.values() for h in star}
+    face = {h: len(f) for f in graph.faces() for h in f}
+    if degrees is None:
+        return {h: (valency[h], valency[p], face[h], face[p]) for h, p in pair.items()}
+    return {h: (valency[h], valency[p], face[h], face[p], degrees[attach[h]], degrees[attach[p]])
+            for h, p in pair.items()}
 
-    Two rooted graphs give equal words iff there is a half-edge bijection
-    sending root to root and commuting with pairing and rotation (and
-    preserving degrees when given): the word records, per discovered
-    half-edge, the labels of its three neighbours.
+
+def _rarest_key(sizes: Counter):
+    """The key of the smallest class, ties broken by the key itself, so
+    the choice does not depend on half-edge names."""
+    return min(sizes, key=lambda k: (sizes[k], k))
+
+
+def _rooted_word(graph, root, rinv, degrees, bound=None):
+    """(word, order) of the BFS from ``root`` over the moves (pairing,
+    rotation, rotation^-1), or ``None`` as soon as a prefix of the word
+    exceeds ``bound``.
+
+    ``order`` lists the half-edges by BFS label.  The word has one entry per
+    half-edge in that order: the labels of its three neighbours, then its
+    degree when degrees are given.  An entry is emitted as soon as its
+    neighbours are labelled, so a losing root stops at its first larger
+    entry.  Two rooted graphs give equal words iff there is a half-edge
+    bijection sending root to root and commuting with pairing and rotation
+    (and preserving degrees when given).
     """
-    pair = graph.pairing
-    rot = graph.rotation
+    pair, rot, attach = graph.pairing, graph.rotation, graph.attach
     label = {root: 0}
     order = [root]
-    i = 0
-    while i < len(order):
-        h = order[i]
-        for m in (pair[h], rot[h], rinv[h]):
+    word = []
+    tied = bound is not None
+    for h in order:  # grows while it is walked: this is the BFS queue
+        p, r, q = pair[h], rot[h], rinv[h]
+        for m in (p, r, q):
             if m not in label:
                 label[m] = len(order)
                 order.append(m)
-        i += 1
-    word = []
-    for h in order:
-        word.append(label[pair[h]])
-        word.append(label[rot[h]])
-        word.append(label[rinv[h]])
+        entry = (label[p], label[r], label[q])
         if degrees is not None:
-            word.append(degrees[graph.attach[h]])
-    return tuple(word), label
-
-
-def _min_rooted_word(graph: RibbonGraph, degrees):
-    """(word, labels) of the first root, in half-edge order, whose rooted
-    word is lexicographically minimal."""
-    rinv = graph.rotation_inverse()
-    best = None
-    for root in graph.half_edges:
-        word, label = _rooted_word(graph, root, rinv, degrees)
-        if best is None or word < best[0]:
-            best = (word, label)
-    return best
+            entry += (degrees[attach[h]],)
+        if tied and entry != bound[len(word)]:
+            if entry > bound[len(word)]:
+                return None
+            tied = False
+        word.append(entry)
+    return tuple(word), order
 
 
 def canonical_code(graph: RibbonGraph, degrees: dict | None = None) -> tuple:
-    """Lexicographically minimal rooted code over all root half-edges.
+    """Lexicographically minimal rooted word over the roots of the rarest
+    key class.
 
-    Equal codes characterise isomorphism (degree-aware when ``degrees``
-    is given).  Mirror images are *not* identified: the word uses rotation
-    and its inverse in fixed slots, so reversing all rotations produces a
-    different code in general.
+    Every half-edge gets an isomorphism-invariant key (valency and face
+    length at it and at its partner, and both degrees when ``degrees`` is
+    given); only the half-edges of the smallest key class are tried as
+    roots, and each word stops at its first entry above the best so far.
+    Equal codes characterise isomorphism (degree-aware when ``degrees`` is
+    given).  A code is only meant to be compared with codes of the same
+    version of this module and is never written to output.  Mirror images
+    are *not* identified: the word uses rotation and its inverse in fixed
+    slots, so reversing all rotations produces a different code in general.
     """
     if not graph.connected:
         raise DisconnectedInput("canonical_code requires a connected graph")
-    if not graph.attach:
+    keys = _root_keys(graph, degrees)
+    if not keys:
         return ()
-    return _min_rooted_word(graph, degrees)[0]
+    rarest = _rarest_key(Counter(keys.values()))
+    rinv = graph.rotation_inverse()
+    best = None
+    for root in (h for h, k in keys.items() if k == rarest):
+        found = _rooted_word(graph, root, rinv, degrees, best)
+        if found is not None:
+            best = found[0]
+    return best
 
 
 def is_isomorphic(g1: RibbonGraph, g2: RibbonGraph,
                   d1: dict | None = None, d2: dict | None = None):
     """Half-edge bijection realising an isomorphism, or ``None``.
 
-    Degrees are compared iff both ``d1`` and ``d2`` are given.  The
-    returned dict commutes with pairing and rotation and induces a
-    vertex bijection (rotation orbits map to rotation orbits).
+    Degrees are compared iff both ``d1`` and ``d2`` are given.  Graphs whose
+    half-edge keys (see :func:`canonical_code`) differ as multisets are
+    rejected at once.  Otherwise the word of g1 from one root of its rarest
+    key class is matched against the words of g2 from the roots of the same
+    class, each stopping at its first larger entry; an isomorphism sends
+    that root into that class, so one of them matches iff the graphs are
+    isomorphic.  The returned dict is checked to commute with pairing and
+    rotation (and to preserve degrees), so it induces a vertex bijection.
     """
     if not (g1.connected and g2.connected):
         raise DisconnectedInput("isomorphism testing requires connected graphs")
-    use_degrees = d1 is not None and d2 is not None
-    if len(g1.attach) != len(g2.attach) or len(g1.vertices) != len(g2.vertices):
+    if d1 is None or d2 is None:
+        d1 = d2 = None
+    keys1, keys2 = _root_keys(g1, d1), _root_keys(g2, d2)
+    sizes = Counter(keys1.values())
+    if sizes != Counter(keys2.values()):
         return None
-    if not g1.attach:
+    if not keys1:
         return {}
 
-    word1, label1 = _min_rooted_word(g1, d1 if use_degrees else None)
-    word2, label2 = _min_rooted_word(g2, d2 if use_degrees else None)
-    if word1 != word2:
+    rarest = _rarest_key(sizes)
+    root1 = next(h for h, k in keys1.items() if k == rarest)
+    word1, order1 = _rooted_word(g1, root1, g1.rotation_inverse(), d1)
+    rinv2 = g2.rotation_inverse()
+    for root in (h for h, k in keys2.items() if k == rarest):
+        found = _rooted_word(g2, root, rinv2, d2, word1)
+        if found is not None and found[0] == word1:
+            mapping = dict(zip(order1, found[1]))
+            break
+    else:
         return None
-    by_label2 = {i: h for h, i in label2.items()}
-    mapping = {h: by_label2[i] for h, i in label1.items()}
 
     # verify the claimed isomorphism explicitly
     for h, h2 in mapping.items():
         if (mapping[g1.pairing[h]] != g2.pairing[h2]
                 or mapping[g1.rotation[h]] != g2.rotation[h2]
-                or use_degrees and d1[g1.attach[h]] != d2[g2.attach[h2]]):
-            raise InvariantError(f"equal codes but the induced map fails at {h!r}")
+                or d1 is not None and d1[g1.attach[h]] != d2[g2.attach[h2]]):
+            raise InvariantError(f"equal words but the induced map fails at {h!r}")
     return mapping
 
 

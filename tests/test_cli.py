@@ -45,8 +45,12 @@ def test_validate_missing_file_exits_1(capsys):
     assert run(capsys, "validate", "no/such/file.rg")[0] == 1
 
 
-LOOP = {"vertices": [{"id": "v", "rotation": ["a", "b"], "degree": 2}],
-        "edges": [["a", "b"]]}
+def loop_of_degree(d):
+    return {"vertices": [{"id": "v", "rotation": ["a", "b"], "degree": d}],
+            "edges": [["a", "b"]]}
+
+
+LOOP = loop_of_degree(2)
 MALFORMED = {
     "graph-vertices-not-a-list": (["validate"], {"vertices": 5, "edges": []}),
     "graph-edges-not-a-list": (["validate"], {**LOOP, "edges": 5}),
@@ -57,9 +61,11 @@ MALFORMED = {
                                           "edges": [["a", "b"]]}),
     "rotation-a-string": (["validate"], {"vertices": [{"id": "v", "rotation": "ab"}],
                                          "edges": [["a", "b"]]}),
-    "degree-a-bool": (["iso", "{input}"], {"vertices": [{"id": "v", "rotation": ["a", "b"],
-                                                         "degree": True}],
-                                           "edges": [["a", "b"]]}),
+    "degree-a-bool": (["iso", "{input}"], loop_of_degree(True)),
+    "degree-zero-iso": (["iso", "{input}"], loop_of_degree(0)),
+    "degree-negative-iso": (["iso", "{input}"], loop_of_degree(-3)),
+    "degree-zero-export": (["export"], loop_of_degree(0)),
+    "degree-negative-export": (["export"], loop_of_degree(-3)),
     "gentle-vertices-not-a-list": (["gentle-trivext"], {"vertices": 5, "arrows": []}),
     "loewy-strands-not-a-list": (["reconstruct"], [{"id": "s", "strands": 5, "socle": "s"}]),
     "loewy-socle-a-list": (["reconstruct"], [{"id": "s", "strands": [], "socle": ["s"]}]),
