@@ -98,7 +98,9 @@ class QuotientNotAdmissible(MathPreconditionError):
 
 
 class SizeLimitExceeded(MathPreconditionError):
-    """Brute-force oracle refused an input above its size bound."""
+    """An exhaustive search refused an input above its declared bound: the
+    brute-force dimension oracle, or reconstruction with more side-swap
+    classes than ``WIRING_CAP``.  A refusal, never a verdict."""
 
 
 class UnboundedPath(MathPreconditionError):

@@ -188,15 +188,16 @@ def loewy_table(a: Afbg) -> dict:
     """Per edge: top, the two radical strands (one per half-edge, listing
     the edges hit by walks of length 1..degree-1), and the socle edge."""
     g = a.graph
+    edge_of = {h: edge_id_of_pair(h, p) for h, p in g.pairing.items()}
     table = {}
     for x, y in g.edge_pairs():
-        e = g.edge_of(x)
+        e = edge_of[x]
         strands = []
         for h in (x, y):
             run = _run(g.rotation, h, a.degrees[g.attach[h]])
-            strands.append(tuple([g.edge_of(s) for s in run[1:]]))
-        socle = g.edge_of(a.nakayama[x])
-        if socle != g.edge_of(a.nakayama[y]):  # forced by admissibility (a)
+            strands.append(tuple([edge_of[s] for s in run[1:]]))
+        socle = edge_of[a.nakayama[x]]
+        if socle != edge_of[a.nakayama[y]]:  # forced by admissibility (a)
             raise InvariantError(f"the two full walks of edge {e!r} end on different edges")
         uniserial = not (strands[0] and strands[1])
         table[e] = LoewyRow(e, tuple(strands), socle, uniserial)

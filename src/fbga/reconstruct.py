@@ -6,11 +6,26 @@ socle), and the socle label.  The socle recurrence pins every rotation
 walk: d places after label x the walk passes through socle(row x).  The
 content of the data is therefore rigid, and the only freedom left is
 which of a row's two sides realizes which continuation — a genuine
-choice exactly when both sides carry identical strands.  Reconstruction
-enumerates those side swaps, builds each candidate graph, keeps the ones
-that are connected, admissible and reproduce the input table, and
-deduplicates up to isomorphism.  One survivor is the answer; several
-raise ``Ambiguous``; none raise ``InconsistentInput``.
+choice exactly when both sides carry identical strands (a *tie*).  Each
+tie has one bit: which of the tied row's two sides follows which of the
+two sides that demand it.  Reconstruction builds candidate graphs from
+wirings, keeps the ones that are connected, admissible and reproduce the
+input table, and deduplicates up to isomorphism.  One survivor is the
+answer; several raise ``Ambiguous``; none raise ``InconsistentInput``.
+
+Not every wiring needs building.  Renaming the two sides of a tied row x
+flips two bits: x's own, and that of the tie x feeds (the tie whose
+supply key is x's demand key).  The renamed wiring gives the same
+candidate with two half-edge names swapped — same edges, strands, socles
+and depths — so every check above gives it the same verdict.  "Feeds" is
+a permutation of the ties; on each of its c cycles the flips span the
+even-weight bit vectors, so the wirings fall into exactly 2^c parity
+classes.  One wiring per class is built: the one whose bits are 0 on
+every tie but the last (in sorted key order) of each cycle.  That is the
+class member the full product order meets first, so the labelled graph
+returned is the one an enumeration of all wirings would return.  More
+than ``WIRING_CAP`` classes raise ``SizeLimitExceeded``: a refusal, never
+a verdict.
 
 The one-row table with strands ((l,), (l,)) and socle l is realized by
 both 4-dimensional local algebras (loop of degree 2; edge of degrees
@@ -29,6 +44,7 @@ from .errors import (
     InconsistentInput,
     InputError,
     NotAdmissible,
+    SizeLimitExceeded,
 )
 from .presentation import loewy_table
 from .ribbon import EDGE_SEP, RibbonGraph, canonical_code, edge_id_of_pair, orbits
@@ -128,41 +144,42 @@ def reconstruct_afbg(data: LoewyData) -> Reconstruction:
 
     supply = {}
     demand = {}
+    wants = {}  # instance name -> demand key
     for inst in instances:
         supply.setdefault((inst.label, inst.strand), []).append(inst.name)
         window = inst.strand + (inst.socle,)
-        demand.setdefault((window[0], window[1:]), []).append(inst.name)
+        wants[inst.name] = (window[0], window[1:])
+        demand.setdefault(wants[inst.name], []).append(inst.name)
     if {k: len(v) for k, v in supply.items()} != {k: len(v) for k, v in demand.items()}:
         raise InconsistentInput(
             "successor requirements do not match the available sides")
 
     ties = sorted(k for k, v in supply.items() if len(v) == 2)
     tie_labels = sorted({label for label, _ in ties})
-    if 2 ** len(ties) > WIRING_CAP:
-        raise Ambiguous(
-            f"{len(ties)} interchangeable side pairs exceed the enumeration "
-            f"bound of {WIRING_CAP} wirings", tie_classes=tie_labels)
+    # both sides of a tied row demand the same key, so that key is a tie too
+    feeds = {key: wants[supply[key][0]] for key in ties}
+    free = sorted(max(cycle) for cycle in orbits(feeds))
+    if 2 ** len(free) > WIRING_CAP:
+        raise SizeLimitExceeded(
+            f"2^{len(free)} side-swap classes ({len(free)} independent cycles of "
+            f"tied rows) exceed the enumeration bound of {WIRING_CAP} wirings")
 
     strand_len = {inst.name: len(inst.strand) for inst in instances}
     edges = [[f"e{idx}a", f"e{idx}b"] for idx in range(len(rows))]
     edge_labels = {edge_id_of_pair(f"e{idx}a", f"e{idx}b"): row.label
                    for idx, row in enumerate(rows)}
     label_of = {v: k for k, v in edge_labels.items()}
+    fixed = {dlist[0]: supply[key][0] for key, dlist in demand.items() if len(dlist) == 1}
+    tied = [(key, *sorted(demand[key])) for key in ties]
 
     survivors = {}
-    wirings = 0
-    for bits in product((0, 1), repeat=len(ties)):
-        wirings += 1
-        successor = {}
-        for key, dlist in demand.items():
-            slist = supply[key]
-            if len(slist) == 1:
-                successor[dlist[0]] = slist[0]
-            else:
-                b = bits[ties.index(key)]
-                d1, d2 = sorted(dlist)
-                successor[d1] = slist[b]
-                successor[d2] = slist[1 - b]
+    for free_bits in product((0, 1), repeat=len(free)):
+        bits = dict(zip(free, free_bits))
+        successor = dict(fixed)
+        for key, d1, d2 in tied:
+            b = bits.get(key, 0)
+            successor[d1] = supply[key][b]
+            successor[d2] = supply[key][1 - b]
 
         candidate = _build_candidate(successor, strand_len, edges)
         if candidate is None:
@@ -186,7 +203,7 @@ def reconstruct_afbg(data: LoewyData) -> Reconstruction:
             f"{len(survivors)} non-isomorphic graphs realize this table",
             tie_classes=tie_labels)
     (a,) = survivors.values()
-    return Reconstruction(a, edge_labels, wirings)
+    return Reconstruction(a, edge_labels, 2 ** len(free))
 
 
 def _build_candidate(successor, strand_len, edges):

@@ -190,7 +190,7 @@ def test_iso_positive_negative(tmp_path, capsys):
 def test_reconstruct_roundtrip(capsys):
     code, out = run(capsys, "reconstruct", DATA / "lambda.loewy")
     assert code == 0
-    assert "wirings_tried: 4" in out
+    assert "wirings_tried: 2" in out
 
 
 def test_reconstruct_ambiguous_exits_4(capsys):
@@ -199,6 +199,18 @@ def test_reconstruct_ambiguous_exits_4(capsys):
 
 def test_reconstruct_exceptional_exits_2(capsys):
     assert run(capsys, "reconstruct", DATA / "exceptional.loewy")[0] == 2
+
+
+def test_reconstruct_over_the_wiring_bound_exits_2(tmp_path, capsys):
+    """13 tied rows that each feed themselves: 2^13 side-swap classes."""
+    table = tmp_path / "capped.loewy"
+    table.write_text(json.dumps([
+        {"id": f"l{i}", "strands": [[f"l{i}"] * 3] * 2, "uniserial": False, "socle": f"l{i}"}
+        for i in range(13)]))
+    assert main(["reconstruct", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: 2^13 side-swap classes") and "4096" in err
 
 
 def test_export_loewy_and_dot(capsys):

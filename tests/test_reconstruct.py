@@ -1,17 +1,30 @@
 import random
+from itertools import product
 
 import pytest
 
 from fbga.afbg import Afbg
-from fbga.errors import Ambiguous, Exceptional, InconsistentInput, InputError
+from fbga.errors import (
+    Ambiguous,
+    Exceptional,
+    FbgaError,
+    InconsistentInput,
+    InputError,
+    NotAdmissible,
+    SizeLimitExceeded,
+)
 from fbga.randgen import random_afbg
 from fbga.reconstruct import (
+    WIRING_CAP,
     LoewyData,
+    _build_candidate,
+    _Instance,
+    _table_matches,
     loewy_data_of,
     reconstruct_afbg,
     roundtrip_check,
 )
-from fbga.ribbon import RibbonGraph, is_isomorphic
+from fbga.ribbon import RibbonGraph, canonical_code, edge_id_of_pair, is_isomorphic
 
 
 def lambda_afbg():
@@ -76,7 +89,7 @@ def test_reconstruct_double_edge_unique():
     a = lambda_afbg()
     data, name = loewy_data_of(a)
     rec = reconstruct_afbg(data)
-    assert rec.wirings_tried == 4
+    assert rec.wirings_tried == 2
     assert is_isomorphic(rec.afbg.graph, a.graph,
                          rec.afbg.degrees, a.degrees) is not None
     assert sorted(rec.edge_labels.values()) == sorted(name.values())
@@ -145,3 +158,161 @@ def test_roundtrip_check_true_on_star():
         [["c1", "x1"], ["c2", "y1"], ["c3", "z1"]])
     a = Afbg.build(g, {"c": 3, "x": 1, "y": 1, "z": 1})
     assert roundtrip_check(a)
+
+
+# ------------------------------------------- brute-force oracle for pruning
+
+def reconstruct_all_wirings(data: LoewyData):
+    """Every one of the 2^t side swaps, as reconstruction did before it
+    built one wiring per side-renaming class.  Small inputs only."""
+    rows = data.rows
+    if len(rows) == 1:
+        l = rows[0].label
+        if rows[0].strands == ((l,), (l,)) and rows[0].socle == l:
+            raise Exceptional(
+                "table fits both 4-dimensional local algebras (a loop of "
+                "degree 2 and an edge of degrees 2,2); they cannot be told apart")
+
+    instances = []
+    for idx, row in enumerate(rows):
+        for side, tag in ((0, "a"), (1, "b")):
+            instances.append(_Instance(f"e{idx}{tag}", row.label,
+                                       row.strands[side], row.socle))
+
+    supply = {}
+    demand = {}
+    for inst in instances:
+        supply.setdefault((inst.label, inst.strand), []).append(inst.name)
+        window = inst.strand + (inst.socle,)
+        demand.setdefault((window[0], window[1:]), []).append(inst.name)
+    if {k: len(v) for k, v in supply.items()} != {k: len(v) for k, v in demand.items()}:
+        raise InconsistentInput(
+            "successor requirements do not match the available sides")
+
+    ties = sorted(k for k, v in supply.items() if len(v) == 2)
+    tie_labels = sorted({label for label, _ in ties})
+    strand_len = {inst.name: len(inst.strand) for inst in instances}
+    edges = [[f"e{idx}a", f"e{idx}b"] for idx in range(len(rows))]
+    edge_labels = {edge_id_of_pair(f"e{idx}a", f"e{idx}b"): row.label
+                   for idx, row in enumerate(rows)}
+    label_of = {v: k for k, v in edge_labels.items()}
+
+    survivors = {}
+    for bits in product((0, 1), repeat=len(ties)):
+        successor = {}
+        for key, dlist in demand.items():
+            slist = supply[key]
+            if len(slist) == 1:
+                successor[dlist[0]] = slist[0]
+            else:
+                b = bits[ties.index(key)]
+                d1, d2 = sorted(dlist)
+                successor[d1] = slist[b]
+                successor[d2] = slist[1 - b]
+
+        candidate = _build_candidate(successor, strand_len, edges)
+        if candidate is None:
+            continue
+        graph, degrees = candidate
+        if not graph.connected:
+            continue
+        try:
+            a = Afbg.build(graph, degrees)
+        except NotAdmissible:
+            continue
+        if not _table_matches(a, data, edge_labels, label_of):
+            continue
+        survivors.setdefault(canonical_code(graph, degrees), a)
+
+    if not survivors:
+        raise InconsistentInput(
+            "no connected admissible graph realizes this table")
+    if len(survivors) > 1:
+        raise Ambiguous(
+            f"{len(survivors)} non-isomorphic graphs realize this table",
+            tie_classes=tie_labels)
+    (a,) = survivors.values()
+    return a, edge_labels
+
+
+def outcome(reconstruct, data):
+    """Everything a caller can observe of one reconstruction."""
+    try:
+        res = reconstruct(data)
+    except FbgaError as exc:
+        return type(exc), str(exc), getattr(exc, "tie_classes", None)
+    a, labels = res if isinstance(res, tuple) else (res.afbg, res.edge_labels)
+    return a.graph.rotation, a.graph.edge_pairs(), a.degrees, labels
+
+
+def admissible_or_none(rotations, edges, degrees):
+    try:
+        return Afbg.build(RibbonGraph.build(rotations, edges), degrees)
+    except NotAdmissible:
+        return None
+
+
+def dipole(k, du, dw, turn=1):
+    """k parallel edges; the second end turns the same way (turn 1) or
+    the opposite way (turn -1)."""
+    return admissible_or_none(
+        {"u": [f"h{i}" for i in range(k)],
+         "w": [f"g{turn * i % k}" for i in range(k)]},
+        [[f"h{i}", f"g{i}"] for i in range(k)], {"u": du, "w": dw})
+
+
+def bouquet(k, d):
+    return admissible_or_none(
+        {"v": [f"a{i}" for i in range(k)] + [f"b{i}" for i in range(k)]},
+        [[f"a{i}", f"b{i}"] for i in range(k)], {"v": d})
+
+
+def self_feeding(n, length):
+    """n rows, each tied and feeding itself: n cycles of ties."""
+    return LoewyData.build([(f"l{i}", ((f"l{i}",) * length,) * 2, False, f"l{i}")
+                            for i in range(n)])
+
+
+def test_reached_cap_is_a_refusal():
+    """13 self-feeding tied rows are 13 cycles of ties: 2^13 classes."""
+    data = self_feeding(13, 3)
+    assert 2 ** 13 > WIRING_CAP
+    with pytest.raises(SizeLimitExceeded, match=f"2\\^13 side-swap classes .* {WIRING_CAP}"):
+        reconstruct_afbg(data)
+
+
+def oracle_tables():
+    algebras = []
+    for k in range(1, 9):
+        for du, dw, turn in product(range(1, 2 * k + 1), range(1, 2 * k + 1), (1, -1)):
+            algebras.append(dipole(k, du, dw, turn))
+    for k in range(1, 7):
+        algebras += [bouquet(k, d) for d in range(1, 2 * k + 1)]
+    algebras += [bouquet(1, d) for d in range(2, 9)]
+    for seed in range(30):
+        rng = random.Random(seed)
+        algebras.append(random_afbg(rng, num_edges=rng.randint(2, 6)))
+    tables = {loewy_data_of(a)[0] for a in algebras if a is not None}
+    tables |= {self_feeding(n, length) for n in range(1, 5) for length in range(1, 4)}
+    return sorted(tables, key=repr)
+
+
+def test_one_wiring_per_class_agrees_with_all_wirings():
+    kinds = set()
+    tables = oracle_tables()
+    for data in tables:
+        expected = outcome(reconstruct_all_wirings, data)
+        assert outcome(reconstruct_afbg, data) == expected, data
+        kinds.add(expected[0] if isinstance(expected[0], type) else "unique")
+    assert len(tables) > 150
+    assert kinds == {"unique", Ambiguous, Exceptional, InconsistentInput}
+
+
+@pytest.mark.parametrize("k", [13, 20, 30, 40])
+def test_large_dipole_reconstructs_uniquely_from_two_wirings(k):
+    a = dipole(k, k, k)
+    data, _ = loewy_data_of(a)
+    rec = reconstruct_afbg(data)
+    assert rec.wirings_tried == 2
+    assert is_isomorphic(rec.afbg.graph, a.graph,
+                         rec.afbg.degrees, a.degrees) is not None
