@@ -76,7 +76,6 @@ from .reconstruct import (
     Reconstruction,
     loewy_data_of,
     reconstruct_afbg,
-    roundtrip_check,
 )
 from .ribbon import RibbonGraph, canonical_code, is_isomorphic
 

@@ -99,8 +99,8 @@ class QuotientNotAdmissible(MathPreconditionError):
 
 class SizeLimitExceeded(MathPreconditionError):
     """An exhaustive search refused an input above its declared bound: the
-    brute-force dimension oracle, or reconstruction with more side-swap
-    classes than ``WIRING_CAP``.  A refusal, never a verdict."""
+    brute-force dimension oracle, over too many arrows or with a path
+    enumeration past its rewriting bound.  A refusal, never a verdict."""
 
 
 class UnboundedPath(MathPreconditionError):

@@ -13,19 +13,22 @@ wirings, keeps the ones that are connected, admissible and reproduce the
 input table, and deduplicates up to isomorphism.  One survivor is the
 answer; several raise ``Ambiguous``; none raise ``InconsistentInput``.
 
-Not every wiring needs building.  Renaming the two sides of a tied row x
-flips two bits: x's own, and that of the tie x feeds (the tie whose
-supply key is x's demand key).  The renamed wiring gives the same
-candidate with two half-edge names swapped — same edges, strands, socles
-and depths — so every check above gives it the same verdict.  "Feeds" is
-a permutation of the ties; on each of its c cycles the flips span the
-even-weight bit vectors, so the wirings fall into exactly 2^c parity
-classes.  One wiring per class is built: the one whose bits are 0 on
-every tie but the last (in sorted key order) of each cycle.  That is the
-class member the full product order meets first, so the labelled graph
-returned is the one an enumeration of all wirings would return.  More
-than ``WIRING_CAP`` classes raise ``SizeLimitExceeded``: a refusal, never
-a verdict.
+At most two wirings need building, so there is no search bound.  Both
+sides of a tied row demand the same key, and only the two sides of one
+tied row supply it, so tied sides only ever follow tied sides: "feeds"
+(a tie to the tie its row demands) is a permutation of the ties, and
+each of its cycles is closed under the rotation and the edge pairing of
+every candidate.  A table that mixes tied and untied rows, or whose ties
+form two or more cycles, is therefore disconnected in every wiring and
+is rejected before any graph is built.  Otherwise either there is no tie
+(one wiring) or the ties form one cycle.  Renaming the two sides of a
+tied row flips its own bit and that of the tie it feeds and gives the
+same candidate with two half-edge names swapped, so on one cycle the
+flips reach every wiring of the same bit parity: two classes, built as
+the wirings that are 0 on every tie but the last (in sorted key order).
+That is the member of each class that the full product order meets
+first, so the labelled graph returned is the one an enumeration of all
+2^t wirings would return.
 
 The one-row table with strands ((l,), (l,)) and socle l is realized by
 both 4-dimensional local algebras (loop of degree 2; edge of degrees
@@ -35,7 +38,6 @@ both 4-dimensional local algebras (loop of degree 2; edge of degrees
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .afbg import Afbg
 from .errors import (
@@ -44,12 +46,9 @@ from .errors import (
     InconsistentInput,
     InputError,
     NotAdmissible,
-    SizeLimitExceeded,
 )
 from .presentation import loewy_table
-from .ribbon import EDGE_SEP, RibbonGraph, canonical_code, edge_id_of_pair, orbits
-
-WIRING_CAP = 4096
+from .ribbon import EDGE_SEP, RibbonGraph, edge_id_of_pair, is_isomorphic, orbits
 
 
 @dataclass(frozen=True)
@@ -155,32 +154,27 @@ def reconstruct_afbg(data: LoewyData) -> Reconstruction:
             "successor requirements do not match the available sides")
 
     ties = sorted(k for k, v in supply.items() if len(v) == 2)
-    tie_labels = sorted({label for label, _ in ties})
     # both sides of a tied row demand the same key, so that key is a tie too
     feeds = {key: wants[supply[key][0]] for key in ties}
-    free = sorted(max(cycle) for cycle in orbits(feeds))
-    if 2 ** len(free) > WIRING_CAP:
-        raise SizeLimitExceeded(
-            f"2^{len(free)} side-swap classes ({len(free)} independent cycles of "
-            f"tied rows) exceed the enumeration bound of {WIRING_CAP} wirings")
+    if ties and (len(ties) < len(rows) or len(orbits(feeds)) > 1):
+        raise InconsistentInput(
+            "no connected admissible graph realizes this table")
 
     strand_len = {inst.name: len(inst.strand) for inst in instances}
     edges = [[f"e{idx}a", f"e{idx}b"] for idx in range(len(rows))]
     edge_labels = {edge_id_of_pair(f"e{idx}a", f"e{idx}b"): row.label
                    for idx, row in enumerate(rows)}
     label_of = {v: k for k, v in edge_labels.items()}
-    fixed = {dlist[0]: supply[key][0] for key, dlist in demand.items() if len(dlist) == 1}
-    tied = [(key, *sorted(demand[key])) for key in ties]
+    successor = {d: s for key, dlist in demand.items()
+                 for d, s in zip(sorted(dlist), supply[key])}
+    wirings = [successor]
+    if ties:
+        # the other parity class: the last tie's two sides exchanged
+        d1, d2 = sorted(demand[ties[-1]])
+        wirings.append({**successor, d1: successor[d2], d2: successor[d1]})
 
-    survivors = {}
-    for free_bits in product((0, 1), repeat=len(free)):
-        bits = dict(zip(free, free_bits))
-        successor = dict(fixed)
-        for key, d1, d2 in tied:
-            b = bits.get(key, 0)
-            successor[d1] = supply[key][b]
-            successor[d2] = supply[key][1 - b]
-
+    survivors = []
+    for successor in wirings:
         candidate = _build_candidate(successor, strand_len, edges)
         if candidate is None:
             continue
@@ -191,19 +185,21 @@ def reconstruct_afbg(data: LoewyData) -> Reconstruction:
             a = Afbg.build(graph, degrees)
         except NotAdmissible:
             continue
-        if not _table_matches(a, data, edge_labels, label_of):
-            continue
-        survivors.setdefault(canonical_code(graph, degrees), a)
+        if _table_matches(a, data, edge_labels, label_of):
+            survivors.append(a)
 
+    if len(survivors) == 2 and is_isomorphic(
+            survivors[0].graph, survivors[1].graph,
+            survivors[0].degrees, survivors[1].degrees) is not None:
+        survivors.pop()
     if not survivors:
         raise InconsistentInput(
             "no connected admissible graph realizes this table")
     if len(survivors) > 1:
         raise Ambiguous(
             f"{len(survivors)} non-isomorphic graphs realize this table",
-            tie_classes=tie_labels)
-    (a,) = survivors.values()
-    return Reconstruction(a, edge_labels, 2 ** len(free))
+            tie_classes=sorted({label for label, _ in ties}))
+    return Reconstruction(survivors[0], edge_labels, len(wirings))
 
 
 def _build_candidate(successor, strand_len, edges):
@@ -234,13 +230,3 @@ def _table_matches(a: Afbg, data: LoewyData, edge_labels, label_of) -> bool:
             return False
     return True
 
-
-def roundtrip_check(a: Afbg) -> bool:
-    """Whether the algebra's own Loewy data reconstructs a graph
-    isomorphic (degrees included) to the one it came from."""
-    from .ribbon import is_isomorphic
-
-    data, _ = loewy_data_of(a)
-    res = reconstruct_afbg(data)
-    return is_isomorphic(res.afbg.graph, a.graph,
-                         res.afbg.degrees, a.degrees) is not None

@@ -201,16 +201,17 @@ def test_reconstruct_exceptional_exits_2(capsys):
     assert run(capsys, "reconstruct", DATA / "exceptional.loewy")[0] == 2
 
 
-def test_reconstruct_over_the_wiring_bound_exits_2(tmp_path, capsys):
-    """13 tied rows that each feed themselves: 2^13 side-swap classes."""
-    table = tmp_path / "capped.loewy"
+def test_reconstruct_split_ties_exits_1(tmp_path, capsys):
+    """13 tied rows that each feed themselves: 13 cycles of ties, so every
+    wiring is disconnected."""
+    table = tmp_path / "split.loewy"
     table.write_text(json.dumps([
         {"id": f"l{i}", "strands": [[f"l{i}"] * 3] * 2, "uniserial": False, "socle": f"l{i}"}
         for i in range(13)]))
-    assert main(["reconstruct", str(table)]) == 2
+    assert main(["reconstruct", str(table)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: 2^13 side-swap classes") and "4096" in err
+    assert err.startswith("error: no connected admissible graph realizes this table")
 
 
 def test_export_loewy_and_dot(capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -11,20 +12,26 @@ from fbga.errors import (
     InconsistentInput,
     InputError,
     NotAdmissible,
-    SizeLimitExceeded,
 )
 from fbga.randgen import random_afbg
 from fbga.reconstruct import (
-    WIRING_CAP,
     LoewyData,
     _build_candidate,
     _Instance,
     _table_matches,
     loewy_data_of,
     reconstruct_afbg,
-    roundtrip_check,
 )
 from fbga.ribbon import RibbonGraph, canonical_code, edge_id_of_pair, is_isomorphic
+
+
+def roundtrip_check(a: Afbg) -> bool:
+    """Whether the algebra's own Loewy data reconstructs a graph
+    isomorphic (degrees included) to the one it came from."""
+    data, _ = loewy_data_of(a)
+    res = reconstruct_afbg(data)
+    return is_isomorphic(res.afbg.graph, a.graph,
+                         res.afbg.degrees, a.degrees) is not None
 
 
 def lambda_afbg():
@@ -37,6 +44,13 @@ def lambda_afbg():
 def loop_afbg(d):
     g = RibbonGraph.build({"v": ["a", "b"]}, [["a", "b"]])
     return Afbg.build(g, {"v": d})
+
+
+def star_afbg(k):
+    g = RibbonGraph.build(
+        {"c": [f"c{i}" for i in range(k)], **{f"x{i}": [f"x{i}"] for i in range(k)}},
+        [[f"c{i}", f"x{i}"] for i in range(k)])
+    return Afbg.build(g, {"c": k, **{f"x{i}": 1 for i in range(k)}})
 
 
 def single_edge_afbg(du, dw):
@@ -119,15 +133,6 @@ def test_cyclic_sequences_reject_impossible_walk():
         reconstruct_afbg(data)
 
 
-def test_reconstruct_mismatched_requirements():
-    data = LoewyData.build([
-        ("a", (("b",), ()), True, "b"),
-        ("b", ((), ()), True, "a"),
-    ])
-    with pytest.raises(InconsistentInput):
-        reconstruct_afbg(data)
-
-
 def test_single_loop_not_exceptional_when_degree_differs():
     """A loop of degree 4 shares nothing with the exceptional pair; it
     fails by ambiguity, not by the exceptional guard."""
@@ -153,11 +158,7 @@ def test_roundtrip_random_brauer(seed):
 
 
 def test_roundtrip_check_true_on_star():
-    g = RibbonGraph.build(
-        {"c": ["c1", "c2", "c3"], "x": ["x1"], "y": ["y1"], "z": ["z1"]},
-        [["c1", "x1"], ["c2", "y1"], ["c3", "z1"]])
-    a = Afbg.build(g, {"c": 3, "x": 1, "y": 1, "z": 1})
-    assert roundtrip_check(a)
+    assert roundtrip_check(star_afbg(3))
 
 
 # ------------------------------------------- brute-force oracle for pruning
@@ -273,12 +274,55 @@ def self_feeding(n, length):
                             for i in range(n)])
 
 
-def test_reached_cap_is_a_refusal():
-    """13 self-feeding tied rows are 13 cycles of ties: 2^13 classes."""
-    data = self_feeding(13, 3)
-    assert 2 ** 13 > WIRING_CAP
-    with pytest.raises(SizeLimitExceeded, match=f"2\\^13 side-swap classes .* {WIRING_CAP}"):
+def disjoint_union(*tables):
+    """One table holding every row of each table, labels prefixed by its
+    position: the Loewy data of the disjoint union of the algebras."""
+    raw = []
+    for i, data in enumerate(tables):
+        p = f"t{i}"
+        raw += [(p + r.label, tuple(tuple(p + x for x in s) for s in r.strands),
+                 r.uniserial, p + r.socle) for r in data.rows]
+    return LoewyData.build(raw)
+
+
+def num_ties(data):
+    return sum(1 for r in data.rows if r.strands[0] == r.strands[1])
+
+
+@pytest.mark.parametrize("n", [13, 10000])
+def test_split_ties_are_proved_inconsistent(n, monkeypatch):
+    """n self-feeding tied rows are n cycles of ties, each its own
+    component in every wiring: refused before any graph is built."""
+    def no_build(*args):
+        raise AssertionError("a candidate graph was built")
+
+    monkeypatch.setattr("fbga.reconstruct._build_candidate", no_build)
+    data = self_feeding(n, 3)
+    start = time.perf_counter()
+    with pytest.raises(InconsistentInput, match="no connected admissible graph"):
         reconstruct_afbg(data)
+    assert time.perf_counter() - start < 1.0
+
+
+def mixed_tables():
+    """Disjoint unions: tied and untied rows together, which the table of
+    no connected algebra has, and tied tables whose ties form two cycles."""
+    tied = [loewy_data_of(a)[0] for a in
+            (lambda_afbg(), dipole(3, 3, 3), dipole(3, 2, 2), dipole(4, 2, 2), loop_afbg(4))]
+    untied = [loewy_data_of(star_afbg(k))[0] for k in (2, 3)]
+    for seed in range(40):
+        rng = random.Random(seed)
+        data = loewy_data_of(random_afbg(rng, num_edges=rng.randint(2, 4)))[0]
+        if num_ties(data) == 0:
+            untied.append(data)
+        if len(untied) == 4:
+            break
+    tables = {disjoint_union(t, u) for t in tied for u in untied[:2]}
+    tables |= {disjoint_union(u, t) for t in tied[:2] for u in untied[2:]}
+    tables |= {disjoint_union(self_feeding(1, length), u)
+               for length in (1, 2) for u in untied[:3]}
+    tables |= {disjoint_union(tied[0], tied[1]), disjoint_union(tied[0], tied[0])}
+    return tables
 
 
 def oracle_tables():
@@ -294,6 +338,7 @@ def oracle_tables():
         algebras.append(random_afbg(rng, num_edges=rng.randint(2, 6)))
     tables = {loewy_data_of(a)[0] for a in algebras if a is not None}
     tables |= {self_feeding(n, length) for n in range(1, 5) for length in range(1, 4)}
+    tables |= mixed_tables()
     return sorted(tables, key=repr)
 
 
@@ -301,10 +346,16 @@ def test_one_wiring_per_class_agrees_with_all_wirings():
     kinds = set()
     tables = oracle_tables()
     for data in tables:
+        assert num_ties(data) <= 8
         expected = outcome(reconstruct_all_wirings, data)
         assert outcome(reconstruct_afbg, data) == expected, data
-        kinds.add(expected[0] if isinstance(expected[0], type) else "unique")
+        if isinstance(expected[0], type):
+            kinds.add(expected[0])
+        else:
+            kinds.add("unique")
+            assert reconstruct_afbg(data).wirings_tried in (1, 2)
     assert len(tables) > 150
+    assert sum(1 for d in tables if 0 < num_ties(d) < len(d.rows)) >= 9
     assert kinds == {"unique", Ambiguous, Exceptional, InconsistentInput}
 
 
