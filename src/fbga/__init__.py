@@ -68,8 +68,6 @@ from .presentation import (
     loewy_table,
     nakayama_on_presentation,
     oracle_dimension,
-    presentation_isomorphism,
-    special_cycles,
 )
 from .reconstruct import (
     LoewyData,

@@ -98,9 +98,11 @@ class QuotientNotAdmissible(MathPreconditionError):
 
 
 class SizeLimitExceeded(MathPreconditionError):
-    """An exhaustive search refused an input above its declared bound: the
-    brute-force dimension oracle, over too many arrows or with a path
-    enumeration past its rewriting bound.  A refusal, never a verdict."""
+    """An input above a declared bound was refused: an algebra whose
+    dimension is above the walk budget of the presentation, Loewy table
+    and basis builders, or the brute-force dimension oracle over too many
+    arrows or with a path enumeration past its rewriting bound.  A
+    refusal, never a verdict."""
 
 
 class UnboundedPath(MathPreconditionError):

@@ -15,7 +15,9 @@ and labels are strings and degrees are positive integers; anything else is
 a :class:`ParseError`.
 
 Exported paths list arrows in application order (first arrow first);
-exported zero relations are ``[later, earlier]`` pairs.
+exported zero relations are ``[later, earlier]`` pairs.  The ``*_to_dict``
+builders hand tuples through as they are; ``dumps`` writes them as JSON
+arrays, as ``json.dumps`` does.
 """
 
 from __future__ import annotations
@@ -165,7 +167,7 @@ def loewy_to_list(a: Afbg) -> list:
 
     data, _ = loewy_data_of(a)
     return [{"id": r.label,
-             "strands": [list(s) for s in r.strands],
+             "strands": r.strands,
              "uniserial": r.uniserial,
              "socle": r.socle}
             for r in data.rows]
@@ -181,9 +183,8 @@ def presentation_to_dict(p: Presentation) -> dict:
         "vertices": list(p.quiver_vertices),
         "arrows": [{"id": a.name, "from": a.source, "to": a.target}
                    for a in sorted(p.arrows.values(), key=lambda a: a.name)],
-        "commutation_relations": [[list(w1), list(w2)]
-                                  for w1, w2 in p.commutation_relations],
-        "zero_relations": [list(z) for z in p.zero_relations],
+        "commutation_relations": p.commutation_relations,
+        "zero_relations": p.zero_relations,
         "dimension": dimension(p.afbg),
     }
 
@@ -197,9 +198,8 @@ def bordered_to_dict(b: Presentation) -> dict:
         "arrows": [{"id": a.name, "from": a.source, "to": a.target}
                    for a in sorted(b.arrows.values(), key=lambda a: a.name)],
         "dangling": list(b.dangling),
-        "commutation_relations": [[list(w1), list(w2)]
-                                  for w1, w2 in b.commutation_relations],
-        "zero_relations": [list(z) for z in b.zero_relations],
+        "commutation_relations": b.commutation_relations,
+        "zero_relations": b.zero_relations,
     }
 
 
@@ -242,4 +242,67 @@ def dot_of_presentation(p) -> str:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte, for dicts with
+    ``str`` keys, lists, tuples, ``str``, ``int``, ``bool`` and ``None``.
+
+    ``json.dumps`` encodes every value in Python once ``indent`` is set;
+    here a list of strings is joined in one C call, and each distinct
+    string is encoded once.  The pieces are joined once at the end, so a
+    large output is not copied per nesting level.  A non-``str`` key or
+    any other type raises ``TypeError``."""
+    parts = []
+    _emit(obj, "\n", parts.append, _Literals().__getitem__)
+    parts.append("\n")
+    return "".join(parts)
+
+
+class _Literals(dict):
+    """A string -> its JSON literal, each computed on first use; anything
+    that is not a string raises TypeError."""
+
+    def __missing__(self, s):
+        self[s] = literal = json.encoder.encode_basestring_ascii(s)
+        return literal
+
+
+def _emit(obj, newline: str, out, literal) -> None:
+    """Append the pieces of ``obj``; ``newline`` is a line break followed by
+    the indentation of ``obj``'s own line."""
+    if isinstance(obj, str):
+        out(literal(obj))
+    elif obj is None:
+        out("null")
+    elif obj is True:
+        out("true")
+    elif obj is False:
+        out("false")
+    elif isinstance(obj, int):
+        out(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out("[]")
+            return
+        inner = newline + "  "
+        out("[" + inner)
+        try:
+            out(("," + inner).join(map(literal, obj)))
+        except TypeError:  # not a list of strings
+            sep = ""
+            for item in obj:
+                out(sep)
+                sep = "," + inner
+                _emit(item, inner, out, literal)
+        out(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            out(sep + literal(key) + ": ")  # TypeError unless key is a str
+            sep = "," + inner
+            _emit(value, inner, out, literal)
+        out(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

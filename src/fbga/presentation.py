@@ -7,6 +7,14 @@ first.  A walk is a start half-edge and a length; its arrow names, in
 *application order* (first-applied arrow first), come from ``walk`` and
 the pretty-printer reverses them.
 
+A walk of length ``d`` from ``h`` is a slice of the rotation orbit of
+``h``: the orbit turned to start at ``h``, repeated ``q`` times, then its
+first ``r`` entries, where ``q, r = divmod(d, len(orbit))`` (so ``q`` is
+``⌊d/val⌋`` at a vertex of valency ``val``).  Each orbit is named once,
+as arrow names or edge ids, and walks are cut from the named orbit.  The
+builders refuse an algebra whose dimension ``Σ val·d`` is above
+``WALK_BUDGET`` before building any walk.
+
 Relations:
 
 * one commutation per edge ``{h, g}``: the full walk of length
@@ -70,24 +78,65 @@ class Presentation:
         return [a for a in self.arrows.values() if a.target == quiver_vertex]
 
 
-def _run(rotation: dict, half_edge: str, length: int):
-    """Half-edges ``half_edge``, ``rotation(half_edge)``, ... of a walk of
-    ``length`` arrows, or None when a partial rotation ends first (the
-    last arrow may dangle)."""
-    run = []
-    h = half_edge
-    for _ in range(length):
-        if h is None:
-            return None
-        run.append(h)
-        h = rotation.get(h)
-    return run
+def _orbit_index(rotation: dict, half_edges, name) -> dict:
+    """Each half-edge -> (orbit, position, closed).  ``orbit`` lists
+    ``name(h)`` along the rotation orbit through the half-edge: a cycle of
+    a total rotation, or a maximal chain of a partial one (a window's
+    columns)."""
+    index = {}
+    targets = set(rotation.values())
+    heads = [h for h in half_edges if h not in targets]  # chain starts
+    for closed, starts in ((False, heads), (True, half_edges)):
+        for start in starts:
+            if start in index:
+                continue
+            run = [start]
+            h = rotation.get(start)
+            while h is not None and h != start:
+                run.append(h)
+                h = rotation.get(h)
+            orbit = tuple(map(name, run))
+            for i, h in enumerate(run):
+                index[h] = (orbit, i, closed)
+    return index
+
+
+def _walk(index: dict, half_edge: str, length: int):
+    """Names along the walk of ``length`` arrows from ``half_edge``, or None
+    when its chain ends first (the last arrow may dangle)."""
+    orbit, i, closed = index[half_edge]
+    if i + length <= len(orbit):
+        return orbit[i:i + length]
+    if not closed:
+        return None
+    turn = orbit[i:] + orbit[:i]
+    q, r = divmod(length, len(orbit))
+    return turn * q + turn[:r]
+
+
+WALK_BUDGET = 1 << 24
+
+
+def _check_budget(a: Afbg) -> None:
+    """Refuse, before any walk is built, an algebra whose basis (and so the
+    total length of its walks) is above ``WALK_BUDGET``."""
+    n = dimension(a)
+    if n > WALK_BUDGET:
+        raise SizeLimitExceeded(
+            f"algebra of dimension {n} is above the walk budget of {WALK_BUDGET}")
 
 
 def walk(a: Afbg, half_edge: str, length: int) -> tuple:
     """Arrow names of the walk from ``half_edge``: first arrow is its own,
     then the arrows of successive rotations.  Application order."""
-    return tuple(map(arrow_name, _run(a.graph.rotation, half_edge, length)))
+    if length > WALK_BUDGET:
+        raise SizeLimitExceeded(f"walk of length {length} is above the walk "
+                                f"budget of {WALK_BUDGET}")
+    if length <= 0:
+        return ()
+    g = a.graph
+    star = g.stars[g.attach[half_edge]]  # the rotation orbit of half_edge
+    return _walk(_orbit_index(g.rotation, star, arrow_name), half_edge, length)
 
 
 def build_presentation(a: Afbg) -> Presentation:
@@ -99,6 +148,7 @@ def _present(a: Afbg, window: BorderedRibbonGraph | None = None) -> Presentation
     it, with the degrees of ``a``.  A window's rotation is partial: an
     arrow without a rotation successor dangles, and a relation is kept
     only when all of its arrows lie inside the window."""
+    _check_budget(a)
     g = a.graph if window is None else window
     rotation, pairing = g.rotation, g.pairing
 
@@ -115,12 +165,13 @@ def _present(a: Afbg, window: BorderedRibbonGraph | None = None) -> Presentation
             zeros.append((arrow_name(pairing[nxt]), arrow_name(h)))
 
     pairs = sorted((x, y) for x, y in pairing.items() if x < y)
+    index = _orbit_index(rotation, g.attach, arrow_name)
     commutations = []
     for x, y in pairs:
-        wx = _run(rotation, x, a.degrees[g.attach[x]])
-        wy = _run(rotation, y, a.degrees[g.attach[y]])
+        wx = _walk(index, x, a.degrees[g.attach[x]])
+        wy = _walk(index, y, a.degrees[g.attach[y]])
         if wx is not None and wy is not None:
-            commutations.append((tuple(map(arrow_name, wx)), tuple(map(arrow_name, wy))))
+            commutations.append((wx, wy))
 
     quiver_vertices = [edge_id_of_pair(x, y) for x, y in pairs]
     if window is not None:
@@ -140,13 +191,6 @@ def dimension(a: Afbg) -> int:
     return sum(a.graph.valency(v) * a.degrees[v] for v in a.graph.vertices)
 
 
-def special_cycles(a: Afbg) -> dict:
-    """Full rotation cycle of arrows through each arrow (length = valency)."""
-    g = a.graph
-    return {arrow_name(h): walk(a, h, g.valency(g.attach[h]))
-            for h in g.half_edges}
-
-
 # -- basis and Loewy structure ------------------------------------------------
 
 @dataclass(frozen=True)
@@ -162,6 +206,7 @@ def basis(a: Afbg) -> list:
     0 < m < degree from every half-edge, and one socle element per edge
     (the two full walks of an edge are identified; the representative
     starts at the smaller half-edge id)."""
+    _check_budget(a)
     g = a.graph
     out = []
     for x, y in g.edge_pairs():
@@ -184,23 +229,27 @@ class LoewyRow:
     uniserial: bool
 
 
-def loewy_table(a: Afbg) -> dict:
+def loewy_table(a: Afbg, labels: dict | None = None) -> dict:
     """Per edge: top, the two radical strands (one per half-edge, listing
-    the edges hit by walks of length 1..degree-1), and the socle edge."""
+    the edges hit by walks of length 1..degree-1), and the socle edge.
+    Edges are named by their ids, or by ``labels[id]`` when given."""
+    _check_budget(a)
     g = a.graph
-    edge_of = {h: edge_id_of_pair(h, p) for h, p in g.pairing.items()}
+    name = {h: edge_id_of_pair(h, p) for h, p in g.pairing.items()}
+    if labels is not None:
+        name = {h: labels[e] for h, e in name.items()}
+    index = _orbit_index(g.rotation, g.attach, name.__getitem__)
     table = {}
     for x, y in g.edge_pairs():
-        e = edge_of[x]
-        strands = []
-        for h in (x, y):
-            run = _run(g.rotation, h, a.degrees[g.attach[h]])
-            strands.append(tuple([edge_of[s] for s in run[1:]]))
-        socle = edge_of[a.nakayama[x]]
-        if socle != edge_of[a.nakayama[y]]:  # forced by admissibility (a)
+        e = name[x]
+        # a strand is the full walk from h without its first arrow
+        strands = tuple(_walk(index, g.rotation[h], a.degrees[g.attach[h]] - 1)
+                        for h in (x, y))
+        socle = name[a.nakayama[x]]
+        if socle != name[a.nakayama[y]]:  # forced by admissibility (a)
             raise InvariantError(f"the two full walks of edge {e!r} end on different edges")
         uniserial = not (strands[0] and strands[1])
-        table[e] = LoewyRow(e, tuple(strands), socle, uniserial)
+        table[e] = LoewyRow(e, strands, socle, uniserial)
     return table
 
 
@@ -340,29 +389,3 @@ def render_text(pres: Presentation) -> str:
     for later, earlier in pres.zero_relations:
         lines.append(f"  {later}*{earlier} = 0")
     return "\n".join(lines)
-
-
-def presentation_isomorphism(p1: Presentation, p2: Presentation):
-    """Arrow bijection induced by a degree-aware graph isomorphism, or None.
-
-    When the underlying graphs are isomorphic the induced map carries
-    walks to walks, hence relations to relations; this is checked."""
-    from .ribbon import is_isomorphic
-
-    phi = is_isomorphic(p1.afbg.graph, p2.afbg.graph,
-                        p1.afbg.degrees, p2.afbg.degrees)
-    if phi is None:
-        return None
-    amap = {arrow_name(h): arrow_name(phi[h]) for h in phi}
-
-    def map_walk(w):
-        return tuple(amap[x] for x in w)
-
-    c1 = {tuple(sorted((map_walk(a), map_walk(b))))
-          for a, b in p1.commutation_relations}
-    c2 = {tuple(sorted((a, b))) for a, b in p2.commutation_relations}
-    z1 = {(amap[l], amap[e]) for l, e in p1.zero_relations}
-    z2 = set(p2.zero_relations)
-    if c1 != c2 or z1 != z2:
-        raise InvariantError("the graph isomorphism does not carry relations to relations")
-    return amap

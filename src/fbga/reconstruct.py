@@ -80,10 +80,10 @@ class LoewyData:
             rows.append(SimpleRow(label, strands, bool(uniserial), socle))
         for row in rows:
             for s in row.strands:
-                for x in s:
-                    if x not in labels:
-                        raise InputError(
-                            f"strand of {row.label!r} mentions unknown label {x!r}")
+                if not labels.issuperset(s):
+                    x = next(x for x in s if x not in labels)
+                    raise InputError(
+                        f"strand of {row.label!r} mentions unknown label {x!r}")
             if row.socle not in labels:
                 raise InputError(f"socle of {row.label!r} is unknown label {row.socle!r}")
             nonempty = sum(1 for s in row.strands if s)
@@ -99,15 +99,9 @@ class LoewyData:
 def loewy_data_of(a: Afbg):
     """Loewy data of an algebra, with edges relabeled s0, s1, ...
     Returns (data, mapping edge id -> label)."""
-    table = loewy_table(a)
-    name = {e: f"s{i}" for i, e in enumerate(sorted(table))}
-    raw = []
-    for e in sorted(table):
-        r = table[e]
-        raw.append((name[e],
-                    tuple(tuple(name[x] for x in s) for s in r.strands),
-                    r.uniserial,
-                    name[r.socle]))
+    name = {e: f"s{i}" for i, e in enumerate(sorted(a.graph.edge_ids()))}
+    raw = [(r.top, r.strands, r.uniserial, r.socle)
+           for r in loewy_table(a, name).values()]
     return LoewyData.build(raw), name
 
 
@@ -164,7 +158,6 @@ def reconstruct_afbg(data: LoewyData) -> Reconstruction:
     edges = [[f"e{idx}a", f"e{idx}b"] for idx in range(len(rows))]
     edge_labels = {edge_id_of_pair(f"e{idx}a", f"e{idx}b"): row.label
                    for idx, row in enumerate(rows)}
-    label_of = {v: k for k, v in edge_labels.items()}
     successor = {d: s for key, dlist in demand.items()
                  for d, s in zip(sorted(dlist), supply[key])}
     wirings = [successor]
@@ -185,7 +178,7 @@ def reconstruct_afbg(data: LoewyData) -> Reconstruction:
             a = Afbg.build(graph, degrees)
         except NotAdmissible:
             continue
-        if _table_matches(a, data, edge_labels, label_of):
+        if _table_matches(a, data, edge_labels):
             survivors.append(a)
 
     if len(survivors) == 2 and is_isomorphic(
@@ -219,14 +212,13 @@ def _build_candidate(successor, strand_len, edges):
     return graph, degrees
 
 
-def _table_matches(a: Afbg, data: LoewyData, edge_labels, label_of) -> bool:
-    table = loewy_table(a)
+def _table_matches(a: Afbg, data: LoewyData, edge_labels) -> bool:
+    table = loewy_table(a, edge_labels)
     for row in data.rows:
-        got = table[label_of[row.label]]
-        got_strands = sorted(tuple(edge_labels[e] for e in s) for s in got.strands)
-        if got_strands != sorted(row.strands):
+        got = table[row.label]
+        if sorted(got.strands) != sorted(row.strands):
             return False
-        if edge_labels[got.socle] != row.socle or got.uniserial != row.uniserial:
+        if got.socle != row.socle or got.uniserial != row.uniserial:
             return False
     return True
 

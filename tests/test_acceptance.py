@@ -21,7 +21,6 @@ from fbga.presentation import (
     dimension,
     nakayama_on_presentation,
     oracle_dimension,
-    presentation_isomorphism,
 )
 from fbga.randgen import (
     brauer_degrees,
@@ -36,6 +35,7 @@ from fbga.randgen import (
 )
 from fbga.reconstruct import loewy_data_of, reconstruct_afbg
 from fbga.ribbon import RibbonGraph, is_isomorphic, orbits
+from oracles import presentation_isomorphism
 
 CORPUS_SIZE = 200
 

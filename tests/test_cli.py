@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,29 @@ def test_export_loewy_and_dot(capsys):
     code, out = run(capsys, "export", DATA / "lambda.rg", "--format", "dot")
     assert code == 0
     assert out.startswith("graph")
+
+
+HUGE_DEGREE_EXITS = [
+    (["validate"], 0), (["invariants"], 0), (["reduce"], 0), (["export"], 0),
+    (["cover", "--r", "2", "--auto-cut"], 0), (["compare", "SAME"], 0), (["iso", "SAME"], 0),
+    (["present"], 2), (["export", "--loewy"], 2),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code", HUGE_DEGREE_EXITS)
+def test_degree_10_18_answers_or_refuses_within_a_second(tmp_path, capsys, argv, exit_code):
+    """Walks of length 10^18 are refused by the walk budget (exit 2, one
+    line) before any is built; everything else answers in closed form."""
+    huge = tmp_path / "huge.rg"
+    huge.write_text((DATA / "lambda.rg").read_text().replace('"degree": 2', f'"degree": {10**18}'))
+    cmd, *rest = argv
+    argv = [cmd, str(huge)] + [str(huge) if a == "SAME" else a for a in rest]
+    t0 = time.monotonic()
+    assert main(argv) == exit_code
+    assert time.monotonic() - t0 < 1.0
+    err = capsys.readouterr().err
+    if exit_code:
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "walk budget" in err
 
 
 def test_console_script_runs():

@@ -14,8 +14,9 @@ from fbga.gentle import (
     validate_gentle,
 )
 from fbga.afbg import Afbg, rep_finite_report
-from fbga.presentation import build_presentation, dimension, presentation_isomorphism
+from fbga.presentation import build_presentation, dimension
 from fbga.ribbon import RibbonGraph, is_isomorphic
+from oracles import presentation_isomorphism
 
 # the two gentle algebras whose trivial extensions coincide
 KRONECKER = (["1", "2"], [("x", "1", "2"), ("y", "1", "2")], [])

@@ -1,4 +1,5 @@
 import json
+from random import Random
 
 import pytest
 
@@ -138,3 +139,45 @@ def test_afbg_dict_keeps_degrees():
     g, deg = parse_ribbon(LAMBDA_TEXT)
     d = afbg_to_dict(Afbg.build(g, deg))
     assert all("degree" in row for row in d["vertices"])
+
+
+# characters that JSON escapes, plus non-ASCII text and a lone surrogate
+AWKWARD = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "λ", "€", "😀", "\ud800", "a", "~"]
+
+
+def random_text(rng: Random) -> str:
+    return "".join(rng.choice(AWKWARD) for _ in range(rng.randrange(6)))
+
+
+def random_json(rng: Random, depth: int = 0):
+    """A random value of the types fbga emits, nested at most four deep."""
+    kind = rng.randrange(8 if depth < 4 else 3)
+    if kind == 0:
+        return random_text(rng)
+    if kind == 1:
+        return rng.choice([0, -1, 2**64 + 1, -(2**70), rng.randrange(-10**6, 10**6)])
+    if kind == 2:
+        return rng.choice([True, False, None, 1, 0])
+    if kind in (3, 4):  # a list of strings is joined in one call; others recurse
+        items = [random_text(rng) if kind == 3 else random_json(rng, depth + 1)
+                 for _ in range(rng.randrange(5))]
+        return tuple(items) if rng.random() < 0.3 else items
+    if kind in (5, 6):
+        return {random_text(rng) if kind == 5 else str(rng.randrange(10)): random_json(rng, depth + 1)
+                for _ in range(rng.randrange(4))}
+    return rng.choice([[], {}, ()])
+
+
+def test_dumps_equals_json_dumps_with_indent():
+    rng = Random(59)
+    for _ in range(4000):
+        obj = random_json(rng)
+        assert dumps(obj) == json.dumps(obj, indent=2) + "\n"
+    mixed = [True, 1, False, 0, None, "1", 2**65, [], {}, (), [[]], {"": {}}]
+    assert dumps(mixed) == json.dumps(mixed, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [{1: "x"}, {"a": {None: 1}}, [{True: 1}], {(1,): 2}])
+def test_dumps_rejects_non_string_keys(obj):
+    with pytest.raises(TypeError):
+        dumps(obj)

@@ -1,20 +1,27 @@
+import time
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from fbga.afbg import Afbg
+from fbga.covering import cover_finite, smallest_cut
 from fbga.errors import InvariantError, SizeLimitExceeded
+from fbga.fileio import parse_gentle
+from fbga.gentle import repetitive_window
 from fbga.presentation import (
+    WALK_BUDGET,
+    _orbit_index,
+    _walk,
+    arrow_name,
     basis,
     build_presentation,
     dimension,
     loewy_table,
     nakayama_on_presentation,
     oracle_dimension,
-    presentation_isomorphism,
     product_str,
     render_text,
-    special_cycles,
     walk,
 )
 from fbga.randgen import (
@@ -25,6 +32,9 @@ from fbga.randgen import (
     shuffled_copy,
 )
 from fbga.ribbon import RibbonGraph
+from oracles import presentation_isomorphism, special_cycles
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def lambda_afbg():
@@ -63,6 +73,88 @@ def test_walk_application_order():
     a = lambda_afbg()
     assert walk(a, "h", 2) == ("a_h", "a_hp")
     assert product_str(walk(a, "h", 2)) == "a_hp*a_h"
+
+
+def step_walk(rotation: dict, half_edge: str, length: int):
+    """The reference walk, one rotation step per arrow: half-edges
+    ``half_edge``, ``rotation(half_edge)``, ... of a walk of ``length``
+    arrows, or None when a partial rotation ends first (the last arrow may
+    dangle)."""
+    run = []
+    h = half_edge
+    for _ in range(length):
+        if h is None:
+            return None
+        run.append(h)
+        h = rotation.get(h)
+    return run
+
+
+def dipole(n):
+    g = RibbonGraph.build({"u": [f"x{i}" for i in range(n)],
+                           "w": [f"y{i}" for i in reversed(range(n))]},
+                          [[f"x{i}", f"y{i}"] for i in range(n)])
+    return Afbg.build(g, {"u": 3 * n, "w": n})
+
+
+def bouquet(n):
+    g = RibbonGraph.build({"v": [f"h{i}" for i in range(2 * n)]},
+                          [[f"h{i}", f"h{i + n}"] for i in range(n)])
+    return Afbg.build(g, {"v": 2 * n})
+
+
+def closed_graphs():
+    rng = Random(53)
+    out = [random_afbg(rng, rng.randint(1, 6)) for _ in range(12)]
+    for r in (2, 3, 4):
+        g = random_ribbon_graph(rng, rng.randint(1, 4))
+        base = Afbg.build(g, brauer_degrees(rng, g, max_mult=1))
+        out.append(cover_finite(base, smallest_cut(g), r).cover)
+    out += [dipole(n) for n in (1, 2, 5)] + [bouquet(n) for n in (1, 2, 5)]
+    return out
+
+
+def test_walks_match_the_step_loop_on_closed_graphs():
+    for a in closed_graphs():
+        g = a.graph
+        index = _orbit_index(g.rotation, g.attach, arrow_name)
+        for h in g.half_edges:
+            val = g.valency(g.attach[h])
+            for length in range(3 * val + 2):
+                want = tuple(map(arrow_name, step_walk(g.rotation, h, length)))
+                assert walk(a, h, length) == want
+                assert _walk(index, h, length) == want
+    assert walk(a, "", 0) == ()
+
+
+@pytest.mark.parametrize("window", [(0, 2), (-1, 3), (0, 12)])
+@pytest.mark.parametrize("name", ["aprime", "kronecker"])
+def test_walks_match_the_step_loop_on_windows(name, window):
+    pres = repetitive_window(parse_gentle((DATA / f"{name}.gentle").read_text()), *window)
+    win, base = pres.window, pres.afbg.graph
+    index = _orbit_index(win.rotation, win.attach, arrow_name)
+    ran_off = 0
+    for h in win.half_edges:
+        for length in range(3 * base.valency(win.attach[h]) + 2):
+            run = step_walk(win.rotation, h, length)
+            got = _walk(index, h, length)
+            assert got == (None if run is None else tuple(map(arrow_name, run)))
+            ran_off += got is None
+    assert ran_off > 0
+
+
+def test_walk_budget_refuses_before_building_walks():
+    a = Afbg.build(lambda_afbg().graph, {"u": 10**18, "w": 10**18})
+    t0 = time.monotonic()
+    for build in (build_presentation, loewy_table, basis):
+        with pytest.raises(SizeLimitExceeded, match="walk budget"):
+            build(a)
+    with pytest.raises(SizeLimitExceeded, match="walk budget"):
+        walk(a, "h", 10**18)
+    assert time.monotonic() - t0 < 1.0
+    below = Afbg.build(lambda_afbg().graph, {"u": 10**6, "w": 10**6})
+    assert dimension(below) < WALK_BUDGET
+    assert len(loewy_table(below)["h~ih"].strands[0]) == 10**6 - 1
 
 
 def test_relation_counts():

@@ -196,7 +196,6 @@ def reconstruct_all_wirings(data: LoewyData):
     edges = [[f"e{idx}a", f"e{idx}b"] for idx in range(len(rows))]
     edge_labels = {edge_id_of_pair(f"e{idx}a", f"e{idx}b"): row.label
                    for idx, row in enumerate(rows)}
-    label_of = {v: k for k, v in edge_labels.items()}
 
     survivors = {}
     for bits in product((0, 1), repeat=len(ties)):
@@ -221,7 +220,7 @@ def reconstruct_all_wirings(data: LoewyData):
             a = Afbg.build(graph, degrees)
         except NotAdmissible:
             continue
-        if not _table_matches(a, data, edge_labels, label_of):
+        if not _table_matches(a, data, edge_labels):
             continue
         survivors.setdefault(canonical_code(graph, degrees), a)
 
