@@ -23,7 +23,6 @@ from .covering import (
     ordering_from_cut,
     quotient_by_nakayama_power,
     smallest_cut,
-    verify_covering,
 )
 from .errors import (
     Ambiguous,
@@ -66,7 +65,6 @@ from .presentation import (
     build_presentation,
     dimension,
     loewy_table,
-    nakayama_on_presentation,
     oracle_dimension,
 )
 from .reconstruct import (

@@ -45,9 +45,9 @@ class Violation:
         return f"{self.condition} at {self.half_edge}: {self.detail}"
 
 
-def admissibility_violations(graph: RibbonGraph, degrees: dict) -> list:
-    """All violations of conditions (a) and (b); empty list iff admissible."""
-    nu = nakayama_permutation(graph, degrees)
+def _violations(graph: RibbonGraph, nu: dict) -> list:
+    """All violations of conditions (a) and (b) by the Nakayama permutation
+    ``nu``; empty list iff admissible."""
     pair = graph.pairing
     out = []
     for h in graph.half_edges:
@@ -85,11 +85,11 @@ class Afbg:
 
     @classmethod
     def build(cls, graph: RibbonGraph, degrees: dict) -> "Afbg":
-        violations = admissibility_violations(graph, degrees)
+        nu = nakayama_permutation(graph, degrees)
+        violations = _violations(graph, nu)
         if violations:
             raise NotAdmissible(violations)
-        degs = {v: degrees[v] for v in graph.vertices}
-        return cls(graph, degs, nakayama_permutation(graph, degs))
+        return cls(graph, {v: degrees[v] for v in graph.vertices}, nu)
 
     # -- multiplicities --------------------------------------------------
 
@@ -103,22 +103,16 @@ class Afbg:
         """True iff every multiplicity is an integer (then nakayama = id)."""
         return all(m.denominator == 1 for m in self.multiplicities().values())
 
-    def truncated_vertices(self) -> list:
-        return [v for v in self.graph.vertices if self.degrees[v] == 1]
-
     def nakayama_order(self) -> int:
         return lcm(*(len(c) for c in orbits(self.nakayama)))
-
-    def nakayama_orbit_sizes(self) -> list[int]:
-        return sorted(len(c) for c in orbits(self.nakayama))
 
 
 def is_admissible(graph: RibbonGraph, degrees: dict):
     """(Afbg, []) when admissible, else (None, violations)."""
-    violations = admissibility_violations(graph, degrees)
-    if violations:
-        return None, violations
-    return Afbg.build(graph, degrees), []
+    try:
+        return Afbg.build(graph, degrees), []
+    except NotAdmissible as exc:
+        return None, exc.violations
 
 
 def reduced_form(a: Afbg) -> Afbg:
@@ -130,13 +124,15 @@ def reduced_form(a: Afbg) -> Afbg:
     Brauer graphs (orbits are singletons there).  New half-edge ids are the
     smallest member of each orbit.
     """
-    cls = {}
-    for cyc in orbits(a.nakayama):
-        anchor = cyc[0]  # orbits() anchors each cycle at its minimum
-        for h in cyc:
-            cls[h] = anchor
-    quotient = quotient_by_orbits(a.graph, cls)
-    return Afbg.build(quotient, dict(a.degrees))
+    return _collapse_orbits(a, a.nakayama)
+
+
+def _collapse_orbits(a: Afbg, perm: dict) -> Afbg:
+    """The quotient of ``a`` by the orbits of the half-edge permutation
+    ``perm``, each orbit named by its smallest member, with the degrees of
+    ``a``.  Backs reduced forms and Nakayama-power quotients."""
+    cls = {h: cyc[0] for cyc in orbits(perm) for h in cyc}  # orbits() anchors at the minimum
+    return Afbg.build(quotient_by_orbits(a.graph, cls), dict(a.degrees))
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,21 @@ every edge); covers of bases with multiplicity ≡ 1 mod r additionally
 have all Nakayama orbits of size exactly r and reduce back to the base.
 ``cover_finite`` validates the result and raises ``CoverNotAdmissible``
 when the congruence fails.
+
+Both constructions are sized before anything is built: ``cover_finite``
+refuses a cover with more than ``WALK_BUDGET`` half-edges (r times the
+base's), and ``cover_window`` a window whose total walk length (its
+sheets times the base's dimension) is above it, with
+``SizeLimitExceeded``.  A cover of a base with huge degrees is still
+built, since its size does not depend on the degrees; presenting it is
+refused by the walk budget of the presentation builders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .afbg import Afbg
+from .afbg import Afbg, _collapse_orbits
 from .errors import (
     CoverNotAdmissible,
     InvalidCut,
@@ -31,7 +39,8 @@ from .errors import (
     QuotientNotAdmissible,
     RibbonStructureError,
 )
-from .ribbon import RibbonGraph, orbits, quotient_by_orbits
+from .presentation import _check_budget, dimension
+from .ribbon import RibbonGraph
 
 SHEET_SEP = "@"
 
@@ -84,6 +93,7 @@ def cover_finite(base: Afbg, cut: dict, r: int) -> CoverResult:
                      if base.multiplicity(v).denominator != 1)
         raise NotABrauerGraph(
             f"covering base needs integral multiplicities; fractional at {bad}")
+    _check_budget(r * len(base.graph.attach), f"cover with {r} sheets and half-edge count")
     ordering = ordering_from_cut(base.graph, cut)
 
     rotations = {}
@@ -104,35 +114,6 @@ def cover_finite(base: Afbg, cut: dict, r: int) -> CoverResult:
     return CoverResult(cover, base, r, projection)
 
 
-def verify_covering(cover: Afbg, base: Afbg, projection: dict):
-    """Check that ``projection`` is an equivariant covering map with
-    uniform fibers.  Returns (ok, reason)."""
-    gc, gb = cover.graph, base.graph
-    if set(projection) != set(gc.half_edges):
-        return False, "projection domain is not the cover's half-edge set"
-    image = set(projection.values())
-    if image != set(gb.half_edges):
-        return False, "projection is not onto the base's half-edges"
-    if set(gc.vertices) != set(gb.vertices):
-        return False, "cover and base must share their vertex set"
-    for h, b in projection.items():
-        if gc.attach[h] != gb.attach[b]:
-            return False, f"attachment differs at {h}"
-        if projection[gc.pairing[h]] != gb.pairing[b]:
-            return False, f"pairing does not commute at {h}"
-        if projection[gc.rotation[h]] != gb.rotation[b]:
-            return False, f"rotation does not commute at {h}"
-    sizes = {}
-    for h, b in projection.items():
-        sizes[b] = sizes.get(b, 0) + 1
-    if len(set(sizes.values())) != 1:
-        return False, "fibers are not uniform"
-    for v in gb.vertices:
-        if cover.degrees[v] != base.degrees[v]:
-            return False, f"degree differs at vertex {v}"
-    return True, "covering verified"
-
-
 # -- window into the infinite cyclic cover -------------------------------------
 
 @dataclass(frozen=True)
@@ -146,18 +127,11 @@ class BorderedRibbonGraph:
     partial rotation.
     """
 
-    vertices: tuple
     attach: dict
     pairing: dict
-    rotation: dict      # partial
-    no_successor: tuple  # half-edges whose rotation leaves the window
-    no_predecessor: tuple
+    rotation: dict  # partial
     lo: int
     hi: int
-
-    @property
-    def half_edges(self):
-        return tuple(sorted(self.attach))
 
 
 def cover_window(base: Afbg, cut: dict, lo: int, hi: int) -> BorderedRibbonGraph:
@@ -165,12 +139,11 @@ def cover_window(base: Afbg, cut: dict, lo: int, hi: int) -> BorderedRibbonGraph
         raise InvalidCut(f"empty window {lo}:{hi}")
     if not base.is_brauer_graph():
         raise NotABrauerGraph("window base needs integral multiplicities")
+    _check_budget((hi - lo + 1) * dimension(base), f"window {lo}:{hi} of total walk length")
     ordering = ordering_from_cut(base.graph, cut)
 
     attach = {}
     rotation = {}
-    no_succ = []
-    no_pred = []
     for v in base.graph.vertices:
         order = ordering[v]
         column = [sheet_name(h, j) for j in range(lo, hi + 1) for h in order]
@@ -178,24 +151,13 @@ def cover_window(base: Afbg, cut: dict, lo: int, hi: int) -> BorderedRibbonGraph
             attach[h] = v
         for a, b in zip(column, column[1:]):
             rotation[a] = b
-        no_succ.append(column[-1])
-        no_pred.append(column[0])
     pairing = {}
     for x, y in base.graph.edge_pairs():
         for j in range(lo, hi + 1):
             a, b = sheet_name(x, j), sheet_name(y, j)
             pairing[a] = b
             pairing[b] = a
-    return BorderedRibbonGraph(
-        vertices=tuple(sorted(base.graph.vertices)),
-        attach=attach,
-        pairing=pairing,
-        rotation=rotation,
-        no_successor=tuple(sorted(no_succ)),
-        no_predecessor=tuple(sorted(no_pred)),
-        lo=lo,
-        hi=hi,
-    )
+    return BorderedRibbonGraph(attach, pairing, rotation, lo, hi)
 
 
 # -- quotients ------------------------------------------------------------------
@@ -215,12 +177,7 @@ def quotient_by_nakayama_power(a: Afbg, k: int) -> Afbg:
         for _ in range(k):
             x = a.nakayama[x]
         power[h] = x
-    cls = {}
-    for cyc in orbits(power):
-        for h in cyc:
-            cls[h] = cyc[0]
     try:
-        graph = quotient_by_orbits(a.graph, cls)
-        return Afbg.build(graph, dict(a.degrees))
+        return _collapse_orbits(a, power)
     except (RibbonStructureError, NotAdmissible) as exc:
         raise QuotientNotAdmissible(f"quotient by nakayama^{k} failed: {exc}") from exc

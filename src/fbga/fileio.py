@@ -123,10 +123,6 @@ def parse_cut(text: str) -> dict:
     return cut
 
 
-def cut_to_list(cut: dict) -> list:
-    return [{"vertex": v, "half_edge": cut[v]} for v in sorted(cut)]
-
-
 # -- gentle presentations ------------------------------------------------------
 
 def parse_gentle(text: str) -> GentlePresentation:

@@ -41,13 +41,13 @@ class GentlePresentation:
 
     @classmethod
     def build(cls, vertices, arrows, zero_relations) -> "GentlePresentation":
-        vs = []
+        vs = {}  # a dict keeps the order and tests membership in O(1)
         for v in vertices:
             if not isinstance(v, str) or not v or EDGE_SEP in v:
                 raise InputError(f"bad quiver vertex id {v!r}")
             if v in vs:
                 raise InputError(f"duplicate quiver vertex {v!r}")
-            vs.append(v)
+            vs[v] = None
         amap = {}
         for a in arrows:
             name, src, tgt = a
@@ -67,14 +67,21 @@ class GentlePresentation:
         return cls(tuple(vs), amap, tuple(rels))
 
 
-def validate_gentle(p: GentlePresentation) -> list[str]:
-    """Structural gentleness check; empty list iff the presentation is gentle."""
-    problems = []
+def _arrows_at(p: GentlePresentation):
+    """(out_at, in_at): the names of the arrows that start and that end at
+    each quiver vertex, in the order of ``p.arrows``."""
     out_at = {v: [] for v in p.vertices}
     in_at = {v: [] for v in p.vertices}
     for a in p.arrows.values():
         out_at[a.source].append(a.name)
         in_at[a.target].append(a.name)
+    return out_at, in_at
+
+
+def validate_gentle(p: GentlePresentation) -> list[str]:
+    """Structural gentleness check; empty list iff the presentation is gentle."""
+    problems = []
+    out_at, in_at = _arrows_at(p)
     for v in p.vertices:
         if len(out_at[v]) > 2:
             problems.append(f"vertex {v}: {len(out_at[v])} arrows start here (max 2)")
@@ -93,14 +100,14 @@ def validate_gentle(p: GentlePresentation) -> list[str]:
             relset.add((later, earlier))
 
     for a in p.arrows.values():
-        followers = [b.name for b in p.arrows.values() if b.source == a.target]
+        followers = out_at[a.target]
         allowed = [b for b in followers if (b, a.name) not in relset]
         forbidden = [b for b in followers if (b, a.name) in relset]
         if len(allowed) > 1:
             problems.append(f"arrow {a.name}: several nonzero successors {allowed}")
         if len(forbidden) > 1:
             problems.append(f"arrow {a.name}: several zero successors {forbidden}")
-        leaders = [b.name for b in p.arrows.values() if b.target == a.source]
+        leaders = in_at[a.source]
         allowed_in = [b for b in leaders if (a.name, b) not in relset]
         forbidden_in = [b for b in leaders if (a.name, b) in relset]
         if len(allowed_in) > 1:
@@ -124,13 +131,14 @@ def maximal_paths(p: GentlePresentation) -> list[tuple]:
     oriented cycles make the algebra infinite-dimensional)."""
     _require_gentle(p)
     relset = set(p.zero_relations)
+    out_at, _ = _arrows_at(p)
     succ = {}
     pred = {}
     for a in p.arrows.values():
-        for b in p.arrows.values():
-            if b.source == a.target and (b.name, a.name) not in relset:
-                succ[a.name] = b.name
-                pred[b.name] = a.name
+        for b in out_at[a.target]:
+            if (b, a.name) not in relset:
+                succ[a.name] = b
+                pred[b] = a.name
 
     paths = []
     starts = sorted(a for a in p.arrows if a not in pred)
@@ -181,11 +189,7 @@ def augmented_vertex_set(p: GentlePresentation) -> AugmentedPaths:
     two required visits)."""
     chains = maximal_paths(p)
     relset = set(p.zero_relations)
-    out_at = {v: [] for v in p.vertices}
-    in_at = {v: [] for v in p.vertices}
-    for a in p.arrows.values():
-        out_at[a.source].append(a.name)
-        in_at[a.target].append(a.name)
+    out_at, in_at = _arrows_at(p)
 
     trivial = []
     for v in p.vertices:

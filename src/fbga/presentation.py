@@ -34,11 +34,14 @@ cross-check the closed-form count ``sum(valency * degree)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .afbg import Afbg
-from .covering import BorderedRibbonGraph
 from .errors import InvariantError, SizeLimitExceeded
-from .ribbon import edge_id_of_pair, orbits
+from .ribbon import edge_id_of_pair
+
+if TYPE_CHECKING:
+    from .covering import BorderedRibbonGraph
 
 ARROW_PREFIX = "a_"
 
@@ -67,15 +70,6 @@ class Presentation:
     @property
     def dangling(self) -> tuple:
         return tuple(sorted(n for n, a in self.arrows.items() if a.target is None))
-
-    def arrow_of(self, half_edge: str) -> Arrow:
-        return self.arrows[arrow_name(half_edge)]
-
-    def out_arrows(self, quiver_vertex: str) -> list:
-        return [a for a in self.arrows.values() if a.source == quiver_vertex]
-
-    def in_arrows(self, quiver_vertex: str) -> list:
-        return [a for a in self.arrows.values() if a.target == quiver_vertex]
 
 
 def _orbit_index(rotation: dict, half_edges, name) -> dict:
@@ -117,21 +111,19 @@ def _walk(index: dict, half_edge: str, length: int):
 WALK_BUDGET = 1 << 24
 
 
-def _check_budget(a: Afbg) -> None:
-    """Refuse, before any walk is built, an algebra whose basis (and so the
-    total length of its walks) is above ``WALK_BUDGET``."""
-    n = dimension(a)
+def _check_budget(n: int, what: str) -> None:
+    """Refuse, before anything is built, work of size ``n`` above
+    ``WALK_BUDGET``: an algebra's dimension (the total length of its
+    walks), one walk's length, a cover's half-edges or a window's total
+    walk length.  ``what`` names the size in the message."""
     if n > WALK_BUDGET:
-        raise SizeLimitExceeded(
-            f"algebra of dimension {n} is above the walk budget of {WALK_BUDGET}")
+        raise SizeLimitExceeded(f"{what} {n} is above the walk budget of {WALK_BUDGET}")
 
 
 def walk(a: Afbg, half_edge: str, length: int) -> tuple:
     """Arrow names of the walk from ``half_edge``: first arrow is its own,
     then the arrows of successive rotations.  Application order."""
-    if length > WALK_BUDGET:
-        raise SizeLimitExceeded(f"walk of length {length} is above the walk "
-                                f"budget of {WALK_BUDGET}")
+    _check_budget(length, "walk of length")
     if length <= 0:
         return ()
     g = a.graph
@@ -148,7 +140,7 @@ def _present(a: Afbg, window: BorderedRibbonGraph | None = None) -> Presentation
     it, with the degrees of ``a``.  A window's rotation is partial: an
     arrow without a rotation successor dangles, and a relation is kept
     only when all of its arrows lie inside the window."""
-    _check_budget(a)
+    _check_budget(dimension(a), "algebra of dimension")
     g = a.graph if window is None else window
     rotation, pairing = g.rotation, g.pairing
 
@@ -206,7 +198,7 @@ def basis(a: Afbg) -> list:
     0 < m < degree from every half-edge, and one socle element per edge
     (the two full walks of an edge are identified; the representative
     starts at the smaller half-edge id)."""
-    _check_budget(a)
+    _check_budget(dimension(a), "algebra of dimension")
     g = a.graph
     out = []
     for x, y in g.edge_pairs():
@@ -233,7 +225,7 @@ def loewy_table(a: Afbg, labels: dict | None = None) -> dict:
     """Per edge: top, the two radical strands (one per half-edge, listing
     the edges hit by walks of length 1..degree-1), and the socle edge.
     Edges are named by their ids, or by ``labels[id]`` when given."""
-    _check_budget(a)
+    _check_budget(dimension(a), "algebra of dimension")
     g = a.graph
     name = {h: edge_id_of_pair(h, p) for h, p in g.pairing.items()}
     if labels is not None:
@@ -251,33 +243,6 @@ def loewy_table(a: Afbg, labels: dict | None = None) -> dict:
         uniserial = not (strands[0] and strands[1])
         table[e] = LoewyRow(e, strands, socle, uniserial)
     return table
-
-
-# -- Nakayama automorphism on the presentation --------------------------------
-
-@dataclass(frozen=True)
-class PresentationAutomorphism:
-    vertex_map: dict  # quiver vertex -> quiver vertex
-    arrow_map: dict   # arrow name -> arrow name
-
-    def vertex_orbit_sizes(self) -> list[int]:
-        return sorted(len(c) for c in orbits(self.vertex_map))
-
-
-def nakayama_on_presentation(a: Afbg) -> PresentationAutomorphism:
-    """The algebra automorphism induced by the inverse Nakayama permutation:
-    the arrow of ``h`` maps to the arrow of ``nakayama^-1(h)``, idempotents
-    follow their edges."""
-    g = a.graph
-    nu_inv = {b: x for x, b in a.nakayama.items()}
-    arrow_map = {arrow_name(h): arrow_name(nu_inv[h]) for h in g.half_edges}
-    vertex_map = {}
-    for h in g.half_edges:
-        e = g.edge_of(h)
-        image = g.edge_of(nu_inv[h])
-        if vertex_map.setdefault(e, image) != image:  # forced by admissibility (a)
-            raise InvariantError(f"nakayama sends edge {e!r} to two edges")
-    return PresentationAutomorphism(vertex_map, arrow_map)
 
 
 # -- independent dimension oracle ----------------------------------------------

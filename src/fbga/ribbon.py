@@ -336,17 +336,6 @@ def is_isomorphic(g1: RibbonGraph, g2: RibbonGraph,
     return mapping
 
 
-def relabel(graph: RibbonGraph, vertex_map: dict | None = None,
-            half_edge_map: dict | None = None) -> RibbonGraph:
-    """Rename vertices and/or half-edges; the result is revalidated."""
-    vm = vertex_map or {}
-    hm = half_edge_map or {}
-    rotations = {vm.get(v, v): [hm.get(h, h) for h in graph.stars[v]]
-                 for v in graph.vertices}
-    edges = [[hm.get(a, a), hm.get(b, b)] for a, b in graph.edge_pairs()]
-    return RibbonGraph.build(rotations, edges)
-
-
 def quotient_by_orbits(graph: RibbonGraph, cls: dict) -> RibbonGraph:
     """Quotient by a partition of half-edges (map to class representatives)
     compatible with attach, pairing and rotation.  Backs reduced forms and

@@ -4,7 +4,9 @@ Any permutation of an even set of half-edges, together with the pairing
 (2i, 2i+1), is a ribbon graph; connectivity is the only thing to retry
 for.  Degree functions of the form d(v) = val(v)·m give integral
 multiplicities (a Brauer graph, always admissible); the cover-compatible
-variant keeps every multiplicity ≡ 1 mod r.
+variant keeps every multiplicity ≡ 1 mod r, so the r-sheeted cover of
+such a graph is admissible with multiplicities (1 + r·k)/r, which are
+fractional whenever r ≥ 2.
 """
 
 from __future__ import annotations
@@ -12,8 +14,12 @@ from __future__ import annotations
 from itertools import permutations
 from random import Random
 
-from .afbg import Afbg, is_admissible
-from .ribbon import RibbonGraph, canonical_code, orbits, relabel
+from fbga.afbg import Afbg
+from fbga.covering import cover_finite
+from fbga.ribbon import RibbonGraph, canonical_code, orbits
+
+CONNECTED_TRIES = 1000
+MAX_SHEETS = 3
 
 
 def _graph_from_perm(perm) -> RibbonGraph:
@@ -28,16 +34,16 @@ def _graph_from_perm(perm) -> RibbonGraph:
     return RibbonGraph.build(rotations, edges)
 
 
-def random_ribbon_graph(rng: Random, num_edges: int, max_tries: int = 1000) -> RibbonGraph:
+def random_ribbon_graph(rng: Random, num_edges: int) -> RibbonGraph:
     """Random connected ribbon graph with the given number of edges."""
     n2 = 2 * num_edges
-    for _ in range(max_tries):
+    for _ in range(CONNECTED_TRIES):
         perm = list(range(n2))
         rng.shuffle(perm)
         graph = _graph_from_perm(perm)
         if graph.connected:
             return graph
-    raise RuntimeError(f"no connected graph with {num_edges} edges in {max_tries} tries")
+    raise RuntimeError(f"no connected graph with {num_edges} edges in {CONNECTED_TRIES} tries")
 
 
 def brauer_degrees(rng: Random, graph: RibbonGraph, max_mult: int = 3) -> dict:
@@ -54,21 +60,20 @@ def cover_compatible_degrees(rng: Random, graph: RibbonGraph, r: int,
             for v in graph.vertices}
 
 
-def random_admissible_degrees(rng: Random, graph: RibbonGraph,
-                              max_degree: int = 6, tries: int = 200):
-    """Rejection-sample an admissible degree function that is not forced
-    to be integral; falls back to None when none is found."""
-    for _ in range(tries):
-        degrees = {v: rng.randint(1, max_degree) for v in graph.vertices}
-        a, _violations = is_admissible(graph, degrees)
-        if a is not None:
-            return degrees
-    return None
-
-
-def random_afbg(rng: Random, num_edges: int, max_mult: int = 3) -> Afbg:
+def random_afbg(rng: Random, num_edges: int) -> Afbg:
     graph = random_ribbon_graph(rng, num_edges)
-    return Afbg.build(graph, brauer_degrees(rng, graph, max_mult))
+    return Afbg.build(graph, brauer_degrees(rng, graph))
+
+
+def random_fractional_afbg(rng: Random, num_edges: int) -> Afbg:
+    """The r-sheeted cover, 2 ≤ r ≤ MAX_SHEETS, of a random Brauer graph
+    with ``num_edges`` edges and cover-compatible degrees, along a random
+    cut: admissible by construction, with ``r * num_edges`` edges and
+    multiplicities (1 + r·k)/r, none of them integral."""
+    base = random_ribbon_graph(rng, num_edges)
+    r = rng.randint(2, MAX_SHEETS)
+    a = Afbg.build(base, cover_compatible_degrees(rng, base, r))
+    return cover_finite(a, random_cut(rng, base), r).cover
 
 
 def random_cut(rng: Random, graph: RibbonGraph) -> dict:
@@ -80,16 +85,17 @@ def shuffled_copy(rng: Random, graph: RibbonGraph, degrees=None):
     Returns (graph, degrees-or-None)."""
     vnames = [f"w{i}" for i in range(len(graph.vertices))]
     rng.shuffle(vnames)
-    vmap = dict(zip(sorted(graph.vertices), vnames))
-    hnames = [f"k{i}" for i in range(len(graph.half_edges))]
+    vmap = dict(zip(graph.vertices, vnames))
+    hnames = [f"k{i}" for i in range(len(graph.attach))]
     rng.shuffle(hnames)
-    hmap = dict(zip(sorted(graph.half_edges), hnames))
-    g2 = relabel(graph, vmap, hmap)
+    hmap = dict(zip(sorted(graph.attach), hnames))
+    g2 = RibbonGraph.build({vmap[v]: [hmap[h] for h in graph.stars[v]] for v in graph.vertices},
+                           [[hmap[a], hmap[b]] for a, b in graph.edge_pairs()])
     d2 = {vmap[v]: degrees[v] for v in degrees} if degrees is not None else None
     return g2, d2
 
 
-def random_brauer_tree(rng: Random, num_edges: int, max_mult: int = 4):
+def random_brauer_tree(rng: Random, num_edges: int):
     """Random tree with one marked vertex of multiplicity m and all other
     multiplicities 1.  Returns (Afbg, m)."""
     rotations = {"v0": []}
@@ -103,7 +109,7 @@ def random_brauer_tree(rng: Random, num_edges: int, max_mult: int = 4):
         rotations[leaf] = [hb]
         edge_pairs.append([ha, hb])
     graph = RibbonGraph.build(rotations, edge_pairs)
-    m = rng.randint(1, max_mult)
+    m = rng.randint(1, 4)
     marked = rng.choice(sorted(graph.vertices))
     degrees = {v: graph.valency(v) * (m if v == marked else 1)
                for v in graph.vertices}

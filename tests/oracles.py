@@ -1,8 +1,10 @@
-"""Presentation helpers that only the tests use."""
+"""Presentation and covering checks that only the tests use."""
+
+from dataclasses import dataclass
 
 from fbga.errors import InvariantError
 from fbga.presentation import arrow_name, walk
-from fbga.ribbon import is_isomorphic
+from fbga.ribbon import is_isomorphic, orbits
 
 
 def special_cycles(a) -> dict:
@@ -34,3 +36,61 @@ def presentation_isomorphism(p1, p2):
     if c1 != c2 or z1 != z2:
         raise InvariantError("the graph isomorphism does not carry relations to relations")
     return amap
+
+
+@dataclass(frozen=True)
+class PresentationAutomorphism:
+    vertex_map: dict  # quiver vertex -> quiver vertex
+    arrow_map: dict   # arrow name -> arrow name
+
+    def vertex_orbit_sizes(self) -> list[int]:
+        return sorted(len(c) for c in orbits(self.vertex_map))
+
+
+def nakayama_on_presentation(a) -> PresentationAutomorphism:
+    """The algebra automorphism induced by the inverse Nakayama permutation:
+    the arrow of ``h`` maps to the arrow of ``nakayama^-1(h)``, idempotents
+    follow their edges."""
+    g = a.graph
+    nu_inv = {b: x for x, b in a.nakayama.items()}
+    arrow_map = {arrow_name(h): arrow_name(nu_inv[h]) for h in g.half_edges}
+    vertex_map = {}
+    for h in g.half_edges:
+        e = g.edge_of(h)
+        image = g.edge_of(nu_inv[h])
+        if vertex_map.setdefault(e, image) != image:  # forced by admissibility (a)
+            raise InvariantError(f"nakayama sends edge {e!r} to two edges")
+    return PresentationAutomorphism(vertex_map, arrow_map)
+
+
+def nakayama_orbit_sizes(a) -> list[int]:
+    return sorted(len(c) for c in orbits(a.nakayama))
+
+
+def verify_covering(cover, base, projection: dict):
+    """Check that ``projection`` is an equivariant covering map with
+    uniform fibers.  Returns (ok, reason)."""
+    gc, gb = cover.graph, base.graph
+    if set(projection) != set(gc.half_edges):
+        return False, "projection domain is not the cover's half-edge set"
+    image = set(projection.values())
+    if image != set(gb.half_edges):
+        return False, "projection is not onto the base's half-edges"
+    if set(gc.vertices) != set(gb.vertices):
+        return False, "cover and base must share their vertex set"
+    for h, b in projection.items():
+        if gc.attach[h] != gb.attach[b]:
+            return False, f"attachment differs at {h}"
+        if projection[gc.pairing[h]] != gb.pairing[b]:
+            return False, f"pairing does not commute at {h}"
+        if projection[gc.rotation[h]] != gb.rotation[b]:
+            return False, f"rotation does not commute at {h}"
+    sizes = {}
+    for h, b in projection.items():
+        sizes[b] = sizes.get(b, 0) + 1
+    if len(set(sizes.values())) != 1:
+        return False, "fibers are not uniform"
+    for v in gb.vertices:
+        if cover.degrees[v] != base.degrees[v]:
+            return False, f"degree differs at vertex {v}"
+    return True, "covering verified"

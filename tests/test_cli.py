@@ -249,6 +249,24 @@ def test_degree_10_18_answers_or_refuses_within_a_second(tmp_path, capsys, argv,
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "walk budget" in err
 
 
+SHEETS_ABOVE_BUDGET = {
+    "cover": ["cover", DATA / "lambda.rg", "--r", 10**9, "--auto-cut"],
+    "gentle-trivext": ["gentle-trivext", DATA / "kronecker.gentle", "--r", 10**9],
+    "repetitive-window": ["repetitive-window", DATA / "kronecker.gentle", "--window", f"0:{10**9}"],
+}
+
+
+@pytest.mark.parametrize("argv", SHEETS_ABOVE_BUDGET.values(), ids=SHEETS_ABOVE_BUDGET.keys())
+def test_sheet_counts_above_the_budget_are_refused_within_a_second(capsys, argv):
+    """A cover or a window is sized before anything is built, so 10^9
+    sheets exit 2 with one line instead of running out of memory."""
+    t0 = time.monotonic()
+    assert main([str(a) for a in argv]) == 2
+    assert time.monotonic() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "walk budget" in err
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "fbga.cli", "validate", str(DATA / "lambda.rg")],

@@ -10,7 +10,6 @@ from fbga.covering import (
     quotient_by_nakayama_power,
     smallest_cut,
     validate_cut,
-    verify_covering,
 )
 from fbga.errors import (
     CoverNotAdmissible,
@@ -19,12 +18,9 @@ from fbga.errors import (
     NotABrauerGraph,
 )
 from fbga.presentation import dimension
-from fbga.randgen import (
-    cover_compatible_degrees,
-    random_cut,
-    random_ribbon_graph,
-)
 from fbga.ribbon import RibbonGraph, is_isomorphic
+from generators import cover_compatible_degrees, random_cut, random_ribbon_graph
+from oracles import nakayama_orbit_sizes, verify_covering
 
 
 def lambda_afbg():
@@ -70,7 +66,7 @@ def test_double_edge_two_sheets_golden():
     assert g.num_edges() == 4
     ok, reason = verify_covering(res.cover, res.base, res.projection)
     assert ok, reason
-    assert res.cover.nakayama_orbit_sizes() == [2, 2, 2, 2]
+    assert nakayama_orbit_sizes(res.cover) == [2, 2, 2, 2]
     red = reduced_form(res.cover)
     assert is_isomorphic(red.graph, a.graph, red.degrees, a.degrees) is not None
 
@@ -117,7 +113,7 @@ def test_cover_roundtrip_properties(seed, r):
     assert ok, reason
     assert len(res.cover.graph.half_edges) == r * len(g.half_edges)
     assert dimension(res.cover) == r * dimension(base)
-    assert set(res.cover.nakayama_orbit_sizes()) == {r}
+    assert set(nakayama_orbit_sizes(res.cover)) == {r}
     red = reduced_form(res.cover)
     assert is_isomorphic(red.graph, g, red.degrees, base.degrees) is not None
 
@@ -128,14 +124,15 @@ def test_window_matches_cover_away_from_border():
     win = cover_window(a, D1, 0, r - 1)
     res = cover_finite(a, D1, r)
     cov = res.cover.graph
-    assert set(win.half_edges) == set(cov.half_edges)
+    assert win.attach == cov.attach
     assert win.pairing == dict(cov.pairing)
-    for h in win.half_edges:
-        if h in win.no_successor:
-            assert h not in win.rotation
-        else:
-            assert win.rotation[h] == cov.rotation[h]
-    assert len(win.no_successor) == len(win.no_predecessor) == len(cov.vertices)
+    for h in win.rotation:
+        assert win.rotation[h] == cov.rotation[h]
+    no_successor = set(win.attach) - set(win.rotation)
+    no_predecessor = set(win.attach) - set(win.rotation.values())
+    assert len(no_successor) == len(no_predecessor) == len(cov.vertices)
+    # the window's rotation leaves it exactly at the top sheet's cut
+    assert all(h.endswith(f"@{r - 1}") and cov.rotation[h].endswith("@0") for h in no_successor)
 
 
 def test_window_rejects_empty_range():
@@ -145,7 +142,7 @@ def test_window_rejects_empty_range():
 
 def test_window_negative_sheets_allowed():
     win = cover_window(lambda_afbg(), D1, -1, 1)
-    assert "h@-1" in win.half_edges
+    assert "h@-1" in win.attach
     assert win.lo == -1 and win.hi == 1
 
 

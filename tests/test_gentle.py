@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from fbga.covering import cover_finite
@@ -240,3 +242,17 @@ def test_repetitive_window_is_the_cover_presentation_cut_at_the_border():
         assert set(win.commutation_relations) < set(cov.commutation_relations)
         assert set(win.zero_relations) < set(cov.zero_relations)
         assert sorted(win.quiver_vertices) == sorted(cov.quiver_vertices)
+
+
+def test_line_quiver_with_8000_vertices_takes_linear_time():
+    """The gentleness check, the maximal paths and the augmented paths read
+    one per-vertex arrow index instead of scanning every arrow per arrow."""
+    n = 8000
+    t0 = time.monotonic()
+    p = GentlePresentation.build(
+        [str(i) for i in range(n)],
+        [(f"a{i}", str(i), str(i + 1)) for i in range(n - 1)],
+        [(f"a{i + 1}", f"a{i}") for i in range(n - 2)])
+    pres = trivial_extension(p)
+    assert time.monotonic() - t0 < 3.0
+    assert dimension(pres.afbg) == 4 * n - 2

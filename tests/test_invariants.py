@@ -6,8 +6,8 @@ import pytest
 from fbga.afbg import Afbg
 from fbga.gentle import GentlePresentation, gentle_cover
 from fbga.invariants import COMPARED_FIELDS, compare, fingerprint, special_orbit_sizes
-from fbga.randgen import random_afbg, shuffled_copy
 from fbga.ribbon import RibbonGraph, is_isomorphic
+from generators import random_afbg, random_fractional_afbg, shuffled_copy
 
 
 def lambda_afbg(d=2):
@@ -50,14 +50,9 @@ def test_relabelling_invariance(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_relabelling_invariance_fractional(seed):
     rng = random.Random(1000 + seed)
-    from fbga.randgen import random_admissible_degrees, random_ribbon_graph
-
-    g = random_ribbon_graph(rng, rng.randint(2, 5))
-    degrees = random_admissible_degrees(rng, g)
-    if degrees is None:
-        pytest.skip("rejection sampling found nothing admissible here")
-    a = Afbg.build(g, degrees)
-    g2, deg2 = shuffled_copy(rng, g, degrees)
+    a = random_fractional_afbg(rng, rng.randint(1, 3))
+    assert not a.is_brauer_graph()
+    g2, deg2 = shuffled_copy(rng, a.graph, a.degrees)
     assert fingerprint(a) == fingerprint(Afbg.build(g2, deg2))
 
 

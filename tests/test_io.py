@@ -8,7 +8,6 @@ from fbga.errors import ParseError
 from fbga.fileio import (
     afbg_to_dict,
     bordered_to_dict,
-    cut_to_list,
     dot_of_graph,
     dot_of_presentation,
     dumps,
@@ -66,7 +65,7 @@ def test_parse_ribbon_bad_json_and_missing_keys():
 
 def test_cut_roundtrip_and_duplicate():
     cut = {"u": "hp", "w": "ih"}
-    assert parse_cut(dumps(cut_to_list(cut))) == cut
+    assert parse_cut(dumps([{"vertex": v, "half_edge": h} for v, h in cut.items()])) == cut
     with pytest.raises(ParseError):
         parse_cut(json.dumps([{"vertex": "u", "half_edge": "h"},
                               {"vertex": "u", "half_edge": "hp"}]))

@@ -13,7 +13,6 @@ from fbga.errors import (
     InputError,
     NotAdmissible,
 )
-from fbga.randgen import random_afbg
 from fbga.reconstruct import (
     LoewyData,
     _build_candidate,
@@ -23,6 +22,7 @@ from fbga.reconstruct import (
     reconstruct_afbg,
 )
 from fbga.ribbon import RibbonGraph, canonical_code, edge_id_of_pair, is_isomorphic
+from generators import random_afbg
 
 
 def roundtrip_check(a: Afbg) -> bool:

@@ -13,13 +13,6 @@ from fbga.errors import (
     RibbonStructureError,
     UnknownVertex,
 )
-from fbga.randgen import (
-    connected_graphs_up_to,
-    cover_compatible_degrees,
-    random_cut,
-    random_ribbon_graph,
-    shuffled_copy,
-)
 from fbga.ribbon import (
     RibbonGraph,
     _rooted_word,
@@ -28,7 +21,13 @@ from fbga.ribbon import (
     is_isomorphic,
     orbits,
     quotient_by_orbits,
-    relabel,
+)
+from generators import (
+    connected_graphs_up_to,
+    cover_compatible_degrees,
+    random_cut,
+    random_ribbon_graph,
+    shuffled_copy,
 )
 
 
@@ -296,15 +295,6 @@ def test_rooted_word_stops_exactly_when_it_exceeds_the_bound():
                 found = _rooted_word(g, root, rinv, None, bound)
                 assert (found is None) == (word > bound)
                 assert found is None or found[0] == word
-
-
-def test_relabel_roundtrip():
-    g = lambda_graph()
-    vmap = {"u": "a", "w": "b"}
-    hmap = {h: h.upper() for h in g.half_edges}
-    g2 = relabel(g, vmap, hmap)
-    assert set(g2.vertices) == {"a", "b"}
-    assert is_isomorphic(g, g2) is not None
 
 
 def test_quotient_by_orbits_collapses_parallel_pair():
