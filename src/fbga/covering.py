@@ -16,13 +16,16 @@ have all Nakayama orbits of size exactly r and reduce back to the base.
 ``cover_finite`` validates the result and raises ``CoverNotAdmissible``
 when the congruence fails.
 
-Both constructions are sized before anything is built: ``cover_finite``
-refuses a cover with more than ``WALK_BUDGET`` half-edges (r times the
-base's), and ``cover_window`` a window whose total walk length (its
-sheets times the base's dimension) is above it, with
-``SizeLimitExceeded``.  A cover of a base with huge degrees is still
-built, since its size does not depend on the degrees; presenting it is
-refused by the walk budget of the presentation builders.
+Both constructions lay out sheets with one builder, ``_sheets``:
+``cover_finite`` closes its columns into rotation cycles and
+``cover_window`` leaves them open.  Both are sized by what they build,
+before building it: each half-edge counts ``HALF_EDGE_STEPS`` walk steps
+against ``WALK_BUDGET``, so a cover costs that times r·|H| and a window
+that times its half-edges plus its total walk length (its sheets times
+the base's dimension); more raises ``SizeLimitExceeded``.  A cover of a
+base with huge degrees is still built, since its size does not depend on
+the degrees; presenting it is refused by the walk budget of the
+presentation builders.
 """
 
 from __future__ import annotations
@@ -77,12 +80,24 @@ def smallest_cut(graph: RibbonGraph) -> dict:
     return {v: graph.stars[v][0] for v in graph.vertices}
 
 
+def _sheets(base: Afbg, cut: dict, lo: int, hi: int):
+    """Sheets lo..hi along ``cut``: (columns, edges).  A vertex's column is
+    its star ordering repeated sheet by sheet; every sheet copies every
+    edge."""
+    ordering = ordering_from_cut(base.graph, cut)
+    sheets = range(lo, hi + 1)
+    columns = {v: [sheet_name(h, j) for j in sheets for h in order]
+               for v, order in ordering.items()}
+    edges = [[sheet_name(x, j), sheet_name(y, j)]
+             for x, y in base.graph.edge_pairs() for j in sheets]
+    return columns, edges
+
+
 @dataclass(frozen=True)
 class CoverResult:
     cover: Afbg
     base: Afbg
     sheets: int
-    projection: dict  # cover half-edge -> base half-edge
 
 
 def cover_finite(base: Afbg, cut: dict, r: int) -> CoverResult:
@@ -93,25 +108,16 @@ def cover_finite(base: Afbg, cut: dict, r: int) -> CoverResult:
                      if base.multiplicity(v).denominator != 1)
         raise NotABrauerGraph(
             f"covering base needs integral multiplicities; fractional at {bad}")
-    _check_budget(r * len(base.graph.attach), f"cover with {r} sheets and half-edge count")
-    ordering = ordering_from_cut(base.graph, cut)
-
-    rotations = {}
-    for v in base.graph.vertices:
-        rotations[v] = [sheet_name(h, j) for j in range(r) for h in ordering[v]]
-    edges = [[sheet_name(x, j), sheet_name(y, j)]
-             for x, y in base.graph.edge_pairs() for j in range(r)]
-    graph = RibbonGraph.build(rotations, edges)
-
-    projection = {sheet_name(h, j): h
-                  for h in base.graph.half_edges for j in range(r)}
+    n = len(base.graph.attach)
+    _check_budget(0, f"cover with {r} sheets of {n} half-edges: cost", r * n)
+    graph = RibbonGraph.build(*_sheets(base, cut, 0, r - 1))
     try:
         cover = Afbg.build(graph, dict(base.degrees))
     except NotAdmissible as exc:
         raise CoverNotAdmissible(
             f"{r}-sheeted cover is not admissible; base multiplicities must "
             f"be congruent mod {r} ({exc})") from exc
-    return CoverResult(cover, base, r, projection)
+    return CoverResult(cover, base, r)
 
 
 # -- window into the infinite cyclic cover -------------------------------------
@@ -139,24 +145,16 @@ def cover_window(base: Afbg, cut: dict, lo: int, hi: int) -> BorderedRibbonGraph
         raise InvalidCut(f"empty window {lo}:{hi}")
     if not base.is_brauer_graph():
         raise NotABrauerGraph("window base needs integral multiplicities")
-    _check_budget((hi - lo + 1) * dimension(base), f"window {lo}:{hi} of total walk length")
-    ordering = ordering_from_cut(base.graph, cut)
-
-    attach = {}
-    rotation = {}
-    for v in base.graph.vertices:
-        order = ordering[v]
-        column = [sheet_name(h, j) for j in range(lo, hi + 1) for h in order]
-        for h in column:
-            attach[h] = v
-        for a, b in zip(column, column[1:]):
-            rotation[a] = b
-    pairing = {}
-    for x, y in base.graph.edge_pairs():
-        for j in range(lo, hi + 1):
-            a, b = sheet_name(x, j), sheet_name(y, j)
-            pairing[a] = b
-            pairing[b] = a
+    sheets, n = hi - lo + 1, len(base.graph.attach)
+    _check_budget(sheets * dimension(base),
+                  f"window {lo}:{hi} of {sheets} sheets of {n} half-edges: cost", sheets * n)
+    columns, edges = _sheets(base, cut, lo, hi)
+    attach, rotation, pairing = {}, {}, {}
+    for v, column in columns.items():
+        attach.update(dict.fromkeys(column, v))
+        rotation.update(zip(column, column[1:]))
+    for x, y in edges:
+        pairing[x], pairing[y] = y, x
     return BorderedRibbonGraph(attach, pairing, rotation, lo, hi)
 
 

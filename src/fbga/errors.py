@@ -100,9 +100,9 @@ class QuotientNotAdmissible(MathPreconditionError):
 class SizeLimitExceeded(MathPreconditionError):
     """An input above a declared bound was refused: an algebra whose
     dimension is above the walk budget of the presentation, Loewy table
-    and basis builders, a cover whose half-edges or a repetitive window
-    whose total walk length (sheets times the base's dimension) are above
-    that budget, or the brute-force dimension oracle over too many arrows
+    and basis builders, a cover or a repetitive window whose built
+    half-edges (and a window's walk length) cost more than that budget,
+    or the brute-force dimension oracle over too many arrows
     or with a path enumeration past its rewriting bound.  A refusal, never
     a verdict."""
 

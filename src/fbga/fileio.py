@@ -10,9 +10,9 @@ none.  Cut files are ``[{"vertex": ..., "half_edge": ...}]``.  Gentle
 files are ``{"vertices": [...], "arrows": [{"id","from","to"}],
 "zero_relations": [[later, earlier]]}`` — a listed relation kills the
 composite later∘earlier.  Loewy files are a list of ``{"id", "strands",
-"socle"}`` rows ("uniserial" optional; derived when absent).  Ids, half-edges
-and labels are strings and degrees are positive integers; anything else is
-a :class:`ParseError`.
+"socle"}`` rows; "uniserial" is derived from the strands, and a row
+that gives it must agree.  Ids, half-edges and labels are strings and
+degrees are positive integers; anything else is a :class:`ParseError`.
 
 Exported paths list arrows in application order (first arrow first);
 exported zero relations are ``[later, earlier]`` pairs.  The ``*_to_dict``
@@ -25,10 +25,10 @@ from __future__ import annotations
 import json
 
 from .afbg import Afbg
-from .errors import ParseError
+from .errors import InconsistentInput, ParseError
 from .gentle import GentlePresentation
-from .presentation import Presentation
-from .reconstruct import LoewyData
+from .presentation import Presentation, dimension
+from .reconstruct import LoewyData, loewy_data_of
 from .ribbon import RibbonGraph
 
 PATH_CONVENTIONS = {
@@ -152,15 +152,15 @@ def parse_loewy(text: str) -> LoewyData:
         strands = [tuple(_strings(s, f"{where} strand"))
                    for s in _typed(_need(row, "strands", where), list, f"{where} strands")]
         socle = _typed(_need(row, "socle", where), str, f"{where} socle")
-        nonempty = sum(1 for s in strands if s)
-        uniserial = _typed(row.get("uniserial", nonempty <= 1), bool, f"{where} uniserial")
-        raw.append((label, strands, uniserial, socle))
+        uniserial = sum(1 for s in strands if s) <= 1
+        if _typed(row.get("uniserial", uniserial), bool, f"{where} uniserial") != uniserial:
+            raise InconsistentInput(
+                f"simple {label!r}: uniserial flag contradicts the strands")
+        raw.append((label, strands, socle))
     return LoewyData.build(raw)
 
 
 def loewy_to_list(a: Afbg) -> list:
-    from .reconstruct import loewy_data_of
-
     data, _ = loewy_data_of(a)
     return [{"id": r.label,
              "strands": r.strands,
@@ -172,13 +172,11 @@ def loewy_to_list(a: Afbg) -> list:
 # -- presentations ---------------------------------------------------------------
 
 def presentation_to_dict(p: Presentation) -> dict:
-    from .presentation import dimension
-
     return {
         "conventions": dict(PATH_CONVENTIONS),
         "vertices": list(p.quiver_vertices),
-        "arrows": [{"id": a.name, "from": a.source, "to": a.target}
-                   for a in sorted(p.arrows.values(), key=lambda a: a.name)],
+        "arrows": [{"id": name, "from": a.source, "to": a.target}
+                   for name, a in sorted(p.arrows.items())],
         "commutation_relations": p.commutation_relations,
         "zero_relations": p.zero_relations,
         "dimension": dimension(p.afbg),
@@ -191,8 +189,8 @@ def bordered_to_dict(b: Presentation) -> dict:
         "conventions": dict(PATH_CONVENTIONS),
         "window": [b.window.lo, b.window.hi],
         "vertices": list(b.quiver_vertices),
-        "arrows": [{"id": a.name, "from": a.source, "to": a.target}
-                   for a in sorted(b.arrows.values(), key=lambda a: a.name)],
+        "arrows": [{"id": name, "from": a.source, "to": a.target}
+                   for name, a in sorted(b.arrows.items())],
         "dangling": list(b.dangling),
         "commutation_relations": b.commutation_relations,
         "zero_relations": b.zero_relations,
@@ -225,12 +223,12 @@ def dot_of_presentation(p) -> str:
     for v in p.quiver_vertices:
         lines.append(f"  {_q(v)};")
     boundary = False
-    for a in sorted(p.arrows.values(), key=lambda a: a.name):
+    for name, a in sorted(p.arrows.items()):
         if a.target is None:
             boundary = True
-            lines.append(f"  {_q(a.source)} -> boundary [label={_q(a.name)}, style=dashed];")
+            lines.append(f"  {_q(a.source)} -> boundary [label={_q(name)}, style=dashed];")
         else:
-            lines.append(f"  {_q(a.source)} -> {_q(a.target)} [label={_q(a.name)}];")
+            lines.append(f"  {_q(a.source)} -> {_q(a.target)} [label={_q(name)}];")
     if boundary:
         lines.append('  boundary [shape=plaintext, label="…"];')
     lines.append("}")

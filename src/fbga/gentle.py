@@ -23,7 +23,7 @@ from .afbg import Afbg
 from .covering import CoverResult, cover_finite, cover_window
 from .errors import InputError, OccurrenceMismatch, UnboundedPath
 from .presentation import Presentation, _present, build_presentation
-from .ribbon import EDGE_SEP, RibbonGraph, edge_id_of_pair
+from .ribbon import EDGE_SEP, RibbonGraph
 
 
 @dataclass(frozen=True)
@@ -172,11 +172,16 @@ def path_visits(p: GentlePresentation, chain: tuple) -> list:
     return visits
 
 
+def half_edge_key(graph_vertex_key: str, position: int) -> str:
+    return f"{graph_vertex_key}#{position}"
+
+
 @dataclass(frozen=True)
 class AugmentedPaths:
     paths: tuple          # maximal nonzero paths (arrow-name tuples)
     trivial: tuple        # quiver vertices carrying a trivial path
-    occurrences: dict     # quiver vertex -> list of (graph-vertex key, position)
+    rotations: dict       # graph-vertex key -> half-edges of its visits, in order
+    occurrences: dict     # quiver vertex -> the half-edges of its two visits
 
 
 def augmented_vertex_set(p: GentlePresentation) -> AugmentedPaths:
@@ -201,31 +206,27 @@ def augmented_vertex_set(p: GentlePresentation) -> AugmentedPaths:
         elif len(ins) == 1 and len(outs) == 1 and (outs[0], ins[0]) not in relset:
             trivial.append(v)
 
+    rotations = {}
     occurrences = {v: [] for v in p.vertices}
-    for chain in chains:
-        key = PATH_PREFIX + PATH_JOIN.join(chain)
-        for pos, v in enumerate(path_visits(p, chain)):
-            occurrences[v].append((key, pos))
-    for v in trivial:
-        occurrences[v].append((TRIVIAL_PREFIX + v, 0))
+    visits = [(PATH_PREFIX + PATH_JOIN.join(c), path_visits(p, c)) for c in chains]
+    trivial.sort()
+    for key, vs in visits + [(TRIVIAL_PREFIX + v, [v]) for v in trivial]:
+        rotations[key] = [half_edge_key(key, pos) for pos in range(len(vs))]
+        for h, v in zip(rotations[key], vs):
+            occurrences[v].append(h)
 
     bad = {v: len(occ) for v, occ in occurrences.items() if len(occ) != 2}
     if bad:
         raise OccurrenceMismatch(
             f"quiver vertices not covered exactly twice by the augmented "
             f"path set: {bad}")
-    return AugmentedPaths(tuple(chains), tuple(sorted(trivial)), occurrences)
+    return AugmentedPaths(tuple(chains), tuple(trivial), rotations, occurrences)
 
 
 @dataclass(frozen=True)
 class GentleGraphResult:
     afbg: Afbg            # the Brauer graph (degrees = valencies)
     cut: dict             # induced cutting set (last visit of each path)
-    edge_of_quiver_vertex: dict  # quiver vertex -> derived edge id
-
-
-def half_edge_key(graph_vertex_key: str, position: int) -> str:
-    return f"{graph_vertex_key}#{position}"
 
 
 def ribbon_graph_of_gentle(p: GentlePresentation) -> GentleGraphResult:
@@ -237,32 +238,10 @@ def ribbon_graph_of_gentle(p: GentlePresentation) -> GentleGraphResult:
     The cut picks the half-edge of each path's last visit, so the cut
     angle sits between the last and first visit."""
     aug = augmented_vertex_set(p)
-
-    rotations = {}
-    visit_count = {}
-    for chain in aug.paths:
-        key = PATH_PREFIX + PATH_JOIN.join(chain)
-        n = len(path_visits(p, chain))
-        rotations[key] = [half_edge_key(key, i) for i in range(n)]
-        visit_count[key] = n
-    for v in aug.trivial:
-        key = TRIVIAL_PREFIX + v
-        rotations[key] = [half_edge_key(key, 0)]
-        visit_count[key] = 1
-
-    edges = []
-    edge_of = {}
-    for qv in sorted(p.vertices):
-        (k1, p1), (k2, p2) = aug.occurrences[qv]
-        a, b = half_edge_key(k1, p1), half_edge_key(k2, p2)
-        edges.append([a, b])
-        edge_of[qv] = edge_id_of_pair(a, b)
-
-    graph = RibbonGraph.build(rotations, edges)
-    degrees = {key: len(rotations[key]) for key in rotations}
-    afbg = Afbg.build(graph, degrees)
-    cut = {key: half_edge_key(key, visit_count[key] - 1) for key in rotations}
-    return GentleGraphResult(afbg, cut, edge_of)
+    rotations = aug.rotations
+    graph = RibbonGraph.build(rotations, [aug.occurrences[v] for v in sorted(p.vertices)])
+    afbg = Afbg.build(graph, {key: len(rot) for key, rot in rotations.items()})
+    return GentleGraphResult(afbg, {key: rot[-1] for key, rot in rotations.items()})
 
 
 def trivial_extension(p: GentlePresentation) -> Presentation:

@@ -52,8 +52,6 @@ def arrow_name(half_edge: str) -> str:
 
 @dataclass(frozen=True)
 class Arrow:
-    name: str
-    half_edge: str
     source: str  # edge id
     target: str | None  # edge id; None when the rotation step leaves a window
 
@@ -109,15 +107,20 @@ def _walk(index: dict, half_edge: str, length: int):
 
 
 WALK_BUDGET = 1 << 24
+# A built half-edge of a cover or window took 0.6-2.8 KB of peak RSS and a
+# presented walk step about 40 B (CLI subprocesses at 2^18 half-edges,
+# ru_maxrss), so each built half-edge counts as this many walk steps.
+HALF_EDGE_STEPS = 64
 
 
-def _check_budget(n: int, what: str) -> None:
-    """Refuse, before anything is built, work of size ``n`` above
-    ``WALK_BUDGET``: an algebra's dimension (the total length of its
-    walks), one walk's length, a cover's half-edges or a window's total
-    walk length.  ``what`` names the size in the message."""
-    if n > WALK_BUDGET:
-        raise SizeLimitExceeded(f"{what} {n} is above the walk budget of {WALK_BUDGET}")
+def _check_budget(steps: int, what: str, half_edges: int = 0) -> None:
+    """Refuse, before anything is built, work above ``WALK_BUDGET``:
+    ``steps`` walk steps (an algebra's dimension, one walk's length or a
+    window's total walk length) plus ``half_edges`` built half-edges at
+    ``HALF_EDGE_STEPS`` each.  ``what`` names the cost in the message."""
+    cost = steps + HALF_EDGE_STEPS * half_edges
+    if cost > WALK_BUDGET:
+        raise SizeLimitExceeded(f"{what} {cost} is above the walk budget of {WALK_BUDGET}")
 
 
 def walk(a: Afbg, half_edge: str, length: int) -> tuple:
@@ -151,8 +154,7 @@ def _present(a: Afbg, window: BorderedRibbonGraph | None = None) -> Presentation
     zeros = []
     for h in sorted(g.attach):
         nxt = rotation.get(h)
-        arrows[arrow_name(h)] = Arrow(
-            arrow_name(h), h, edge_of(h), None if nxt is None else edge_of(nxt))
+        arrows[arrow_name(h)] = Arrow(edge_of(h), None if nxt is None else edge_of(nxt))
         if nxt is not None:
             zeros.append((arrow_name(pairing[nxt]), arrow_name(h)))
 
@@ -215,16 +217,19 @@ def basis(a: Afbg) -> list:
 
 @dataclass(frozen=True)
 class LoewyRow:
-    top: str
-    strands: tuple   # two tuples of edge ids, ordered by the half-edge pair
+    label: str
+    strands: tuple   # two tuples of labels, ordered by the half-edge pair
     socle: str
-    uniserial: bool
+
+    @property
+    def uniserial(self) -> bool:
+        return not (self.strands[0] and self.strands[1])
 
 
 def loewy_table(a: Afbg, labels: dict | None = None) -> dict:
-    """Per edge: top, the two radical strands (one per half-edge, listing
-    the edges hit by walks of length 1..degree-1), and the socle edge.
-    Edges are named by their ids, or by ``labels[id]`` when given."""
+    """Per edge: its label, the two radical strands (one per half-edge,
+    listing the edges hit by walks of length 1..degree-1), and the socle
+    edge.  Edges are named by their ids, or by ``labels[id]`` when given."""
     _check_budget(dimension(a), "algebra of dimension")
     g = a.graph
     name = {h: edge_id_of_pair(h, p) for h, p in g.pairing.items()}
@@ -240,8 +245,7 @@ def loewy_table(a: Afbg, labels: dict | None = None) -> dict:
         socle = name[a.nakayama[x]]
         if socle != name[a.nakayama[y]]:  # forced by admissibility (a)
             raise InvariantError(f"the two full walks of edge {e!r} end on different edges")
-        uniserial = not (strands[0] and strands[1])
-        table[e] = LoewyRow(e, strands, socle, uniserial)
+        table[e] = LoewyRow(e, strands, socle)
     return table
 
 

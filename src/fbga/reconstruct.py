@@ -47,27 +47,21 @@ from .errors import (
     InputError,
     NotAdmissible,
 )
-from .presentation import loewy_table
+from .presentation import LoewyRow, loewy_table
 from .ribbon import EDGE_SEP, RibbonGraph, edge_id_of_pair, is_isomorphic, orbits
 
 
 @dataclass(frozen=True)
-class SimpleRow:
-    label: str
-    strands: tuple  # exactly two tuples of labels; () is a valid strand
-    uniserial: bool
-    socle: str
-
-
-@dataclass(frozen=True)
 class LoewyData:
-    rows: tuple  # SimpleRow, sorted by label
+    rows: tuple  # LoewyRow, sorted by label; () is a valid strand
 
     @classmethod
     def build(cls, raw_rows) -> "LoewyData":
+        """From (label, strands, socle) triples; a row lists at most two
+        strands, and a missing one is empty."""
         rows = []
         labels = set()
-        for label, strands, uniserial, socle in raw_rows:
+        for label, strands, socle in raw_rows:
             if not isinstance(label, str) or not label or EDGE_SEP in label:
                 raise InputError(f"bad simple label {label!r}")
             if label in labels:
@@ -76,8 +70,7 @@ class LoewyData:
             strands = tuple(tuple(s) for s in strands)
             if len(strands) > 2:
                 raise InputError(f"simple {label!r} lists {len(strands)} strands (max 2)")
-            strands = strands + ((),) * (2 - len(strands))
-            rows.append(SimpleRow(label, strands, bool(uniserial), socle))
+            rows.append(LoewyRow(label, strands + ((),) * (2 - len(strands)), socle))
         for row in rows:
             for s in row.strands:
                 if not labels.issuperset(s):
@@ -86,10 +79,6 @@ class LoewyData:
                         f"strand of {row.label!r} mentions unknown label {x!r}")
             if row.socle not in labels:
                 raise InputError(f"socle of {row.label!r} is unknown label {row.socle!r}")
-            nonempty = sum(1 for s in row.strands if s)
-            if row.uniserial != (nonempty <= 1):
-                raise InconsistentInput(
-                    f"simple {row.label!r}: uniserial flag contradicts the strands")
         if sorted(r.socle for r in rows) != sorted(labels):
             raise InconsistentInput(
                 "socles must permute the simples (each label exactly once)")
@@ -100,17 +89,8 @@ def loewy_data_of(a: Afbg):
     """Loewy data of an algebra, with edges relabeled s0, s1, ...
     Returns (data, mapping edge id -> label)."""
     name = {e: f"s{i}" for i, e in enumerate(sorted(a.graph.edge_ids()))}
-    raw = [(r.top, r.strands, r.uniserial, r.socle)
-           for r in loewy_table(a, name).values()]
+    raw = [(r.label, r.strands, r.socle) for r in loewy_table(a, name).values()]
     return LoewyData.build(raw), name
-
-
-@dataclass(frozen=True)
-class _Instance:
-    name: str       # half-edge name in the candidate graphs
-    label: str
-    strand: tuple
-    socle: str
 
 
 @dataclass(frozen=True)
@@ -129,20 +109,18 @@ def reconstruct_afbg(data: LoewyData) -> Reconstruction:
                 "table fits both 4-dimensional local algebras (a loop of "
                 "degree 2 and an edge of degrees 2,2); they cannot be told apart")
 
-    instances = []
-    for idx, row in enumerate(rows):
-        for side, tag in ((0, "a"), (1, "b")):
-            instances.append(_Instance(f"e{idx}{tag}", row.label,
-                                       row.strands[side], row.socle))
-
     supply = {}
     demand = {}
-    wants = {}  # instance name -> demand key
-    for inst in instances:
-        supply.setdefault((inst.label, inst.strand), []).append(inst.name)
-        window = inst.strand + (inst.socle,)
-        wants[inst.name] = (window[0], window[1:])
-        demand.setdefault(wants[inst.name], []).append(inst.name)
+    wants = {}  # side name -> demand key
+    strand_len = {}
+    for idx, row in enumerate(rows):
+        for tag, strand in zip("ab", row.strands):
+            side = f"e{idx}{tag}"  # half-edge name in the candidate graphs
+            supply.setdefault((row.label, strand), []).append(side)
+            window = strand + (row.socle,)
+            wants[side] = (window[0], window[1:])
+            demand.setdefault(wants[side], []).append(side)
+            strand_len[side] = len(strand)
     if {k: len(v) for k, v in supply.items()} != {k: len(v) for k, v in demand.items()}:
         raise InconsistentInput(
             "successor requirements do not match the available sides")
@@ -154,7 +132,6 @@ def reconstruct_afbg(data: LoewyData) -> Reconstruction:
         raise InconsistentInput(
             "no connected admissible graph realizes this table")
 
-    strand_len = {inst.name: len(inst.strand) for inst in instances}
     edges = [[f"e{idx}a", f"e{idx}b"] for idx in range(len(rows))]
     edge_labels = {edge_id_of_pair(f"e{idx}a", f"e{idx}b"): row.label
                    for idx, row in enumerate(rows)}
@@ -216,9 +193,8 @@ def _table_matches(a: Afbg, data: LoewyData, edge_labels) -> bool:
     table = loewy_table(a, edge_labels)
     for row in data.rows:
         got = table[row.label]
-        if sorted(got.strands) != sorted(row.strands):
-            return False
-        if got.socle != row.socle or got.uniserial != row.uniserial:
+        # equal strands give an equal uniserial bit
+        if sorted(got.strands) != sorted(row.strands) or got.socle != row.socle:
             return False
     return True
 

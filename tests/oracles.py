@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass
 
+from fbga.covering import SHEET_SEP
 from fbga.errors import InvariantError
 from fbga.presentation import arrow_name, walk
 from fbga.ribbon import is_isomorphic, orbits
@@ -67,12 +68,14 @@ def nakayama_orbit_sizes(a) -> list[int]:
     return sorted(len(c) for c in orbits(a.nakayama))
 
 
-def verify_covering(cover, base, projection: dict):
-    """Check that ``projection`` is an equivariant covering map with
-    uniform fibers.  Returns (ok, reason)."""
+def verify_covering(cover, base):
+    """Check that the projection read off the sheet names (``h@j`` lies
+    over ``h``) is an equivariant covering map with uniform fibers.
+    Returns (ok, reason)."""
     gc, gb = cover.graph, base.graph
-    if set(projection) != set(gc.half_edges):
-        return False, "projection domain is not the cover's half-edge set"
+    if not all(SHEET_SEP in h for h in gc.half_edges):
+        return False, "projection is not defined on every cover half-edge"
+    projection = {h: h.rpartition(SHEET_SEP)[0] for h in gc.half_edges}
     image = set(projection.values())
     if image != set(gb.half_edges):
         return False, "projection is not onto the base's half-edges"

@@ -164,7 +164,7 @@ def test_criterion_03_two_sheet_quivers():
 def test_criterion_04_covering_round_trip(corpus):
     t0 = time.monotonic()
     for base, cut, r, res in corpus:
-        ok, why = verify_covering(res.cover, base, res.projection)
+        ok, why = verify_covering(res.cover, base)
         assert ok, why
         a, violations = is_admissible(res.cover.graph, res.cover.degrees)
         assert a is not None, violations

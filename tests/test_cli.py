@@ -253,13 +253,20 @@ SHEETS_ABOVE_BUDGET = {
     "cover": ["cover", DATA / "lambda.rg", "--r", 10**9, "--auto-cut"],
     "gentle-trivext": ["gentle-trivext", DATA / "kronecker.gentle", "--r", 10**9],
     "repetitive-window": ["repetitive-window", DATA / "kronecker.gentle", "--window", f"0:{10**9}"],
+    # 70,000 sheets of 4 half-edges fit the walk budget as walk steps, not
+    # as built half-edges
+    "cover-70000": ["cover", DATA / "lambda.rg", "--r", 70_000, "--auto-cut"],
+    "gentle-trivext-70000": ["gentle-trivext", DATA / "kronecker.gentle", "--r", 70_000],
+    "repetitive-window-70000": ["repetitive-window", DATA / "kronecker.gentle",
+                                "--window", "0:70000"],
 }
 
 
 @pytest.mark.parametrize("argv", SHEETS_ABOVE_BUDGET.values(), ids=SHEETS_ABOVE_BUDGET.keys())
 def test_sheet_counts_above_the_budget_are_refused_within_a_second(capsys, argv):
-    """A cover or a window is sized before anything is built, so 10^9
-    sheets exit 2 with one line instead of running out of memory."""
+    """A cover or a window is sized by the half-edges it builds before
+    anything is built, so these exit 2 with one line instead of taking
+    seconds and gigabytes."""
     t0 = time.monotonic()
     assert main([str(a) for a in argv]) == 2
     assert time.monotonic() - t0 < 1.0

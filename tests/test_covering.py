@@ -64,7 +64,7 @@ def test_double_edge_two_sheets_golden():
     g = res.cover.graph
     assert g.stars["u"] == ("h@0", "hp@0", "h@1", "hp@1")
     assert g.num_edges() == 4
-    ok, reason = verify_covering(res.cover, res.base, res.projection)
+    ok, reason = verify_covering(res.cover, res.base)
     assert ok, reason
     assert nakayama_orbit_sizes(res.cover) == [2, 2, 2, 2]
     red = reduced_form(res.cover)
@@ -109,7 +109,7 @@ def test_cover_roundtrip_properties(seed, r):
     base = Afbg.build(g, cover_compatible_degrees(rng, g, r))
     cut = random_cut(rng, g)
     res = cover_finite(base, cut, r)
-    ok, reason = verify_covering(res.cover, res.base, res.projection)
+    ok, reason = verify_covering(res.cover, res.base)
     assert ok, reason
     assert len(res.cover.graph.half_edges) == r * len(g.half_edges)
     assert dimension(res.cover) == r * dimension(base)

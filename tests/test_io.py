@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from fbga.afbg import Afbg
-from fbga.errors import ParseError
+from fbga.errors import InconsistentInput, ParseError
 from fbga.fileio import (
     afbg_to_dict,
     bordered_to_dict,
@@ -99,6 +99,15 @@ def test_parse_loewy_uniserial_is_optional():
             {"id": "s1", "strands": [["s0"], ["s0"]], "socle": "s1"}]
     data = parse_loewy(json.dumps(rows))
     assert data.rows[0].uniserial is False
+
+
+def test_parse_loewy_rejects_uniserial_contradiction():
+    """The flag is derived, so a file that gives it wrongly, either way, is
+    refused where it is read."""
+    for strands, flag in (([["s0"], ["s0"]], True), ([["s0"], []], False)):
+        rows = [{"id": "s0", "strands": strands, "uniserial": flag, "socle": "s0"}]
+        with pytest.raises(InconsistentInput, match="uniserial flag contradicts the strands"):
+            parse_loewy(json.dumps(rows))
 
 
 def test_presentation_dict_shape():

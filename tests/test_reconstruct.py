@@ -16,7 +16,6 @@ from fbga.errors import (
 from fbga.reconstruct import (
     LoewyData,
     _build_candidate,
-    _Instance,
     _table_matches,
     loewy_data_of,
     reconstruct_afbg,
@@ -62,37 +61,30 @@ def single_edge_afbg(du, dw):
 
 def test_build_rejects_duplicate_labels():
     with pytest.raises(InputError):
-        LoewyData.build([("a", ((), ()), True, "a"),
-                         ("a", ((), ()), True, "a")])
+        LoewyData.build([("a", ((), ()), "a"),
+                         ("a", ((), ()), "a")])
 
 
 def test_build_rejects_three_strands():
     with pytest.raises(InputError):
-        LoewyData.build([("a", ((), (), ()), True, "a")])
+        LoewyData.build([("a", ((), (), ()), "a")])
 
 
 def test_build_rejects_unknown_labels():
     with pytest.raises(InputError):
-        LoewyData.build([("a", (("zz",), ()), True, "a")])
+        LoewyData.build([("a", (("zz",), ()), "a")])
     with pytest.raises(InputError):
-        LoewyData.build([("a", ((), ()), True, "zz")])
-
-
-def test_build_rejects_uniserial_contradiction():
-    with pytest.raises(InconsistentInput):
-        LoewyData.build([("a", (("a",), ("a",)), True, "a")])
-    with pytest.raises(InconsistentInput):
-        LoewyData.build([("a", (("a",), ()), False, "a")])
+        LoewyData.build([("a", ((), ()), "zz")])
 
 
 def test_build_rejects_non_permutation_socles():
     with pytest.raises(InconsistentInput):
-        LoewyData.build([("a", ((), ()), True, "a"),
-                         ("b", ((), ()), True, "a")])
+        LoewyData.build([("a", ((), ()), "a"),
+                         ("b", ((), ()), "a")])
 
 
 def test_build_pads_missing_strand():
-    data = LoewyData.build([("a", (("a",),), True, "a")])
+    data = LoewyData.build([("a", (("a",),), "a")])
     assert data.rows[0].strands == (("a",), ())
     assert data.rows[0].uniserial is True
 
@@ -126,8 +118,8 @@ def test_reconstruct_exceptional_pair_rejected():
 def test_cyclic_sequences_reject_impossible_walk():
     # the walk from side 0 of a needs b to carry a strand (b,), and it has none
     data = LoewyData.build([
-        ("a", (("b",), ()), True, "b"),
-        ("b", ((), ()), True, "a"),
+        ("a", (("b",), ()), "b"),
+        ("b", ((), ()), "a"),
     ])
     with pytest.raises(InconsistentInput, match="successor requirements do not match"):
         reconstruct_afbg(data)
@@ -174,25 +166,22 @@ def reconstruct_all_wirings(data: LoewyData):
                 "table fits both 4-dimensional local algebras (a loop of "
                 "degree 2 and an edge of degrees 2,2); they cannot be told apart")
 
-    instances = []
-    for idx, row in enumerate(rows):
-        for side, tag in ((0, "a"), (1, "b")):
-            instances.append(_Instance(f"e{idx}{tag}", row.label,
-                                       row.strands[side], row.socle))
-
     supply = {}
     demand = {}
-    for inst in instances:
-        supply.setdefault((inst.label, inst.strand), []).append(inst.name)
-        window = inst.strand + (inst.socle,)
-        demand.setdefault((window[0], window[1:]), []).append(inst.name)
+    strand_len = {}
+    for idx, row in enumerate(rows):
+        for tag, strand in zip("ab", row.strands):
+            side = f"e{idx}{tag}"
+            supply.setdefault((row.label, strand), []).append(side)
+            window = strand + (row.socle,)
+            demand.setdefault((window[0], window[1:]), []).append(side)
+            strand_len[side] = len(strand)
     if {k: len(v) for k, v in supply.items()} != {k: len(v) for k, v in demand.items()}:
         raise InconsistentInput(
             "successor requirements do not match the available sides")
 
     ties = sorted(k for k, v in supply.items() if len(v) == 2)
     tie_labels = sorted({label for label, _ in ties})
-    strand_len = {inst.name: len(inst.strand) for inst in instances}
     edges = [[f"e{idx}a", f"e{idx}b"] for idx in range(len(rows))]
     edge_labels = {edge_id_of_pair(f"e{idx}a", f"e{idx}b"): row.label
                    for idx, row in enumerate(rows)}
@@ -269,7 +258,7 @@ def bouquet(k, d):
 
 def self_feeding(n, length):
     """n rows, each tied and feeding itself: n cycles of ties."""
-    return LoewyData.build([(f"l{i}", ((f"l{i}",) * length,) * 2, False, f"l{i}")
+    return LoewyData.build([(f"l{i}", ((f"l{i}",) * length,) * 2, f"l{i}")
                             for i in range(n)])
 
 
@@ -280,7 +269,7 @@ def disjoint_union(*tables):
     for i, data in enumerate(tables):
         p = f"t{i}"
         raw += [(p + r.label, tuple(tuple(p + x for x in s) for s in r.strands),
-                 r.uniserial, p + r.socle) for r in data.rows]
+                 p + r.socle) for r in data.rows]
     return LoewyData.build(raw)
 
 

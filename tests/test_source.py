@@ -61,3 +61,16 @@ def test_no_test_is_skipped():
             if isinstance(node, ast.Attribute) and node.attr in ("skip", "skipif", "importorskip"):
                 found.append(f"{name}.py:{node.lineno}")
     assert not found
+
+
+def test_imports_are_at_module_level():
+    """A module's dependencies show at its top: no ``import`` inside a
+    function body (a module-level ``TYPE_CHECKING`` block stays allowed)."""
+    found = set()
+    for name, tree in parsed(SRC).items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update(f"{name}.py:{n.lineno}" for n in ast.walk(node)
+                             if isinstance(n, (ast.Import, ast.ImportFrom)))
+    assert len(list(SRC.glob("*.py"))) > 5
+    assert not found, sorted(found)
