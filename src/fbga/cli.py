@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Exit codes: 0 success / positive verdict; 1 input problem (parse error,
-structural error, unrealizable Loewy data); 2 mathematical precondition
-failure; 3 negative verdict (invariants distinguished, not isomorphic);
-4 ambiguous reconstruction.
+Exit codes: 0 success / positive verdict; 1 input problem (malformed
+command line, parse error, structural error, unrealizable Loewy data);
+2 mathematical precondition failure; 3 negative verdict (invariants
+distinguished, not isomorphic); 4 ambiguous reconstruction.
+
+The parser is built once, when this module is imported, so ``main`` can be
+called repeatedly in-process at the cost of parsing alone.
 """
 
 from __future__ import annotations
@@ -244,8 +247,16 @@ def cmd_export(args):
 
 # -- wiring ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as an ``InputError`` (exit 1, one
+    line) instead of printing usage and exiting 2; subparsers share the class."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fbga",
         description="Brauer-graph algebras with fractional multiplicities: "
                     "presentations, coverings, gentle trivial extensions, "
@@ -307,10 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = PARSER.parse_args(argv)
         code, renderers = args.func(args)
         text = renderers.get(args.format, renderers["text"])()
         if args.out:

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import fbga.cli
 from fbga.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+LAMBDA = str(DATA / "lambda.rg")
+KRONECKER = str(DATA / "kronecker.gentle")
 
 
 def run(capsys, *argv):
@@ -89,6 +92,39 @@ def test_malformed_input_is_a_one_line_error(tmp_path, capsys, argv, content):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+USAGE_ERRORS = {
+    "bad-r": ["cover", LAMBDA, "--r", "x"],
+    "unknown-subcommand": ["bogus", LAMBDA],
+    "no-arguments": [],
+    "missing-r": ["cover", LAMBDA, "--auto-cut"],
+    "missing-window": ["repetitive-window", KRONECKER],
+    "missing-positional": ["validate"],
+    "negative-window-as-option": ["repetitive-window", KRONECKER, "--window", "-3:-1"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_is_a_one_line_input_error(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch, tmp_path, capsys):
+    def rebuilt():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(fbga.cli, "build_parser", rebuilt)
+    assert run(capsys, "validate", LAMBDA)[0] == 0
+    assert run(capsys, "cover", LAMBDA, "--r", "2", "--auto-cut")[0] == 0
+    assert main(["cover", LAMBDA, "--r", "2"]) == 2
+    assert "pass --cut FILE or --auto-cut" in capsys.readouterr().err
+    out_file = tmp_path / "out.txt"
+    assert run(capsys, "validate", LAMBDA, "--out", out_file) == (0, "")
+    code, out = run(capsys, "validate", LAMBDA)
+    assert code == 0 and out == out_file.read_text()
+
+
 def test_present_text_and_json(tmp_path, capsys):
     code, out = run(capsys, "present", DATA / "lambda.rg")
     assert code == 0
@@ -156,6 +192,9 @@ def test_repetitive_window(capsys):
     assert "commutation relations inside window: 5" in out
     assert run(capsys, "repetitive-window", DATA / "kronecker.gentle",
                "--window", "nonsense")[0] == 1
+    code, out = run(capsys, "repetitive-window", KRONECKER, "--window=-3:-1")
+    assert code == 0
+    assert out.startswith("window sheets -3..-1\n")
 
 
 def test_invariants_json(capsys):

@@ -40,7 +40,8 @@ COMMANDS = {
 FIXED_OPTIONS = (
     [["cover", LAMBDA, "--auto-cut", "--r", r] for r in ("0", "-1", str(10**9))]
     + [["gentle-trivext", KRONECKER, "--r", r] for r in ("0", "-1", str(10**9))]
-    + [["repetitive-window", KRONECKER, "--window", w] for w in ("2:1", "0:x")]
+    + [["repetitive-window", KRONECKER, "--window", w] for w in ("2:1", "0:x", "-3:-1")]
+    + [["cover", LAMBDA, "--auto-cut", "--r", "x"]]
 )
 ODD_VALUES = (None, True, 0, -1, 10**18, -(10**18), 1.5, "", "#", "~", "@", [], {}, [[]])
 
