@@ -10,16 +10,19 @@ when
 
 Admissible pairs are wrapped in :class:`Afbg`; every operation that needs
 the conditions takes one of these, so the checks run exactly once.
+:func:`reduced_form` builds the quotient by the Nakayama orbits, and
+:func:`nu_orbit_data` reads its numbers off the orbits in closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
+from . import ribbon  # quotient_by_orbits is looked up here, so a test can make it raise
 from .errors import DisconnectedInput, MissingDegree, NotAdmissible
-from .ribbon import RibbonGraph, orbits, quotient_by_orbits
+from .ribbon import RibbonGraph, orbits
 
 
 def nakayama_permutation(graph: RibbonGraph, degrees: dict) -> dict:
@@ -104,7 +107,25 @@ class Afbg:
         return all(m.denominator == 1 for m in self.multiplicities().values())
 
     def nakayama_order(self) -> int:
-        return lcm(*(len(c) for c in orbits(self.nakayama)))
+        return nu_orbit_data(self)[2]
+
+
+def nu_orbit_data(a: Afbg) -> tuple:
+    """(edges, multiplicities, order): the reduced form's edge count and
+    multiplicity at each vertex, and the order of the Nakayama permutation,
+    in closed form.  The permutation turns the star of ``v`` by d(v) steps,
+    so it has k = gcd(d(v), val(v)) orbits of length val(v)/k there; in the
+    quotient ``v`` has valency k and multiplicity d(v)/k.  By (a) the pairing
+    maps orbits onto orbits and by (b) none onto itself, so the quotient has
+    sum(k)/2 edges.
+    """
+    total, order, mults = 0, 1, {}
+    for v, star in a.graph.stars.items():
+        k = gcd(a.degrees[v], len(star))
+        total += k
+        order = lcm(order, len(star) // k)
+        mults[v] = a.degrees[v] // k
+    return total // 2, mults, order
 
 
 def is_admissible(graph: RibbonGraph, degrees: dict):
@@ -116,14 +137,9 @@ def is_admissible(graph: RibbonGraph, degrees: dict):
 
 
 def reduced_form(a: Afbg) -> Afbg:
-    """Collapse each Nakayama orbit to a single half-edge.
-
-    The quotient keeps the vertex set and degrees; its valency at ``v`` is
-    gcd(degree(v), valency(v)), so multiplicities become integral and the
-    result is always a Brauer graph.  Idempotent, and the identity on
-    Brauer graphs (orbits are singletons there).  New half-edge ids are the
-    smallest member of each orbit.
-    """
+    """Collapse each Nakayama orbit to its smallest half-edge, keeping the
+    vertices and degrees: always a Brauer graph (see :func:`nu_orbit_data`),
+    idempotent, and the identity on Brauer graphs (singleton orbits)."""
     return _collapse_orbits(a, a.nakayama)
 
 
@@ -132,7 +148,7 @@ def _collapse_orbits(a: Afbg, perm: dict) -> Afbg:
     ``perm``, each orbit named by its smallest member, with the degrees of
     ``a``.  Backs reduced forms and Nakayama-power quotients."""
     cls = {h: cyc[0] for cyc in orbits(perm) for h in cyc}  # orbits() anchors at the minimum
-    return Afbg.build(quotient_by_orbits(a.graph, cls), dict(a.degrees))
+    return Afbg.build(ribbon.quotient_by_orbits(a.graph, cls), dict(a.degrees))
 
 
 @dataclass(frozen=True)
@@ -148,22 +164,19 @@ def rep_finite_report(a: Afbg) -> RepFiniteReport:
     """Finite representation type test via the reduced form.
 
     The algebra is representation-finite iff the reduced Brauer graph is a
-    tree with at most one vertex of multiplicity > 1 (a Brauer tree).
+    tree with at most one vertex of multiplicity > 1 (a Brauer tree).  The
+    reduced form is connected and has the vertices of ``a``, so it is a tree
+    iff it has one edge fewer.
     """
     if not a.graph.connected:
         raise DisconnectedInput("rep_finite_report requires a connected graph")
-    red = reduced_form(a)
-    g = red.graph
-    is_tree = g.num_edges() == len(g.vertices) - 1
-    mults = red.multiplicities()
+    edges, mults, order = nu_orbit_data(a)
     big = sorted((v for v, m in mults.items() if m > 1), key=str)
-    order = a.nakayama_order()
-    if not is_tree:
+    if edges != len(a.graph.vertices) - 1:
         return RepFiniteReport(False, None, None, order,
                                "reduced form is not a tree")
     if len(big) > 1:
         return RepFiniteReport(False, None, None, order,
                                f"reduced tree has {len(big)} vertices of multiplicity > 1")
-    m = int(mults[big[0]]) if big else 1
-    return RepFiniteReport(True, g.num_edges(), m, order,
+    return RepFiniteReport(True, edges, mults[big[0]] if big else 1, order,
                            "reduced form is a Brauer tree")

@@ -95,6 +95,8 @@ def _validation(graph, degrees) -> dict:
     res["multiplicities"] = {v: str(m) for v, m in a.multiplicities().items()}
     res["brauer_graph"] = a.is_brauer_graph()
     res["nakayama_order"] = a.nakayama_order()
+    if not graph.connected:  # two disjoint Brauer trees are rep-finite: no verdict here
+        return {**res, "finite_type": None, "finite_type_reason": "graph is disconnected"}
     rep = rep_finite_report(a)
     res["finite_type"] = rep.rep_finite
     if rep.rep_finite:
@@ -127,7 +129,8 @@ def _validation_text(res: dict) -> str:
                          f"exceptional multiplicity {res['exceptional_multiplicity']}, "
                          f"candidate order {res['candidate_order']})")
         else:
-            lines.append(f"finite type: no ({res['finite_type_reason']})")
+            verdict = "no" if res["finite_type"] is False else "not decided"
+            lines.append(f"finite type: {verdict} ({res['finite_type_reason']})")
     return "\n".join(lines) + "\n"
 
 
@@ -263,55 +266,39 @@ def build_parser() -> argparse.ArgumentParser:
                     "invariants, and Loewy reconstruction.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, *positionals):
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=fn)
         sp.add_argument("--format", choices=("text", "json", "dot"), default="text")
         sp.add_argument("--out", help="write output to this file instead of stdout")
+        for arg in positionals:
+            sp.add_argument(arg)
         return sp
 
-    sp = add("validate", cmd_validate, "check ribbon structure and admissibility")
-    sp.add_argument("graph")
+    add("validate", cmd_validate, "check ribbon structure and admissibility", "graph")
+    add("present", cmd_present, "quiver, relations and dimension", "graph")
+    add("reduce", cmd_reduce, "reduced form (quotient by rotation-power orbits)", "graph")
 
-    sp = add("present", cmd_present, "quiver, relations and dimension")
-    sp.add_argument("graph")
-
-    sp = add("reduce", cmd_reduce, "reduced form (quotient by rotation-power orbits)")
-    sp.add_argument("graph")
-
-    sp = add("cover", cmd_cover, "r-sheeted cyclic cover along a cut")
-    sp.add_argument("graph")
+    sp = add("cover", cmd_cover, "r-sheeted cyclic cover along a cut", "graph")
     sp.add_argument("--r", type=int, required=True, help="number of sheets")
     sp.add_argument("--cut", help="cut file (one half-edge per vertex)")
     sp.add_argument("--auto-cut", action="store_true",
                     help="cut at the smallest half-edge of each vertex")
 
     sp = add("gentle-trivext", cmd_gentle_trivext,
-             "trivial extension of a gentle presentation (r-fold with --r)")
-    sp.add_argument("gentle")
+             "trivial extension of a gentle presentation (r-fold with --r)", "gentle")
     sp.add_argument("--r", type=int, default=1)
 
     sp = add("repetitive-window", cmd_repetitive_window,
-             "window of the repetitive algebra of a gentle presentation")
-    sp.add_argument("gentle")
+             "window of the repetitive algebra of a gentle presentation", "gentle")
     sp.add_argument("--window", required=True, metavar="lo:hi")
 
-    sp = add("invariants", cmd_invariants, "isomorphism-invariant fingerprint")
-    sp.add_argument("graph")
+    add("invariants", cmd_invariants, "isomorphism-invariant fingerprint", "graph")
+    add("compare", cmd_compare, "compare fingerprints (exit 3 when distinguished)", "left", "right")
+    add("reconstruct", cmd_reconstruct, "graph from Loewy data", "loewy")
+    add("iso", cmd_iso, "graph isomorphism (degrees included when present)", "left", "right")
 
-    sp = add("compare", cmd_compare, "compare fingerprints (exit 3 when distinguished)")
-    sp.add_argument("left")
-    sp.add_argument("right")
-
-    sp = add("reconstruct", cmd_reconstruct, "graph from Loewy data")
-    sp.add_argument("loewy")
-
-    sp = add("iso", cmd_iso, "graph isomorphism (degrees included when present)")
-    sp.add_argument("left")
-    sp.add_argument("right")
-
-    sp = add("export", cmd_export, "re-emit a graph as json/dot, or its Loewy table")
-    sp.add_argument("graph")
+    sp = add("export", cmd_export, "re-emit a graph as json/dot, or its Loewy table", "graph")
     sp.add_argument("--loewy", action="store_true",
                     help="emit the Loewy table instead of the graph")
 

@@ -5,6 +5,11 @@ algebras (graphs with degrees) must agree on all of them, so the first
 disagreement names a certified distinction.  Agreement on every field is
 only "consistent" — it never certifies an isomorphism.
 
+The reduced form's fields come in closed form from
+:func:`fbga.afbg.nu_orbit_data`.  Its bipartiteness is the graph's own: the
+Nakayama permutation fixes ``attach`` and commutes with the pairing, so
+each quotient edge joins the two vertices of the edges it collapses.
+
 Extras (face perimeters, special orbit sizes) ride along for reporting
 but are deliberately left out of the comparison: they are sensitive to
 the embedding data in ways callers may not want to distinguish by.
@@ -15,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .afbg import Afbg, reduced_form
+from .afbg import Afbg, nu_orbit_data
 from .ribbon import orbits
 
 COMPARED_FIELDS = (
@@ -57,36 +62,27 @@ class Fingerprint:
         }
 
 
-def _multiplicity_multiset(a: Afbg) -> tuple:
-    return tuple(sorted(a.multiplicities().values()))
-
-
 def special_orbit_sizes(a: Afbg) -> tuple:
     """Orbit-size multiset of the permutation h -> nu^{-1}(face(face(h))),
     the walk two angles along the face then one multiplicity step back."""
-    face_step = {h: a.graph.rotation[a.graph.pairing[h]]
-                 for h in a.graph.half_edges}
+    rotation = a.graph.rotation
+    face_step = {h: rotation[p] for h, p in a.graph.pairing.items()}
     nu_inv = {v: k for k, v in a.nakayama.items()}
-    q = {h: nu_inv[face_step[face_step[h]]] for h in a.graph.half_edges}
+    q = {h: nu_inv[face_step[f]] for h, f in face_step.items()}
     return tuple(sorted(len(c) for c in orbits(q)))
 
 
 def fingerprint(a: Afbg) -> Fingerprint:
     g = a.graph
-    red = reduced_form(a)
-    reduced_tuple = (
-        len(red.graph.vertices),
-        red.graph.num_edges(),
-        _multiplicity_multiset(red),
-        red.graph.is_bipartite(),
-    )
+    edges, reduced_mults, order = nu_orbit_data(a)
+    bipartite = g.is_bipartite()
     return Fingerprint(
         num_vertices=len(g.vertices),
         num_edges=g.num_edges(),
-        multiplicities=_multiplicity_multiset(a),
-        bipartite=g.is_bipartite(),
-        nakayama_order=a.nakayama_order(),
-        reduced=reduced_tuple,
+        multiplicities=tuple(sorted(a.multiplicities().values())),
+        bipartite=bipartite,
+        nakayama_order=order,
+        reduced=(len(g.vertices), edges, tuple(sorted(reduced_mults.values())), bipartite),
         face_perimeters=tuple(g.face_perimeters()),
         special_orbits=special_orbit_sizes(a),
     )

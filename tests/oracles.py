@@ -1,9 +1,12 @@
-"""Presentation and covering checks that only the tests use."""
+"""Presentation, covering and invariant checks that only the tests use."""
 
 from dataclasses import dataclass
+from math import lcm
 
+from fbga.afbg import RepFiniteReport, reduced_form
 from fbga.covering import SHEET_SEP
 from fbga.errors import InvariantError
+from fbga.invariants import Fingerprint
 from fbga.presentation import arrow_name, walk
 from fbga.ribbon import is_isomorphic, orbits
 
@@ -97,3 +100,41 @@ def verify_covering(cover, base):
         if cover.degrees[v] != base.degrees[v]:
             return False, f"degree differs at vertex {v}"
     return True, "covering verified"
+
+
+# -- the invariants, with the reduced form built ----------------------------------
+
+def reference_fingerprint(a) -> Fingerprint:
+    """The fingerprint with the reduced form built as a quotient graph and
+    the Nakayama orbits walked out: the reference for the closed forms of
+    :func:`fbga.invariants.fingerprint`."""
+    g, red = a.graph, reduced_form(a)
+    face_step = {h: g.rotation[g.pairing[h]] for h in g.half_edges}
+    nu_inv = {v: k for k, v in a.nakayama.items()}
+    q = {h: nu_inv[face_step[face_step[h]]] for h in g.half_edges}
+    return Fingerprint(
+        num_vertices=len(g.vertices),
+        num_edges=g.num_edges(),
+        multiplicities=tuple(sorted(a.multiplicities().values())),
+        bipartite=g.is_bipartite(),
+        nakayama_order=lcm(*nakayama_orbit_sizes(a)),
+        reduced=(len(red.graph.vertices), red.graph.num_edges(),
+                 tuple(sorted(red.multiplicities().values())), red.graph.is_bipartite()),
+        face_perimeters=tuple(g.face_perimeters()),
+        special_orbits=tuple(sorted(len(c) for c in orbits(q))),
+    )
+
+
+def reference_rep_finite_report(a) -> RepFiniteReport:
+    """:func:`fbga.afbg.rep_finite_report` read off the built reduced form
+    of a connected ``a``."""
+    red = reduced_form(a)
+    g, order = red.graph, lcm(*nakayama_orbit_sizes(a))
+    big = sorted((v for v, m in red.multiplicities().items() if m > 1), key=str)
+    if g.num_edges() != len(g.vertices) - 1:
+        return RepFiniteReport(False, None, None, order, "reduced form is not a tree")
+    if len(big) > 1:
+        return RepFiniteReport(False, None, None, order,
+                               f"reduced tree has {len(big)} vertices of multiplicity > 1")
+    m = int(red.multiplicity(big[0])) if big else 1
+    return RepFiniteReport(True, g.num_edges(), m, order, "reduced form is a Brauer tree")

@@ -45,6 +45,27 @@ def test_validate_inadmissible_exits_2(tmp_path, capsys):
     assert "admissible: no" in out
 
 
+def test_validate_leaves_finite_type_of_a_disconnected_graph_open(tmp_path, capsys):
+    """Two disjoint edges with degree 1 everywhere: admissible, but
+    finite type is only decided for a connected graph."""
+    two = tmp_path / "two.rg"
+    two.write_text(json.dumps({
+        "vertices": [{"id": v, "rotation": [h], "degree": 1}
+                     for v, h in zip("abcd", ["x", "y", "z", "w"])],
+        "edges": [["x", "y"], ["z", "w"]],
+    }))
+    code, out = run(capsys, "validate", two)
+    assert code == 0
+    assert "connected: no" in out and "admissible: yes" in out
+    assert "finite type: not decided (graph is disconnected)" in out
+    code, out = run(capsys, "validate", two, "--format", "json")
+    assert code == 0
+    res = json.loads(out)
+    assert res["admissible"] is True and res["connected"] is False
+    assert res["finite_type"] is None
+    assert res["finite_type_reason"] == "graph is disconnected"
+
+
 def test_validate_missing_file_exits_1(capsys):
     assert run(capsys, "validate", "no/such/file.rg")[0] == 1
 

@@ -1,13 +1,24 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from fbga.afbg import Afbg
+from fbga.afbg import Afbg, is_admissible, rep_finite_report
+from fbga.covering import cover_finite
 from fbga.gentle import GentlePresentation, gentle_cover
 from fbga.invariants import COMPARED_FIELDS, compare, fingerprint, special_orbit_sizes
 from fbga.ribbon import RibbonGraph, is_isomorphic
-from generators import random_afbg, random_fractional_afbg, shuffled_copy
+from generators import (
+    connected_graphs_up_to,
+    cover_compatible_degrees,
+    random_afbg,
+    random_cut,
+    random_fractional_afbg,
+    random_ribbon_graph,
+    shuffled_copy,
+)
+from oracles import reference_fingerprint, reference_rep_finite_report
 
 
 def lambda_afbg(d=2):
@@ -88,3 +99,43 @@ def test_extras_do_not_decide_comparison():
 
 def test_special_orbit_sizes_loop():
     assert special_orbit_sizes(loop_afbg(2)) == (1, 1)
+
+
+def exhaustive_pairs():
+    """Every admissible pair on the connected graphs with at most 3 edges,
+    degrees 1..4."""
+    out = []
+    for g in connected_graphs_up_to(3):
+        for ds in product(range(1, 5), repeat=len(g.vertices)):
+            a, _ = is_admissible(g, dict(zip(g.vertices, ds)))
+            if a is not None:
+                out.append(a)
+    assert len(out) == 269
+    return out
+
+
+def fractional_covers():
+    rng = random.Random(17)
+    return [random_fractional_afbg(rng, rng.randint(2, 7)) for _ in range(40)]
+
+
+def sheeted_covers():
+    """r-sheeted covers, r = 2..4, of random Brauer graphs whose
+    multiplicities are 1 mod r, so every Nakayama orbit has r half-edges."""
+    rng, out = random.Random(23), []
+    for r in (2, 3, 4):
+        for _ in range(10):
+            base = random_ribbon_graph(rng, rng.randint(1, 5))
+            a = Afbg.build(base, cover_compatible_degrees(rng, base, r))
+            out.append(cover_finite(a, random_cut(rng, base), r).cover)
+    return out
+
+
+@pytest.mark.parametrize("family", [exhaustive_pairs, fractional_covers, sheeted_covers])
+def test_closed_forms_equal_the_built_reduced_form(family):
+    """fingerprint and rep_finite_report read the reduced form off the
+    Nakayama orbits; building the quotient gives the same answers."""
+    for a in family():
+        fp, ref = fingerprint(a), reference_fingerprint(a)
+        assert fp == ref and fp.as_dict() == ref.as_dict()
+        assert rep_finite_report(a) == reference_rep_finite_report(a)
