@@ -48,25 +48,36 @@ class Violation:
         return f"{self.condition} at {self.half_edge}: {self.detail}"
 
 
-def _violations(graph: RibbonGraph, nu: dict) -> list:
+def _violations(graph: RibbonGraph, degrees: dict, nu: dict) -> list:
     """All violations of conditions (a) and (b) by the Nakayama permutation
-    ``nu``; empty list iff admissible."""
+    ``nu``; empty list iff admissible.  The orbits are walked only when
+    (b) fails, to list its violations orbit by orbit."""
     pair = graph.pairing
-    out = []
-    for h in graph.half_edges:
-        if pair[nu[h]] != nu[pair[h]]:
-            out.append(Violation(
-                h, "pairing_compat",
-                f"pairing(nakayama({h}))={pair[nu[h]]} but "
-                f"nakayama(pairing({h}))={nu[pair[h]]}"))
-    for cyc in orbits(nu):
-        members = set(cyc)
-        for h in cyc:
-            if pair[h] in members:
-                out.append(Violation(
-                    h, "orbit_meets_pairing",
-                    f"partner {pair[h]} lies in the nakayama orbit of {h}"))
+    out = [Violation(h, "pairing_compat",
+                     f"pairing(nakayama({h}))={pair[nu[h]]} but "
+                     f"nakayama(pairing({h}))={nu[pair[h]]}")
+           for h in sorted(h for h, p in pair.items() if pair[nu[h]] != nu[p])]
+    if _orbit_meets_pairing(graph, degrees):
+        for cyc in orbits(nu):
+            members = set(cyc)
+            out.extend(Violation(h, "orbit_meets_pairing",
+                                 f"partner {pair[h]} lies in the nakayama orbit of {h}")
+                       for h in cyc if pair[h] in members)
     return out
+
+
+def _orbit_meets_pairing(graph: RibbonGraph, degrees: dict) -> bool:
+    """Whether (b) fails, per star: nu turns the star of v by d(v), so h and
+    its partner share an orbit iff both sit at v in positions congruent mod
+    gcd(d(v), val(v))."""
+    pair, attach = graph.pairing, graph.attach
+    for v, star in graph.stars.items():
+        k = gcd(degrees[v], len(star))
+        if k < len(star) and any(attach[pair[h]] == v for h in star):
+            pos = {h: i for i, h in enumerate(star)}
+            if any(pair[h] in pos and (i - pos[pair[h]]) % k == 0 for i, h in enumerate(star)):
+                return True
+    return False
 
 
 def _check_degrees(graph, degrees):
@@ -89,7 +100,7 @@ class Afbg:
     @classmethod
     def build(cls, graph: RibbonGraph, degrees: dict) -> "Afbg":
         nu = nakayama_permutation(graph, degrees)
-        violations = _violations(graph, nu)
+        violations = _violations(graph, degrees, nu)
         if violations:
             raise NotAdmissible(violations)
         return cls(graph, {v: degrees[v] for v in graph.vertices}, nu)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .afbg import Afbg, _collapse_orbits
+from .afbg import Afbg, _collapse_orbits, nakayama_permutation
 from .errors import (
     CoverNotAdmissible,
     InvalidCut,
@@ -169,12 +169,8 @@ def quotient_by_nakayama_power(a: Afbg, k: int) -> Afbg:
     if not isinstance(k, int) or k < 1 or order % k != 0:
         raise NonDivisorPower(
             f"power {k!r} must be a positive divisor of the nakayama order {order}")
-    power = {}
-    for h in a.graph.half_edges:
-        x = h
-        for _ in range(k):
-            x = a.nakayama[x]
-        power[h] = x
+    # nu fixes the vertex, so nu^k turns each star by k·d(v)
+    power = nakayama_permutation(a.graph, {v: k * d for v, d in a.degrees.items()})
     try:
         return _collapse_orbits(a, power)
     except (RibbonStructureError, NotAdmissible) as exc:

@@ -62,9 +62,13 @@ def _need(obj: dict, key: str, where: str):
 
 
 def _strings(value, where: str) -> list:
-    if not (isinstance(value, list) and set(map(type, value)) <= {str}):
-        raise ParseError(f"{where}: expected a list of strings, got {value!r:.60}")
-    return value
+    if isinstance(value, list):
+        try:
+            "".join(value)  # json yields no str subclasses: fails iff an item is not a str
+            return value
+        except TypeError:
+            pass
+    raise ParseError(f"{where}: expected a list of strings, got {value!r:.60}")
 
 
 # -- ribbon graphs -------------------------------------------------------------

@@ -17,11 +17,12 @@ the embedding data in ways callers may not want to distinguish by.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .afbg import Afbg, nu_orbit_data
-from .ribbon import orbits
+from .ribbon import cycles
 
 COMPARED_FIELDS = (
     "num_vertices",
@@ -69,17 +70,20 @@ def special_orbit_sizes(a: Afbg) -> tuple:
     face_step = {h: rotation[p] for h, p in a.graph.pairing.items()}
     nu_inv = {v: k for k, v in a.nakayama.items()}
     q = {h: nu_inv[face_step[f]] for h, f in face_step.items()}
-    return tuple(sorted(len(c) for c in orbits(q)))
+    return tuple(sorted(len(c) for c in cycles(q)))
 
 
 def fingerprint(a: Afbg) -> Fingerprint:
     g = a.graph
     edges, reduced_mults, order = nu_orbit_data(a)
     bipartite = g.is_bipartite()
+    # one Fraction per distinct (degree, valency), not per vertex
+    kinds = Counter((a.degrees[v], len(star)) for v, star in g.stars.items())
+    mults = sorted((Fraction(d, n), count) for (d, n), count in kinds.items())
     return Fingerprint(
         num_vertices=len(g.vertices),
         num_edges=g.num_edges(),
-        multiplicities=tuple(sorted(a.multiplicities().values())),
+        multiplicities=tuple(m for m, count in mults for _ in range(count)),
         bipartite=bipartite,
         nakayama_order=order,
         reduced=(len(g.vertices), edges, tuple(sorted(reduced_mults.values())), bipartite),

@@ -48,7 +48,7 @@ from .errors import (
     NotAdmissible,
 )
 from .presentation import LoewyRow, loewy_table
-from .ribbon import EDGE_SEP, RibbonGraph, edge_id_of_pair, is_isomorphic, orbits
+from .ribbon import EDGE_SEP, RibbonGraph, cycles, edge_id_of_pair, is_isomorphic, orbits
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def reconstruct_afbg(data: LoewyData) -> Reconstruction:
     ties = sorted(k for k, v in supply.items() if len(v) == 2)
     # both sides of a tied row demand the same key, so that key is a tie too
     feeds = {key: wants[supply[key][0]] for key in ties}
-    if ties and (len(ties) < len(rows) or len(orbits(feeds)) > 1):
+    if ties and (len(ties) < len(rows) or len(cycles(feeds)) > 1):
         raise InconsistentInput(
             "no connected admissible graph realizes this table")
 

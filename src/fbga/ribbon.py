@@ -37,22 +37,32 @@ from .errors import (
 EDGE_SEP = "~"
 
 
-def orbits(perm: dict) -> list[tuple]:
-    """Cycle decomposition of a permutation-as-dict, cycles anchored at
-    their smallest element, listed in sorted anchor order."""
-    seen = set()
+def cycles(perm: dict) -> list[list]:
+    """Cycle decomposition of a permutation-as-dict in one unsorted walk,
+    each cycle from the last key not yet walked, in dict order."""
+    left = dict(perm)
     out = []
-    for start in sorted(perm):
-        if start in seen:
-            continue
+    while left:
+        start, h = left.popitem()
         cyc = [start]
-        seen.add(start)
-        h = perm[start]
         while h != start:
             cyc.append(h)
-            seen.add(h)
-            h = perm[h]
-        out.append(tuple(cyc))
+            h = left.pop(h)
+        out.append(cyc)
+    return out
+
+
+def orbits(perm: dict) -> list[tuple]:
+    """Cycle decomposition of a permutation-as-dict, cycles anchored at
+    their smallest element, listed in sorted anchor order.  Only names and
+    lists that depend on that order use it (the classes of
+    ``afbg._collapse_orbits``, the vertices ``v0, v1, ...`` of
+    ``reconstruct._build_candidate``, the order of ``afbg._violations``)."""
+    out = []
+    for cyc in cycles(perm):
+        i = cyc.index(min(cyc))
+        out.append(tuple(cyc[i:] + cyc[:i]))
+    out.sort()  # the anchors differ, so only they are compared
     return out
 
 
@@ -123,7 +133,7 @@ class RibbonGraph:
             raise OrbitMismatch(f"unpaired half-edges: {sorted(unpaired)}")
 
         vertices = tuple(sorted(rotations))
-        connected = _is_connected(vertices, attach, pairing)
+        connected = _is_connected(stars, attach, pairing)
         return cls(vertices, attach, pairing, rotation, stars, connected)
 
     # -- basic queries ---------------------------------------------------
@@ -176,10 +186,10 @@ class RibbonGraph:
                         return False
         return True
 
-    def faces(self) -> list[tuple]:
-        """Orbits of the face permutation h -> rotation(pairing(h))."""
-        phi = {h: self.rotation[self.pairing[h]] for h in self.attach}
-        return orbits(phi)
+    def faces(self) -> list[list]:
+        """Cycles of the face permutation h -> rotation(pairing(h)), unsorted."""
+        rotation = self.rotation
+        return cycles({h: rotation[p] for h, p in self.pairing.items()})
 
     def face_perimeters(self) -> list[int]:
         return sorted(len(f) for f in self.faces())
@@ -188,23 +198,15 @@ class RibbonGraph:
         return {b: a for a, b in self.rotation.items()}
 
 
-def _is_connected(vertices, attach, pairing) -> bool:
-    if not vertices:
-        return True
-    parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairing.items():
-        ra, rb = find(attach[a]), find(attach[b])
-        if ra != rb:
-            parent[ra] = rb
-    roots = {find(v) for v in vertices}
-    return len(roots) <= 1
+def _is_connected(stars, attach, pairing) -> bool:
+    """Walk from one vertex to the vertices at the partners of its star."""
+    stack = list(stars)[:1]
+    seen = set(stack)
+    while stack:
+        new = {attach[pairing[h]] for h in stars[stack.pop()]} - seen
+        seen |= new
+        stack.extend(new)
+    return len(seen) == len(stars)
 
 
 # -- canonical form and isomorphism ------------------------------------------

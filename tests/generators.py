@@ -11,7 +11,7 @@ fractional whenever r ≥ 2.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 from random import Random
 
 from fbga.afbg import Afbg
@@ -132,3 +132,19 @@ def connected_graphs_up_to(max_edges: int) -> list:
                 seen.add(code)
                 out.append(graph)
     return out
+
+
+def small_degree_pairs(max_edges: int = 3, max_degree: int = 4) -> list:
+    """Every (graph, degrees) on the connected graphs with at most
+    ``max_edges`` edges and degrees 1..``max_degree``, admissible or not."""
+    return [(g, dict(zip(g.vertices, ds))) for g in connected_graphs_up_to(max_edges)
+            for ds in product(range(1, max_degree + 1), repeat=len(g.vertices))]
+
+
+def disjoint_union(graphs) -> RibbonGraph:
+    """The graphs side by side, the names of the i-th suffixed with ``.i``."""
+    rotations, edges = {}, []
+    for i, g in enumerate(graphs):
+        rotations.update({f"{v}.{i}": [f"{h}.{i}" for h in g.stars[v]] for v in g.vertices})
+        edges += [[f"{a}.{i}", f"{b}.{i}"] for a, b in g.edge_pairs()]
+    return RibbonGraph.build(rotations, edges)

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 from math import lcm
 
-from fbga.afbg import RepFiniteReport, reduced_form
+from fbga.afbg import RepFiniteReport, Violation, reduced_form
 from fbga.covering import SHEET_SEP
 from fbga.errors import InvariantError
 from fbga.invariants import Fingerprint
@@ -138,3 +138,81 @@ def reference_rep_finite_report(a) -> RepFiniteReport:
                                f"reduced tree has {len(big)} vertices of multiplicity > 1")
     m = int(red.multiplicity(big[0])) if big else 1
     return RepFiniteReport(True, g.num_edges(), m, order, "reduced form is a Brauer tree")
+
+
+# -- the ribbon kernels as sorted walks and union-find ----------------------------
+
+def reference_orbits(perm: dict) -> list[tuple]:
+    """Cycles walked from the half-edges in sorted order, so each starts at
+    its minimum and they come in anchor order."""
+    seen = set()
+    out = []
+    for start in sorted(perm):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        h = perm[start]
+        while h != start:
+            cyc.append(h)
+            seen.add(h)
+            h = perm[h]
+        out.append(tuple(cyc))
+    return out
+
+
+def reference_violations(graph, nu: dict) -> list:
+    """:func:`fbga.afbg._violations` checked half-edge by half-edge in sorted
+    order for (a), and orbit by orbit for (b)."""
+    pair = graph.pairing
+    out = []
+    for h in graph.half_edges:
+        if pair[nu[h]] != nu[pair[h]]:
+            out.append(Violation(
+                h, "pairing_compat",
+                f"pairing(nakayama({h}))={pair[nu[h]]} but "
+                f"nakayama(pairing({h}))={nu[pair[h]]}"))
+    for cyc in reference_orbits(nu):
+        members = set(cyc)
+        for h in cyc:
+            if pair[h] in members:
+                out.append(Violation(
+                    h, "orbit_meets_pairing",
+                    f"partner {pair[h]} lies in the nakayama orbit of {h}"))
+    return out
+
+
+def reference_connected(graph) -> bool:
+    """Connectivity by union-find over the vertices at the two ends of each edge."""
+    if not graph.vertices:
+        return True
+    parent = {v: v for v in graph.vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in graph.pairing.items():
+        ra, rb = find(graph.attach[a]), find(graph.attach[b])
+        if ra != rb:
+            parent[ra] = rb
+    return len({find(v) for v in graph.vertices}) <= 1
+
+
+def reference_faces(graph) -> list[tuple]:
+    phi = {h: graph.rotation[graph.pairing[h]] for h in graph.half_edges}
+    return reference_orbits(phi)
+
+
+def reference_root_keys(graph, degrees) -> dict:
+    """:func:`fbga.ribbon._root_keys` with the face lengths read off the
+    sorted face orbits."""
+    pair, attach = graph.pairing, graph.attach
+    valency = {h: len(star) for star in graph.stars.values() for h in star}
+    face = {h: len(f) for f in reference_faces(graph) for h in f}
+    if degrees is None:
+        return {h: (valency[h], valency[p], face[h], face[p]) for h, p in pair.items()}
+    return {h: (valency[h], valency[p], face[h], face[p], degrees[attach[h]], degrees[attach[p]])
+            for h, p in pair.items()}

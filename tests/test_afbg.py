@@ -1,11 +1,13 @@
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from fbga.afbg import (
     Afbg,
+    _violations,
     is_admissible,
     nakayama_permutation,
     reduced_form,
@@ -13,8 +15,17 @@ from fbga.afbg import (
 )
 from fbga.errors import MissingDegree, NotAdmissible
 from fbga.ribbon import RibbonGraph, is_isomorphic
-from generators import brauer_degrees, random_fractional_afbg, random_ribbon_graph
-from oracles import nakayama_orbit_sizes
+from fbga.fileio import parse_ribbon
+from generators import (
+    brauer_degrees,
+    disjoint_union,
+    random_fractional_afbg,
+    random_ribbon_graph,
+    small_degree_pairs,
+)
+from oracles import nakayama_orbit_sizes, reference_violations
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def lambda_graph():
@@ -154,3 +165,31 @@ def test_rep_infinite_two_exceptional():
     rep = rep_finite_report(Afbg.build(g, d))
     assert not rep.rep_finite
     assert "2 vertices of multiplicity" in rep.reason
+
+
+def violation_cases() -> list:
+    """Every pair with at most 3 edges and degrees 1..4, the empty graph,
+    the inadmissible sample, and random unions with degrees 1..12."""
+    rng = Random(29)
+    unions = []
+    for _ in range(60):
+        g = disjoint_union([random_ribbon_graph(rng, rng.randint(1, 6))
+                            for _ in range(rng.randint(1, 3))])
+        unions.append((g, {v: rng.randint(1, 12) for v in g.vertices}))
+    sample = parse_ribbon((DATA / "inadmissible.rg").read_text())
+    return small_degree_pairs() + [(RibbonGraph.build({}, []), {}), sample] + unions
+
+
+def test_violations_equal_the_sorted_walk_in_order():
+    """Condition (b) checked per star lists the same violations, in the
+    same order, as the walk over sorted half-edges and orbits."""
+    cases = violation_cases()
+    conditions = set()
+    for g, d in cases:
+        nu = nakayama_permutation(g, d)
+        found = _violations(g, d, nu)
+        assert found == reference_violations(g, nu)
+        conditions.add(frozenset(v.condition for v in found))
+    assert len(cases) == 1104 + 2 + 60
+    assert conditions >= {frozenset(), frozenset({"pairing_compat", "orbit_meets_pairing"}),
+                          frozenset({"pairing_compat"}), frozenset({"orbit_meets_pairing"})}

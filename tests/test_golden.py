@@ -69,7 +69,7 @@ def test_invariants_do_not_build_the_reduced_form(capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(fbga.ribbon, "quotient_by_orbits", refuse)
     cases = [c for c in CASES if c[1] in ("validate", "invariants", "compare")]
-    assert len(cases) == 6
+    assert len(cases) == 7
     assert not mismatches(cases, capsys)
     for graph in ("data/lambda.rg", "data/halfmult.rg"):
         with pytest.raises(QuotientBuilt):

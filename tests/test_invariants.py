@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -10,13 +9,13 @@ from fbga.gentle import GentlePresentation, gentle_cover
 from fbga.invariants import COMPARED_FIELDS, compare, fingerprint, special_orbit_sizes
 from fbga.ribbon import RibbonGraph, is_isomorphic
 from generators import (
-    connected_graphs_up_to,
     cover_compatible_degrees,
     random_afbg,
     random_cut,
     random_fractional_afbg,
     random_ribbon_graph,
     shuffled_copy,
+    small_degree_pairs,
 )
 from oracles import reference_fingerprint, reference_rep_finite_report
 
@@ -104,12 +103,8 @@ def test_special_orbit_sizes_loop():
 def exhaustive_pairs():
     """Every admissible pair on the connected graphs with at most 3 edges,
     degrees 1..4."""
-    out = []
-    for g in connected_graphs_up_to(3):
-        for ds in product(range(1, 5), repeat=len(g.vertices)):
-            a, _ = is_admissible(g, dict(zip(g.vertices, ds)))
-            if a is not None:
-                out.append(a)
+    out = [a for a, _ in (is_admissible(g, d) for g, d in small_degree_pairs())
+           if a is not None]
     assert len(out) == 269
     return out
 

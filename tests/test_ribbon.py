@@ -15,6 +15,7 @@ from fbga.errors import (
 )
 from fbga.ribbon import (
     RibbonGraph,
+    _root_keys,
     _rooted_word,
     canonical_code,
     edge_id_of_pair,
@@ -25,10 +26,13 @@ from fbga.ribbon import (
 from generators import (
     connected_graphs_up_to,
     cover_compatible_degrees,
+    disjoint_union,
     random_cut,
     random_ribbon_graph,
     shuffled_copy,
+    small_degree_pairs,
 )
+from oracles import reference_connected, reference_faces, reference_orbits, reference_root_keys
 
 
 def lambda_graph():
@@ -44,6 +48,38 @@ def loop_graph():
 def test_orbits_anchored_at_min():
     perm = {"b": "c", "c": "b", "a": "a"}
     assert orbits(perm) == [("a",), ("b", "c")]
+
+
+def kernel_graphs() -> list:
+    """The empty graph, every connected graph with at most 3 edges, and
+    disjoint unions of 1 to 4 random connected graphs."""
+    rng = Random(13)
+    unions = [disjoint_union([random_ribbon_graph(rng, rng.randint(1, 6))
+                              for _ in range(rng.randint(1, 4))]) for _ in range(60)]
+    return [RibbonGraph.build({}, [])] + connected_graphs_up_to(3) + unions
+
+
+def test_walks_agree_with_sorted_walks_and_union_find():
+    """Connectivity, faces and orbits, walked unsorted, equal the sorted
+    walks and union-find they replaced."""
+    graphs = kernel_graphs()
+    assert {g.connected for g in graphs} == {True, False}
+    for g in graphs:
+        assert g.connected == reference_connected(g)
+        faces = reference_faces(g)
+        assert g.face_perimeters() == sorted(len(f) for f in faces)
+        assert sorted(map(sorted, g.faces())) == sorted(map(sorted, faces))
+        phi = {h: g.rotation[g.pairing[h]] for h in g.attach}
+        assert orbits(phi) == faces
+        assert orbits(g.rotation) == reference_orbits(g.rotation)
+        assert list(_root_keys(g, None).items()) == list(reference_root_keys(g, None).items())
+
+
+def test_root_keys_agree_with_sorted_face_orbits():
+    pairs = small_degree_pairs() + [(RibbonGraph.build({}, []), {})]
+    assert len(pairs) == 1105
+    for g, d in pairs:
+        assert list(_root_keys(g, d).items()) == list(reference_root_keys(g, d).items())
 
 
 def test_build_basic():
