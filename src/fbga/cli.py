@@ -245,7 +245,7 @@ def cmd_export(args):
     if degrees is None:
         raise MissingDegree("--loewy needs vertex degrees")
     a = Afbg.build(graph, degrees)
-    return 0, {"text": lambda: fileio.dumps(fileio.loewy_to_list(a))}
+    return 0, {"text": lambda: fileio.loewy_json(a)}
 
 
 # -- wiring ----------------------------------------------------------------------

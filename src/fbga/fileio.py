@@ -17,19 +17,21 @@ degrees are positive integers; anything else is a :class:`ParseError`.
 Exported paths list arrows in application order (first arrow first);
 exported zero relations are ``[later, earlier]`` pairs.  The ``*_to_dict``
 builders hand tuples through as they are; ``dumps`` writes them as JSON
-arrays, as ``json.dumps`` does.
+arrays, as ``json.dumps`` does, and ``loewy_json`` writes a Loewy table in
+those bytes with each strand cut from its star's text, rendered once.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 
 from .afbg import Afbg
-from .errors import InconsistentInput, ParseError
+from .errors import InconsistentInput, InputError, InvariantError, ParseError
 from .gentle import GentlePresentation
-from .presentation import Presentation, dimension
-from .reconstruct import LoewyData, loewy_data_of
-from .ribbon import RibbonGraph
+from .presentation import Presentation, _check_budget, dimension
+from .reconstruct import LoewyData, loewy_data_of, loewy_labels
+from .ribbon import EDGE_SEP, RibbonGraph, edge_id_of_pair
 
 PATH_CONVENTIONS = {
     "paths": "arrow lists are in application order (first arrow first)",
@@ -153,7 +155,7 @@ def parse_loewy(text: str) -> LoewyData:
     for row in obj:
         label = _need(row, "id", "loewy row")
         where = f"loewy row {label!r}"
-        strands = [tuple(_strings(s, f"{where} strand"))
+        strands = [_strings(s, f"{where} strand")
                    for s in _typed(_need(row, "strands", where), list, f"{where} strands")]
         socle = _typed(_need(row, "socle", where), str, f"{where} socle")
         uniserial = sum(1 for s in strands if s) <= 1
@@ -171,6 +173,43 @@ def loewy_to_list(a: Afbg) -> list:
              "uniserial": r.uniserial,
              "socle": r.socle}
             for r in data.rows]
+
+
+def loewy_json(a: Afbg) -> str:
+    """``dumps(loewy_to_list(a))``, byte for byte.  A strand (the walk of ``loewy_table``)
+    is a slice of its star's label literals, joined once and repeated until all fit."""
+    _check_budget(dimension(a), "algebra of dimension")
+    name = loewy_labels(a.graph)  # the checks of LoewyData.build, per label, star and edge
+    lit = {l: json.encoder.encode_basestring_ascii(l) for l in name.values()
+           if isinstance(l, str) and l and EDGE_SEP not in l}
+    if len(lit) < len(name):
+        raise InputError("simple labels must be distinct, non-empty and free of '~'")
+    label = {h: name[edge_id_of_pair(h, p)] for h, p in a.graph.pairing.items()}
+    sep = ",\n        "  # between the labels of a strand
+    cut = {}  # half-edge -> (text, start, stop) of its strand
+    for v, star in a.graph.stars.items():
+        lits = [lit.get(label[h]) for h in star]
+        if None in lits:
+            raise InputError(f"a strand at {v!r} mentions an unknown label")
+        val, d = len(star), a.degrees[v]
+        text = sep.join(lits * -(-(val + d - 1) // val))
+        offset = list(accumulate((len(s) + len(sep) for s in lits), initial=0))  # one period
+        for i, h in enumerate(star):  # labels i + 1 .. i + d - 1 of text
+            q, r = divmod(i + d, val)
+            cut[h] = (text, offset[i + 1], q * offset[-1] + offset[r] - len(sep))
+    out = []
+    for n, (l, x, y) in enumerate(sorted((label[x], x, y) for x, y in a.graph.edge_pairs())):
+        socle = label[a.nakayama[x]]
+        if socle != label[a.nakayama[y]]:  # forced by admissibility (a)
+            raise InvariantError(f"the two full walks of edge {l!r} end on different edges")
+        sx, sy = (text[start:stop] for text, start, stop in (cut[x], cut[y]))
+        out += (",\n  " if n else "[\n  ", '{\n    "id": ', lit[l], ',\n    "strands": [\n      ')
+        for strand, after in ((sx, ",\n      "), (sy, '\n    ],\n    "uniserial": ')):
+            out += ("[\n        ", strand, "\n      ]", after) if strand else ("[]", after)
+        out += ("false" if sx and sy else "true", ',\n    "socle": ', lit[socle], "\n  }")
+    if {label[a.nakayama[h]] for h in label} != lit.keys():
+        raise InconsistentInput("socles must permute the simples (each label exactly once)")
+    return "".join([*out, "\n]\n"]) if out else "[]\n"
 
 
 # -- presentations ---------------------------------------------------------------

@@ -66,10 +66,9 @@ class Fingerprint:
 def special_orbit_sizes(a: Afbg) -> tuple:
     """Orbit-size multiset of the permutation h -> nu^{-1}(face(face(h))),
     the walk two angles along the face then one multiplicity step back."""
-    rotation = a.graph.rotation
-    face_step = {h: rotation[p] for h, p in a.graph.pairing.items()}
+    rotation, pairing = a.graph.rotation, a.graph.pairing
     nu_inv = {v: k for k, v in a.nakayama.items()}
-    q = {h: nu_inv[face_step[f]] for h, f in face_step.items()}
+    q = {h: nu_inv[rotation[pairing[rotation[p]]]] for h, p in pairing.items()}
     return tuple(sorted(len(c) for c in cycles(q)))
 
 

@@ -85,10 +85,15 @@ class LoewyData:
         return cls(tuple(sorted(rows, key=lambda r: r.label)))
 
 
+def loewy_labels(graph: RibbonGraph) -> dict:
+    """Edge id -> row label of a Loewy table: s0, s1, ... in edge-id order."""
+    return {e: f"s{i}" for i, e in enumerate(sorted(graph.edge_ids()))}
+
+
 def loewy_data_of(a: Afbg):
-    """Loewy data of an algebra, with edges relabeled s0, s1, ...
+    """Loewy data of an algebra, with edges relabeled by ``loewy_labels``.
     Returns (data, mapping edge id -> label)."""
-    name = {e: f"s{i}" for i, e in enumerate(sorted(a.graph.edge_ids()))}
+    name = loewy_labels(a.graph)
     raw = [(r.label, r.strands, r.socle) for r in loewy_table(a, name).values()]
     return LoewyData.build(raw), name
 
@@ -109,6 +114,7 @@ def reconstruct_afbg(data: LoewyData) -> Reconstruction:
                 "table fits both 4-dimensional local algebras (a loop of "
                 "degree 2 and an edge of degrees 2,2); they cannot be told apart")
 
+    ids = {}  # strand -> id; keys are (label, id), so each strand is hashed once
     supply = {}
     demand = {}
     wants = {}  # side name -> demand key
@@ -116,15 +122,16 @@ def reconstruct_afbg(data: LoewyData) -> Reconstruction:
     for idx, row in enumerate(rows):
         for tag, strand in zip("ab", row.strands):
             side = f"e{idx}{tag}"  # half-edge name in the candidate graphs
-            supply.setdefault((row.label, strand), []).append(side)
+            supply.setdefault((row.label, ids.setdefault(strand, len(ids))), []).append(side)
             window = strand + (row.socle,)
-            wants[side] = (window[0], window[1:])
+            wants[side] = (window[0], ids.setdefault(window[1:], len(ids)))
             demand.setdefault(wants[side], []).append(side)
             strand_len[side] = len(strand)
     if {k: len(v) for k, v in supply.items()} != {k: len(v) for k, v in demand.items()}:
         raise InconsistentInput(
             "successor requirements do not match the available sides")
 
+    # a row supplies at most one tie key, so the label alone decides this order
     ties = sorted(k for k, v in supply.items() if len(v) == 2)
     # both sides of a tied row demand the same key, so that key is a tie too
     feeds = {key: wants[supply[key][0]] for key in ties}

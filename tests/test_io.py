@@ -1,16 +1,21 @@
 import json
+import re
+from pathlib import Path
 from random import Random
 
 import pytest
 
+from fbga import fileio
 from fbga.afbg import Afbg
-from fbga.errors import InconsistentInput, ParseError
+from fbga.covering import cover_finite
+from fbga.errors import InconsistentInput, InputError, InvariantError, NotAdmissible, ParseError
 from fbga.fileio import (
     afbg_to_dict,
     bordered_to_dict,
     dot_of_graph,
     dot_of_presentation,
     dumps,
+    loewy_json,
     loewy_to_list,
     parse_cut,
     parse_gentle,
@@ -23,6 +28,9 @@ from fbga.gentle import repetitive_window, GentlePresentation
 from fbga.presentation import build_presentation
 from fbga.reconstruct import reconstruct_afbg
 from fbga.ribbon import RibbonGraph, is_isomorphic
+from generators import cover_compatible_degrees, random_afbg, random_cut, random_ribbon_graph
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 LAMBDA_TEXT = json.dumps({
     "vertices": [
@@ -108,6 +116,64 @@ def test_parse_loewy_rejects_uniserial_contradiction():
         rows = [{"id": "s0", "strands": strands, "uniserial": flag, "socle": "s0"}]
         with pytest.raises(InconsistentInput, match="uniserial flag contradicts the strands"):
             parse_loewy(json.dumps(rows))
+
+
+def loewy_json_cases():
+    """Algebras whose Loewy JSON is rendered both ways: the data/ samples,
+    random Brauer graphs, r-sheeted covers, a star with 12 edges (so s10
+    sorts before s2) and degree-1 leaves (empty strands), a loop, and a
+    double edge whose strands wrap around its star 500 times."""
+    cases = []
+    for path in sorted(DATA.glob("*.rg")):
+        graph, degrees = parse_ribbon(path.read_text())
+        try:
+            cases.append(Afbg.build(graph, degrees))
+        except NotAdmissible:
+            pass
+    rng = Random(14)
+    cases += [random_afbg(rng, rng.randint(1, 14)) for _ in range(40)]
+    for r in (2, 3, 4):
+        for _ in range(5):
+            base = random_ribbon_graph(rng, rng.randint(1, 5))
+            a = Afbg.build(base, cover_compatible_degrees(rng, base, r))
+            cases.append(cover_finite(a, random_cut(rng, base), r).cover)
+    star = RibbonGraph.build({"c": [f"h{i}" for i in range(12)],
+                              **{f"l{i}": [f"t{i}"] for i in range(12)}},
+                             [[f"h{i}", f"t{i}"] for i in range(12)])
+    cases.append(Afbg.build(star, {"c": 12, **{f"l{i}": 1 for i in range(12)}}))
+    loop = RibbonGraph.build({"v": ["a", "b"]}, [["a", "b"]])
+    cases.append(Afbg.build(loop, {"v": 4}))
+    double = RibbonGraph.build({"u": ["a", "b"], "w": ["c", "d"]}, [["a", "c"], ["b", "d"]])
+    cases.append(Afbg.build(double, {"u": 1001, "w": 3}))
+    return cases
+
+
+def test_loewy_json_equals_dumps_of_loewy_to_list():
+    cases = loewy_json_cases()
+    assert any(a.graph.num_edges() >= 11 for a in cases)
+    assert any(1 in a.degrees.values() for a in cases)
+    for a in cases:
+        assert loewy_json(a) == dumps(loewy_to_list(a))
+    assert loewy_json(Afbg.build(RibbonGraph.build({}, []), {})) == "[]\n"
+
+
+def test_loewy_json_keeps_the_table_checks(monkeypatch):
+    """Each check of LoewyData.build and loewy_table refuses a forged
+    algebra or label set with the error the table builders raise."""
+    graph, degrees = parse_ribbon(LAMBDA_TEXT)
+    a = Afbg.build(graph, degrees)
+    for nu, error in (({**a.nakayama, "h": "hp"}, InvariantError),
+                      ({h: "h" for h in a.nakayama}, InconsistentInput)):
+        forged = Afbg(graph, degrees, nu)
+        with pytest.raises(error) as expected:
+            loewy_to_list(forged)
+        with pytest.raises(error, match=re.escape(str(expected.value))):
+            loewy_json(forged)
+    for labels in ({"h~ih": "s0", "hp~ihp": "s0"}, {"h~ih": "s0", "hp~ihp": "s~1"},
+                   {"h~ih": "s0", "hp~ihp": ""}):
+        monkeypatch.setattr(fileio, "loewy_labels", lambda g: labels)
+        with pytest.raises(InputError, match="simple label"):
+            loewy_json(a)
 
 
 def test_presentation_dict_shape():
