@@ -218,7 +218,7 @@ def basis(a: Afbg) -> list:
 @dataclass(frozen=True)
 class LoewyRow:
     label: str
-    strands: tuple   # two tuples of labels, ordered by the half-edge pair
+    strands: tuple   # two label sequences, ordered by the half-edge pair when walked
     socle: str
 
     @property

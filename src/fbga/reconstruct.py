@@ -9,9 +9,22 @@ which of a row's two sides realizes which continuation — a genuine
 choice exactly when both sides carry identical strands (a *tie*).  Each
 tie has one bit: which of the tied row's two sides follows which of the
 two sides that demand it.  Reconstruction builds candidate graphs from
-wirings, keeps the ones that are connected, admissible and reproduce the
-input table, and deduplicates up to isomorphism.  One survivor is the
-answer; several raise ``Ambiguous``; none raise ``InconsistentInput``.
+wirings, keeps the ones that are connected and admissible, and
+deduplicates up to isomorphism.  One survivor is the answer; several
+raise ``Ambiguous``; none raise ``InconsistentInput``.
+
+Every candidate reproduces the input table, so none is checked against
+it.  A side supplies the key (its row, its strand S) and demands the key
+(W[0], W[1:]) of its window W = S + [σ], σ being its row's socle.  Once
+supply and demand agree as multisets, every wiring follows each side s
+by a side of row S[0] whose strand is S[1:] + [σ] (by a side of row σ
+with the empty strand when S is empty).  That strand has the length L of
+S, so the sides of one rotation cycle share one L, and
+``_build_candidate`` gives their vertex degree L + 1.  By induction
+ρ^k(s) lies on row S[k-1] for 1 ≤ k ≤ L, and ρ^(L+1)(s) on row σ.  A
+candidate's edges are its rows, so the walk of ``loewy_table`` from s
+lists S, and ν(s) = ρ^(L+1)(s) lies on edge σ: every side of the
+candidate carries the strand and the socle that the input gives it.
 
 At most two wirings need building, so there is no search bound.  Both
 sides of a tied row demand the same key, and only the two sides of one
@@ -53,7 +66,7 @@ from .ribbon import EDGE_SEP, RibbonGraph, cycles, edge_id_of_pair, is_isomorphi
 
 @dataclass(frozen=True)
 class LoewyData:
-    rows: tuple  # LoewyRow, sorted by label; () is a valid strand
+    rows: tuple  # LoewyRow, sorted by label; strands kept as given; () is a valid strand
 
     @classmethod
     def build(cls, raw_rows) -> "LoewyData":
@@ -67,7 +80,7 @@ class LoewyData:
             if label in labels:
                 raise InputError(f"duplicate simple label {label!r}")
             labels.add(label)
-            strands = tuple(tuple(s) for s in strands)
+            strands = tuple(strands)
             if len(strands) > 2:
                 raise InputError(f"simple {label!r} lists {len(strands)} strands (max 2)")
             rows.append(LoewyRow(label, strands + ((),) * (2 - len(strands)), socle))
@@ -109,23 +122,30 @@ def reconstruct_afbg(data: LoewyData) -> Reconstruction:
     rows = data.rows
     if len(rows) == 1:
         l = rows[0].label
-        if rows[0].strands == ((l,), (l,)) and rows[0].socle == l:
+        if tuple(map(tuple, rows[0].strands)) == ((l,), (l,)) and rows[0].socle == l:
             raise Exceptional(
                 "table fits both 4-dimensional local algebras (a loop of "
                 "degree 2 and an edge of degrees 2,2); they cannot be told apart")
 
-    ids = {}  # strand -> id; keys are (label, id), so each strand is hashed once
+    # A key is (label, text of a strand).  The text is injective because labels
+    # are non-empty and free of EDGE_SEP, and LoewyData.build has checked that
+    # every strand label is a label before any key is built.
     supply = {}
     demand = {}
-    wants = {}  # side name -> demand key
+    wants = {}  # side name -> demand key: (window[0], text of window[1:])
     strand_len = {}
     for idx, row in enumerate(rows):
         for tag, strand in zip("ab", row.strands):
             side = f"e{idx}{tag}"  # half-edge name in the candidate graphs
-            supply.setdefault((row.label, ids.setdefault(strand, len(ids))), []).append(side)
-            window = strand + (row.socle,)
-            wants[side] = (window[0], ids.setdefault(window[1:], len(ids)))
-            demand.setdefault(wants[side], []).append(side)
+            text = EDGE_SEP.join(strand)
+            supply.setdefault((row.label, text), []).append(side)
+            if strand:
+                rest = text[len(strand[0]) + 1:]
+                want = (strand[0], f"{rest}{EDGE_SEP}{row.socle}" if rest else row.socle)
+            else:
+                want = (row.socle, "")
+            wants[side] = want
+            demand.setdefault(want, []).append(side)
             strand_len[side] = len(strand)
     if {k: len(v) for k, v in supply.items()} != {k: len(v) for k, v in demand.items()}:
         raise InconsistentInput(
@@ -152,18 +172,13 @@ def reconstruct_afbg(data: LoewyData) -> Reconstruction:
 
     survivors = []
     for successor in wirings:
-        candidate = _build_candidate(successor, strand_len, edges)
-        if candidate is None:
-            continue
-        graph, degrees = candidate
+        graph, degrees = _build_candidate(successor, strand_len, edges)
         if not graph.connected:
             continue
         try:
-            a = Afbg.build(graph, degrees)
+            survivors.append(Afbg.build(graph, degrees))
         except NotAdmissible:
             continue
-        if _table_matches(a, data, edge_labels):
-            survivors.append(a)
 
     if len(survivors) == 2 and is_isomorphic(
             survivors[0].graph, survivors[1].graph,
@@ -180,28 +195,10 @@ def reconstruct_afbg(data: LoewyData) -> Reconstruction:
 
 
 def _build_candidate(successor, strand_len, edges):
-    rotations = {}
-    degrees = {}
-    for cycle in orbits(successor):
-        depths = {strand_len[h] + 1 for h in cycle}
-        if len(depths) != 1:
-            return None
-        v = f"v{len(rotations)}"
-        rotations[v] = cycle
-        degrees[v] = depths.pop()
-    try:
-        graph = RibbonGraph.build(rotations, edges)
-    except InputError:
-        return None
-    return graph, degrees
-
-
-def _table_matches(a: Afbg, data: LoewyData, edge_labels) -> bool:
-    table = loewy_table(a, edge_labels)
-    for row in data.rows:
-        got = table[row.label]
-        # equal strands give an equal uniserial bit
-        if sorted(got.strands) != sorted(row.strands) or got.socle != row.socle:
-            return False
-    return True
-
+    """The graph whose rotation is ``successor``, vertices v0, v1, ... in
+    anchor order, and its degrees.  A side is followed by a side whose
+    strand has the same length, so the sides of a vertex share one length
+    L, and its degree is L + 1."""
+    rotations = {f"v{i}": cycle for i, cycle in enumerate(orbits(successor))}
+    degrees = {v: strand_len[cycle[0]] + 1 for v, cycle in rotations.items()}
+    return RibbonGraph.build(rotations, edges), degrees

@@ -1,4 +1,5 @@
-"""Presentation, covering and invariant checks that only the tests use."""
+"""Presentation, covering, invariant and reconstruction checks that only
+the tests use."""
 
 from dataclasses import dataclass
 from math import lcm
@@ -7,7 +8,7 @@ from fbga.afbg import RepFiniteReport, Violation, reduced_form
 from fbga.covering import SHEET_SEP
 from fbga.errors import InvariantError
 from fbga.invariants import Fingerprint
-from fbga.presentation import arrow_name, walk
+from fbga.presentation import arrow_name, loewy_table, walk
 from fbga.ribbon import is_isomorphic, orbits
 
 
@@ -216,3 +217,19 @@ def reference_root_keys(graph, degrees) -> dict:
         return {h: (valency[h], valency[p], face[h], face[p]) for h, p in pair.items()}
     return {h: (valency[h], valency[p], face[h], face[p], degrees[attach[h]], degrees[attach[p]])
             for h, p in pair.items()}
+
+
+# -- reconstruction, with the candidate's table rebuilt ----------------------------
+
+def table_matches(a, data, edge_labels) -> bool:
+    """Whether the Loewy table of ``a``, its edges named by ``edge_labels``,
+    has the strands and socle of every row of ``data``: what
+    :func:`fbga.reconstruct.reconstruct_afbg` proves of every candidate
+    instead of checking it."""
+    table = loewy_table(a, edge_labels)
+    for row in data.rows:
+        got = table[row.label]
+        # equal strands give an equal uniserial bit
+        if sorted(got.strands) != sorted(map(tuple, row.strands)) or got.socle != row.socle:
+            return False
+    return True

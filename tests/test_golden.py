@@ -21,6 +21,8 @@ from pathlib import Path
 
 import pytest
 
+import fbga.presentation
+import fbga.reconstruct
 import fbga.ribbon
 from fbga.cli import main
 
@@ -74,3 +76,21 @@ def test_invariants_do_not_build_the_reduced_form(capsys, monkeypatch):
     for graph in ("data/lambda.rg", "data/halfmult.rg"):
         with pytest.raises(QuotientBuilt):
             main(["reduce", graph])
+
+
+class TableBuilt(Exception):
+    pass
+
+
+def test_reconstruct_does_not_build_a_table(capsys, monkeypatch):
+    """reconstruct proves that a candidate reproduces the input table, so it
+    never builds one; export --loewy renders the table without building it."""
+    def refuse(*args):
+        raise TableBuilt
+
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(fbga.presentation, "loewy_table", refuse)
+    monkeypatch.setattr(fbga.reconstruct, "loewy_table", refuse)
+    cases = [c for c in CASES if c[1] == "reconstruct" or "--loewy" in c]
+    assert len(cases) == 7
+    assert not mismatches(cases, capsys)

@@ -1,9 +1,12 @@
+import json
 import random
 import time
 from itertools import product
 
 import pytest
 
+import fbga.presentation
+import fbga.reconstruct
 from fbga.afbg import Afbg
 from fbga.errors import (
     Ambiguous,
@@ -13,24 +16,26 @@ from fbga.errors import (
     InputError,
     NotAdmissible,
 )
+from fbga.fileio import parse_loewy
 from fbga.reconstruct import (
     LoewyData,
     _build_candidate,
-    _table_matches,
     loewy_data_of,
     reconstruct_afbg,
 )
 from fbga.ribbon import RibbonGraph, canonical_code, edge_id_of_pair, is_isomorphic
-from generators import random_afbg
+from generators import random_afbg, random_fractional_afbg
+from oracles import table_matches
 
 
 def roundtrip_check(a: Afbg) -> bool:
     """Whether the algebra's own Loewy data reconstructs a graph
-    isomorphic (degrees included) to the one it came from."""
+    isomorphic (degrees included) to the one it came from, whose own
+    table, under the returned labels, is that data."""
     data, _ = loewy_data_of(a)
     res = reconstruct_afbg(data)
-    return is_isomorphic(res.afbg.graph, a.graph,
-                         res.afbg.degrees, a.degrees) is not None
+    return (is_isomorphic(res.afbg.graph, a.graph, res.afbg.degrees, a.degrees) is not None
+            and table_matches(res.afbg, data, res.edge_labels))
 
 
 def lambda_afbg():
@@ -199,17 +204,14 @@ def reconstruct_all_wirings(data: LoewyData):
                 successor[d1] = slist[b]
                 successor[d2] = slist[1 - b]
 
-        candidate = _build_candidate(successor, strand_len, edges)
-        if candidate is None:
-            continue
-        graph, degrees = candidate
+        graph, degrees = _build_candidate(successor, strand_len, edges)
         if not graph.connected:
             continue
         try:
             a = Afbg.build(graph, degrees)
         except NotAdmissible:
             continue
-        if not _table_matches(a, data, edge_labels):
+        if not table_matches(a, data, edge_labels):
             continue
         survivors.setdefault(canonical_code(graph, degrees), a)
 
@@ -355,3 +357,95 @@ def test_large_dipole_reconstructs_uniquely_from_two_wirings(k):
     assert rec.wirings_tried == 2
     assert is_isomorphic(rec.afbg.graph, a.graph,
                          rec.afbg.degrees, a.degrees) is not None
+
+
+# ------------------------------------------------ mutated tables and text keys
+
+def mutated(rng, data: LoewyData) -> list:
+    """The rows of ``data`` as (label, strands, socle) triples after one or
+    two random changes: a socle changed, a strand label changed, dropped
+    or appended, the two strands of a row swapped, or strands or socles
+    swapped between two rows.  Every label written is a label."""
+    rows = [[r.label, [list(s) for s in r.strands], r.socle] for r in data.rows]
+    labels = [r[0] for r in rows]
+    for _ in range(rng.randint(1, 2)):
+        (i, a), (j, b) = ((rng.randrange(len(rows)), rng.randrange(2)) for _ in "ij")
+        strand = rows[i][1][a]
+        kind = rng.randrange(7)
+        if kind == 0:
+            rows[i][2] = rng.choice(labels)
+        elif kind == 1 and strand:
+            strand[rng.randrange(len(strand))] = rng.choice(labels)
+        elif kind == 2 and strand:
+            del strand[rng.randrange(len(strand))]
+        elif kind == 3:
+            strand.append(rng.choice(labels))
+        elif kind == 4:
+            rows[i][1].reverse()
+        elif kind == 5:
+            rows[i][1][a], rows[j][1][b] = rows[j][1][b], strand
+        elif kind == 6:
+            rows[i][2], rows[j][2] = rows[j][2], rows[i][2]
+    return [(label, tuple(map(tuple, strands)), socle) for label, strands, socle in rows]
+
+
+def test_mutated_tables_agree_with_all_wirings():
+    """Seeded mutations of the tables of random Brauer graphs and covers
+    with at most 6 edges: reconstruction, which never rebuilds a
+    candidate's table, and the all-wirings oracle, which checks it, give
+    the same outcome on every mutated table that is a table."""
+    rng = random.Random(15)
+    kinds = {}
+    start = time.perf_counter()
+    for n in range(600):
+        a = (random_afbg(rng, rng.randint(1, 6)) if n % 2
+             else random_fractional_afbg(rng, rng.randint(1, 2)))
+        try:
+            data = LoewyData.build(mutated(rng, loewy_data_of(a)[0]))
+        except FbgaError:
+            continue
+        expected = outcome(reconstruct_all_wirings, data)
+        assert outcome(reconstruct_afbg, data) == expected, data
+        kind = expected[0] if isinstance(expected[0], type) else "unique"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert time.perf_counter() - start < 1.0
+    assert set(kinds) == {"unique", Ambiguous, Exceptional, InconsistentInput}, kinds
+    assert sum(kinds.values()) > 500, kinds
+
+
+def test_a_label_holding_the_separator_is_never_a_key():
+    """The text of the strand ["x~y"] is that of ["x", "y"]; the label
+    check refuses it before reconstruction builds any key."""
+    data, _ = loewy_data_of(star_afbg(3))
+    row = next(r for r in data.rows if len(r.strands[0]) == 2)
+    x, y = row.strands[0]
+    raw = [(r.label, ((f"{x}~{y}",), r.strands[1]) if r is row else r.strands, r.socle)
+           for r in data.rows]
+    with pytest.raises(InputError, match=f"strand of {row.label!r} mentions unknown label "
+                                         f"'{x}~{y}'"):
+        LoewyData.build(raw)
+    text = json.dumps([{"id": l, "strands": s, "socle": so} for l, s, so in raw])
+    with pytest.raises(InputError, match="mentions unknown label"):
+        parse_loewy(text)
+
+
+class TableBuilt(Exception):
+    pass
+
+
+def test_reconstruction_does_not_build_a_table(monkeypatch):
+    """With ``loewy_table`` refusing to run, random tables still reconstruct,
+    or fail, as the all-wirings oracle (which builds every table) says."""
+    rng = random.Random(3)
+    tables = [loewy_data_of(random_afbg(rng, rng.randint(2, 5)))[0] for _ in range(6)]
+    tables.append(LoewyData.build(mutated(random.Random(1), tables[0])))
+    expected = [outcome(reconstruct_all_wirings, data) for data in tables]
+
+    def refuse(*args):
+        raise TableBuilt
+
+    monkeypatch.setattr(fbga.presentation, "loewy_table", refuse)
+    monkeypatch.setattr(fbga.reconstruct, "loewy_table", refuse)
+    assert [outcome(reconstruct_afbg, data) for data in tables] == expected
+    with pytest.raises(TableBuilt):
+        loewy_data_of(star_afbg(2))
