@@ -143,7 +143,7 @@ def _window_text(win) -> str:
         a = win.arrows[name]
         tgt = a.target if a.target is not None else "(out of window)"
         lines.append(f"  {name}: {a.source} -> {tgt}")
-    lines.append(f"commutation relations inside window: {len(win.commutation_relations)}")
+    lines.append(f"commutation relations inside window: {len(win.commutations)}")
     lines.append(f"zero relations inside window: {len(win.zero_relations)}")
     return "\n".join(lines) + "\n"
 
@@ -171,7 +171,7 @@ def cmd_validate(args):
 
 def _presentation_output(pres) -> dict:
     return {"text": lambda: render_text(pres) + f"\ndimension: {dimension(pres.afbg)}\n",
-            "json": lambda: fileio.dumps(fileio.presentation_to_dict(pres)),
+            "json": lambda: fileio.presentation_json(pres),
             "dot": lambda: fileio.dot_of_presentation(pres)}
 
 
@@ -200,7 +200,7 @@ def cmd_repetitive_window(args):
     p = fileio.parse_gentle(_read(args.gentle))
     win = repetitive_window(p, *_parse_window(args.window))
     return 0, {"text": lambda: _window_text(win),
-               "json": lambda: fileio.dumps(fileio.bordered_to_dict(win)),
+               "json": lambda: fileio.presentation_json(win),
                "dot": lambda: fileio.dot_of_presentation(win)}
 
 

@@ -17,19 +17,20 @@ degrees are positive integers; anything else is a :class:`ParseError`.
 Exported paths list arrows in application order (first arrow first);
 exported zero relations are ``[later, earlier]`` pairs.  The ``*_to_dict``
 builders hand tuples through as they are; ``dumps`` writes them as JSON
-arrays, as ``json.dumps`` does, and ``loewy_json`` writes a Loewy table in
-those bytes with each strand cut from its star's text, rendered once.
+arrays, as ``json.dumps`` does.  ``loewy_json`` and ``presentation_json``
+write a Loewy table and a presentation in those bytes without the dicts:
+each strand or relation walk is cut from its orbit's text, rendered once
+(``presentation.cut_walks``).
 """
 
 from __future__ import annotations
 
 import json
-from itertools import accumulate
 
 from .afbg import Afbg
 from .errors import InconsistentInput, InputError, InvariantError, ParseError
 from .gentle import GentlePresentation
-from .presentation import Presentation, _check_budget, dimension
+from .presentation import Presentation, _check_budget, arrow_name, cut_walks, dimension, walk_texts
 from .reconstruct import LoewyData, loewy_data_of, loewy_labels
 from .ribbon import EDGE_SEP, RibbonGraph, edge_id_of_pair
 
@@ -185,24 +186,20 @@ def loewy_json(a: Afbg) -> str:
     if len(lit) < len(name):
         raise InputError("simple labels must be distinct, non-empty and free of '~'")
     label = {h: name[edge_id_of_pair(h, p)] for h, p in a.graph.pairing.items()}
-    sep = ",\n        "  # between the labels of a strand
-    cut = {}  # half-edge -> (text, start, stop) of its strand
+    strands = {}  # half-edge -> the JSON of its strand's labels
     for v, star in a.graph.stars.items():
         lits = [lit.get(label[h]) for h in star]
         if None in lits:
             raise InputError(f"a strand at {v!r} mentions an unknown label")
-        val, d = len(star), a.degrees[v]
-        text = sep.join(lits * -(-(val + d - 1) // val))
-        offset = list(accumulate((len(s) + len(sep) for s in lits), initial=0))  # one period
-        for i, h in enumerate(star):  # labels i + 1 .. i + d - 1 of text
-            q, r = divmod(i + d, val)
-            cut[h] = (text, offset[i + 1], q * offset[-1] + offset[r] - len(sep))
+        val, d = len(star), a.degrees[v]  # the walk of length d - 1 from rotation(h)
+        walks = [((i + 1) % val, d - 1) for i in range(val)]
+        strands.update(zip(star, cut_walks(lits, ",\n        ", walks)))
     out = []
     for n, (l, x, y) in enumerate(sorted((label[x], x, y) for x, y in a.graph.edge_pairs())):
         socle = label[a.nakayama[x]]
         if socle != label[a.nakayama[y]]:  # forced by admissibility (a)
             raise InvariantError(f"the two full walks of edge {l!r} end on different edges")
-        sx, sy = (text[start:stop] for text, start, stop in (cut[x], cut[y]))
+        sx, sy = strands[x], strands[y]
         out += (",\n  " if n else "[\n  ", '{\n    "id": ', lit[l], ',\n    "strands": [\n      ')
         for strand, after in ((sx, ",\n      "), (sy, '\n    ],\n    "uniserial": ')):
             out += ("[\n        ", strand, "\n      ]", after) if strand else ("[]", after)
@@ -238,6 +235,38 @@ def bordered_to_dict(b: Presentation) -> dict:
         "commutation_relations": b.commutation_relations,
         "zero_relations": b.zero_relations,
     }
+
+
+def presentation_json(p: Presentation) -> str:
+    """``dumps(presentation_to_dict(p))``, or ``dumps(bordered_to_dict(p))``
+    for a window, byte for byte, without building either.  Arrows are
+    written as they are listed, and each commutation walk is cut from its
+    orbit's text of arrow-name literals (``presentation.walk_texts``)."""
+    literal = _Literals().__getitem__
+    walk = walk_texts(p, lambda h: literal(arrow_name(h)), ",\n        ")
+    w = p.window
+    fields = {"conventions": PATH_CONVENTIONS,
+              **({} if w is None else {"window": [w.lo, w.hi]}),
+              "vertices": p.quiver_vertices,
+              "arrows": [f'{{\n      "id": {literal(name)},\n      "from": {literal(a.source)},'
+                         f'\n      "to": {"null" if a.target is None else literal(a.target)}'
+                         "\n    }" for name, a in sorted(p.arrows.items())],
+              **({} if w is None else {"dangling": p.dangling}),
+              "commutation_relations": [f"[\n      [\n        {walk[x]}\n      ],\n      "
+                                        f"[\n        {walk[y]}\n      ]\n    ]"
+                                        for (x, _), (y, _) in p.commutations],
+              "zero_relations": p.zero_relations,
+              **({"dimension": dimension(p.afbg)} if w is None else {})}
+    parts, sep = [], "{\n  "
+    for key, value in fields.items():
+        parts.append(sep + literal(key) + ": ")
+        sep = ",\n  "
+        if key in ("arrows", "commutation_relations"):  # items written above
+            parts.append("[\n    " + ",\n    ".join(value) + "\n  ]" if value else "[]")
+        else:
+            _emit(value, "\n  ", parts.append, literal)
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 # -- DOT rendering ---------------------------------------------------------------

@@ -10,8 +10,11 @@ the pretty-printer reverses them.
 A walk of length ``d`` from ``h`` is a slice of the rotation orbit of
 ``h``: the orbit turned to start at ``h``, repeated ``q`` times, then its
 first ``r`` entries, where ``q, r = divmod(d, len(orbit))`` (so ``q`` is
-``⌊d/val⌋`` at a vertex of valency ``val``).  Each orbit is named once,
-as arrow names or edge ids, and walks are cut from the named orbit.  The
+``⌊d/val⌋`` at a vertex of valency ``val``).  A presentation keeps each
+relation walk as ``(start, length)``.  A renderer joins the pieces of each
+orbit once (``cut_walks``: arrow names or their JSON literals, in either
+direction) and cuts every walk's text from it as one slice; the tuple
+walks of ``Presentation.commutation_relations`` are named on demand.  The
 builders refuse an algebra whose dimension ``Σ val·d`` is above
 ``WALK_BUDGET`` before building any walk.
 
@@ -34,6 +37,7 @@ cross-check the closed-form count ``sum(valency * degree)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .afbg import Afbg
@@ -61,13 +65,41 @@ class Presentation:
     afbg: Afbg
     quiver_vertices: tuple
     arrows: dict  # name -> Arrow
-    commutation_relations: tuple  # ((walk, walk), ...) in application order
+    commutations: tuple  # (((x, length), (y, length)), ...): the two walks of an edge
     zero_relations: tuple  # ((later, earlier), ...)
     window: BorderedRibbonGraph | None = None  # set for repetitive windows
 
     @property
+    def commutation_relations(self) -> tuple:
+        """The commutations as pairs of arrow-name walks in application order."""
+        g = self.afbg.graph if self.window is None else self.window
+        index = _orbit_index(g.rotation, g.attach, arrow_name)
+        return tuple((_walk(index, x, m), _walk(index, y, n))
+                     for (x, m), (y, n) in self.commutations)
+
+    @property
     def dangling(self) -> tuple:
         return tuple(sorted(n for n, a in self.arrows.items() if a.target is None))
+
+
+def _runs(rotation: dict, half_edges) -> list:
+    """The rotation orbits through ``half_edges``, as lists of half-edges:
+    the maximal chains of a partial rotation (a window's columns) first,
+    then the cycles of a total one."""
+    runs = []
+    seen = set()
+    targets = set(rotation.values())
+    for start in [*(h for h in half_edges if h not in targets), *half_edges]:
+        if start in seen:
+            continue
+        run = [start]
+        h = rotation.get(start)
+        while h is not None and h != start:
+            run.append(h)
+            h = rotation.get(h)
+        seen.update(run)
+        runs.append(run)
+    return runs
 
 
 def _orbit_index(rotation: dict, half_edges, name) -> dict:
@@ -76,21 +108,48 @@ def _orbit_index(rotation: dict, half_edges, name) -> dict:
     a total rotation, or a maximal chain of a partial one (a window's
     columns)."""
     index = {}
-    targets = set(rotation.values())
-    heads = [h for h in half_edges if h not in targets]  # chain starts
-    for closed, starts in ((False, heads), (True, half_edges)):
-        for start in starts:
-            if start in index:
-                continue
-            run = [start]
-            h = rotation.get(start)
-            while h is not None and h != start:
-                run.append(h)
-                h = rotation.get(h)
-            orbit = tuple(map(name, run))
-            for i, h in enumerate(run):
-                index[h] = (orbit, i, closed)
+    for run in _runs(rotation, half_edges):
+        orbit = tuple(map(name, run))
+        closed = run[-1] in rotation
+        for i, h in enumerate(run):
+            index[h] = (orbit, i, closed)
     return index
+
+
+def cut_walks(pieces: list, sep: str, walks: list) -> list:
+    """``sep.join`` of pieces ``i .. i+n-1``, read cyclically, for each walk
+    ``(i, n)`` with ``0 <= i < len(pieces)``.  The pieces are joined once,
+    that period is repeated until the furthest walk fits, and each walk is
+    one slice of the text, at offsets from the period's prefix sums."""
+    val = len(pieces)
+    furthest = max((i + n for i, n in walks), default=0)
+    text = (sep.join(pieces) + sep) * -(-furthest // val)
+    offset = list(accumulate((len(s) + len(sep) for s in pieces), initial=0))
+    out = []
+    for i, n in walks:
+        q, r = divmod(i + n, val)  # the walk ends before piece r of period q
+        out.append(text[offset[i]:q * offset[-1] + offset[r] - len(sep)] if n else "")
+    return out
+
+
+def walk_texts(pres: Presentation, piece, sep: str, reverse: bool = False) -> dict:
+    """Half-edge -> the text of the commutation walk that starts there: the
+    ``piece(h)`` of its arrows joined by ``sep``, in application order, or
+    last arrow first when ``reverse`` (a right-to-left product).  Each
+    rotation orbit is joined once, in the direction asked for."""
+    length = dict(w for pair in pres.commutations for w in pair)
+    g = pres.afbg.graph if pres.window is None else pres.window
+    out = {}
+    for run in _runs(g.rotation, g.attach):
+        starts = [(i, h) for i, h in enumerate(run) if h in length]
+        pieces = [piece(h) for h in run]
+        if reverse:  # the walk from i of length n ends on piece i + n - 1
+            pieces.reverse()
+            walks = [(-(i + length[h]) % len(run), length[h]) for i, h in starts]
+        else:
+            walks = [(i, length[h]) for i, h in starts]
+        out.update(zip((h for _, h in starts), cut_walks(pieces, sep, walks)))
+    return out
 
 
 def _walk(index: dict, half_edge: str, length: int):
@@ -145,36 +204,40 @@ def _present(a: Afbg, window: BorderedRibbonGraph | None = None) -> Presentation
     only when all of its arrows lie inside the window."""
     _check_budget(dimension(a), "algebra of dimension")
     g = a.graph if window is None else window
-    rotation, pairing = g.rotation, g.pairing
-
-    def edge_of(h):
-        return edge_id_of_pair(h, pairing[h])
+    rotation, pairing, attach = g.rotation, g.pairing, g.attach
+    pairs = sorted((x, y) for x, y in pairing.items() if x < y)
+    edge = {}
+    for x, y in pairs:
+        edge[x] = edge[y] = edge_id_of_pair(x, y)
+    name = {h: arrow_name(h) for h in attach}
 
     arrows = {}
     zeros = []
-    for h in sorted(g.attach):
+    for h in sorted(attach):
         nxt = rotation.get(h)
-        arrows[arrow_name(h)] = Arrow(edge_of(h), None if nxt is None else edge_of(nxt))
+        arrows[name[h]] = Arrow(edge[h], None if nxt is None else edge[nxt])
         if nxt is not None:
-            zeros.append((arrow_name(pairing[nxt]), arrow_name(h)))
+            zeros.append((name[pairing[nxt]], name[h]))
 
-    pairs = sorted((x, y) for x, y in pairing.items() if x < y)
-    index = _orbit_index(rotation, g.attach, arrow_name)
+    # arrows left from each half-edge to the end of its window column
+    room = None if window is None else {
+        h: len(run) - i for run in _runs(rotation, attach) for i, h in enumerate(run)}
+    # a walk from x starts with the arrow of x, so sorting the pairs by x, as
+    # here, sorts the commutations as their name tuples would sort
     commutations = []
     for x, y in pairs:
-        wx = _walk(index, x, a.degrees[g.attach[x]])
-        wy = _walk(index, y, a.degrees[g.attach[y]])
-        if wx is not None and wy is not None:
+        wx, wy = (x, a.degrees[attach[x]]), (y, a.degrees[attach[y]])
+        if room is None or (wx[1] <= room[x] and wy[1] <= room[y]):
             commutations.append((wx, wy))
 
-    quiver_vertices = [edge_id_of_pair(x, y) for x, y in pairs]
+    quiver_vertices = [edge[x] for x, _ in pairs]
     if window is not None:
         quiver_vertices.sort()  # windows list their edge ids sorted
     return Presentation(
         afbg=a,
         quiver_vertices=tuple(quiver_vertices),
         arrows=arrows,
-        commutation_relations=tuple(sorted(commutations)),
+        commutations=tuple(commutations),
         zero_relations=tuple(sorted(zeros)),
         window=window,
     )
@@ -199,19 +262,17 @@ def basis(a: Afbg) -> list:
     """Monomial basis: one idempotent per edge, the proper walks
     0 < m < degree from every half-edge, and one socle element per edge
     (the two full walks of an edge are identified; the representative
-    starts at the smaller half-edge id)."""
+    starts at the smaller half-edge id).  Listed by edge id, then kind
+    (idempotent, socle, walk), then start and length."""
     _check_budget(dimension(a), "algebra of dimension")
     g = a.graph
     out = []
-    for x, y in g.edge_pairs():
-        e = g.edge_of(x)
+    for e, x, y in sorted((edge_id_of_pair(x, y), x, y) for x, y in g.pairing.items() if x < y):
+        dx, dy = (a.degrees[g.attach[h]] for h in (x, y))
         out.append(BasisElement("idempotent", e, "", 0))
-        out.append(BasisElement("socle", e, x, a.degrees[g.attach[x]]))
-    for h in g.half_edges:
-        e = g.edge_of(h)
-        for m in range(1, a.degrees[g.attach[h]]):
-            out.append(BasisElement("walk", e, h, m))
-    out.sort(key=lambda b: (b.edge, b.kind, b.start, b.length))
+        out.append(BasisElement("socle", e, x, dx))
+        out += (BasisElement("walk", e, x, m) for m in range(1, dx))
+        out += (BasisElement("walk", e, y, m) for m in range(1, dy))
     return out
 
 
@@ -338,11 +399,6 @@ def oracle_dimension(pres: Presentation) -> int:
 
 # -- rendering -----------------------------------------------------------------
 
-def product_str(seq) -> str:
-    """Right-to-left product string of an application-order arrow sequence."""
-    return "*".join(reversed(seq))
-
-
 def render_text(pres: Presentation) -> str:
     lines = []
     lines.append(f"quiver vertices ({len(pres.quiver_vertices)}): "
@@ -351,9 +407,10 @@ def render_text(pres: Presentation) -> str:
     for name in sorted(pres.arrows):
         a = pres.arrows[name]
         lines.append(f"  {name}: {a.source} -> {a.target}")
-    lines.append(f"commutation relations ({len(pres.commutation_relations)}):")
-    for wx, wy in pres.commutation_relations:
-        lines.append(f"  {product_str(wx)} = {product_str(wy)}")
+    walks = walk_texts(pres, arrow_name, "*", reverse=True)  # each one a product_str
+    lines.append(f"commutation relations ({len(pres.commutations)}):")
+    for (x, _), (y, _) in pres.commutations:
+        lines.append(f"  {walks[x]} = {walks[y]}")
     lines.append(f"zero relations ({len(pres.zero_relations)}):")
     for later, earlier in pres.zero_relations:
         lines.append(f"  {later}*{earlier} = 0")

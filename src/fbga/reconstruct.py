@@ -41,7 +41,13 @@ flips reach every wiring of the same bit parity: two classes, built as
 the wirings that are 0 on every tie but the last (in sorted key order).
 That is the member of each class that the full product order meets
 first, so the labelled graph returned is the one an enumeration of all
-2^t wirings would return.
+2^t wirings would return.  In fact the first wiring always survives: a
+demand list holds the two sides of one tied row, so it follows every
+a side by an a side and every b side by a b side.  That gives two
+vertices joined by every edge, on which ν turns both stars alike, so
+(a) holds, (b) holds and the graph is connected.  The second wiring only
+decides between a unique and an ambiguous verdict, and its labels are
+never returned.
 
 The one-row table with strands ((l,), (l,)) and socle l is realized by
 both 4-dimensional local algebras (loop of degree 2; edge of degrees

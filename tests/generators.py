@@ -12,10 +12,15 @@ fractional whenever r ≥ 2.
 from __future__ import annotations
 
 from itertools import permutations, product
+from pathlib import Path
 from random import Random
 
 from fbga.afbg import Afbg
 from fbga.covering import cover_finite
+from fbga.errors import NotAdmissible
+from fbga.fileio import parse_gentle, parse_ribbon
+from fbga.gentle import r_fold_trivial_extension, repetitive_window, trivial_extension
+from fbga.presentation import build_presentation
 from fbga.ribbon import RibbonGraph, canonical_code, orbits
 
 CONNECTED_TRIES = 1000
@@ -148,3 +153,45 @@ def disjoint_union(graphs) -> RibbonGraph:
         rotations.update({f"{v}.{i}": [f"{h}.{i}" for h in g.stars[v]] for v in g.vertices})
         edges += [[f"{a}.{i}", f"{b}.{i}"] for a, b in g.edge_pairs()]
     return RibbonGraph.build(rotations, edges)
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def presentation_cases() -> list:
+    """Presentations to render both ways: the data/ graphs, random Brauer
+    graphs, r-sheeted covers, the r-fold trivial extensions (r = 1..4) and
+    the windows 0:0, 0:2 and 2:9 of the data/ gentle files, a star with 12
+    degree-1 leaves, a loop, a double edge of degree 1001 (its walks wrap
+    about 500 times) and half-edge ids that JSON escapes."""
+    algebras = []
+    for path in sorted(DATA.glob("*.rg")):
+        try:
+            algebras.append(Afbg.build(*parse_ribbon(path.read_text())))
+        except NotAdmissible:
+            pass
+    rng = Random(16)
+    algebras += [random_afbg(rng, rng.randint(1, 8)) for _ in range(20)]
+    for r in (2, 3, 4):
+        for _ in range(3):
+            base = random_ribbon_graph(rng, rng.randint(1, 4))
+            a = Afbg.build(base, cover_compatible_degrees(rng, base, r))
+            algebras.append(cover_finite(a, random_cut(rng, base), r).cover)
+    star = RibbonGraph.build({"c": [f"h{i}" for i in range(12)],
+                              **{f"l{i}": [f"t{i}"] for i in range(12)}},
+                             [[f"h{i}", f"t{i}"] for i in range(12)])
+    algebras.append(Afbg.build(star, {"c": 12, **{f"l{i}": 1 for i in range(12)}}))
+    loop = RibbonGraph.build({"v": ["a", "b"]}, [["a", "b"]])
+    algebras.append(Afbg.build(loop, {"v": 4}))
+    double = RibbonGraph.build({"u": ["a", "b"], "w": ["c", "d"]}, [["a", "c"], ["b", "d"]])
+    algebras.append(Afbg.build(double, {"u": 1001, "w": 3}))
+    awkward = RibbonGraph.build({"u": ['q"', "é"], "w": ["λ€", "\\😀"]},
+                                [['q"', "λ€"], ["é", "\\😀"]])
+    algebras.append(Afbg.build(awkward, {"u": 4, "w": 6}))
+    cases = [build_presentation(a) for a in algebras]
+    for path in sorted(DATA.glob("*.gentle")):
+        gentle = parse_gentle(path.read_text())
+        cases.append(trivial_extension(gentle))
+        cases += [r_fold_trivial_extension(gentle, r) for r in (2, 3, 4)]
+        cases += [repetitive_window(gentle, lo, hi) for lo, hi in ((0, 0), (0, 2), (2, 9))]
+    return cases

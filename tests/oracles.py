@@ -8,8 +8,51 @@ from fbga.afbg import RepFiniteReport, Violation, reduced_form
 from fbga.covering import SHEET_SEP
 from fbga.errors import InvariantError
 from fbga.invariants import Fingerprint
-from fbga.presentation import arrow_name, loewy_table, walk
+from fbga.presentation import (
+    BasisElement,
+    _orbit_index,
+    _walk,
+    arrow_name,
+    loewy_table,
+    walk,
+)
 from fbga.ribbon import is_isomorphic, orbits
+
+
+def product_str(seq) -> str:
+    """Right-to-left product string of an application-order arrow sequence."""
+    return "*".join(reversed(seq))
+
+
+def reference_commutations(p) -> tuple:
+    """The tuple walks of a presentation's commutations, as the builder
+    stored them before it kept (start, length): the two full walks of every
+    edge whose walks both fit (inside the window's chains), sorted."""
+    g = p.afbg.graph if p.window is None else p.window
+    index = _orbit_index(g.rotation, g.attach, arrow_name)
+    out = []
+    for x, y in sorted((x, y) for x, y in g.pairing.items() if x < y):
+        wx, wy = (_walk(index, h, p.afbg.degrees[g.attach[h]]) for h in (x, y))
+        if wx is not None and wy is not None:
+            out.append((wx, wy))
+    return tuple(sorted(out))
+
+
+def reference_basis(a) -> list:
+    """The monomial basis as ``basis`` built it before it emitted the
+    elements in order: built per edge and per half-edge, then sorted."""
+    g = a.graph
+    out = []
+    for x, y in g.edge_pairs():
+        e = g.edge_of(x)
+        out.append(BasisElement("idempotent", e, "", 0))
+        out.append(BasisElement("socle", e, x, a.degrees[g.attach[x]]))
+    for h in g.half_edges:
+        e = g.edge_of(h)
+        for m in range(1, a.degrees[g.attach[h]]):
+            out.append(BasisElement("walk", e, h, m))
+    out.sort(key=lambda b: (b.edge, b.kind, b.start, b.length))
+    return out
 
 
 def special_cycles(a) -> dict:

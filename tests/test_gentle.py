@@ -67,6 +67,22 @@ def test_validate_gentle_flags_unmatched_successors():
     assert any("several nonzero successors" in s for s in problems)
 
 
+def test_validate_gentle_flags_two_zero_successors():
+    # b*a and c*a both vanish: a has two forbidden successors
+    p = GentlePresentation.build(
+        ["1", "2", "3", "4"],
+        [("a", "1", "2"), ("b", "2", "3"), ("c", "2", "4")], [("b", "a"), ("c", "a")])
+    assert "arrow a: several zero successors ['b', 'c']" in validate_gentle(p)
+
+
+def test_validate_gentle_flags_two_zero_predecessors():
+    # c*a and c*b both vanish: c has two forbidden predecessors
+    p = GentlePresentation.build(
+        ["1", "2", "3", "4"],
+        [("a", "1", "3"), ("b", "2", "3"), ("c", "3", "4")], [("c", "a"), ("c", "b")])
+    assert "arrow c: several zero predecessors ['a', 'b']" in validate_gentle(p)
+
+
 def test_validate_gentle_flags_noncomposable_relation():
     p = GentlePresentation.build(
         ["1", "2", "3"],

@@ -21,6 +21,7 @@ from fbga.fileio import (
     parse_gentle,
     parse_loewy,
     parse_ribbon,
+    presentation_json,
     presentation_to_dict,
     ribbon_to_dict,
 )
@@ -28,7 +29,13 @@ from fbga.gentle import repetitive_window, GentlePresentation
 from fbga.presentation import build_presentation
 from fbga.reconstruct import reconstruct_afbg
 from fbga.ribbon import RibbonGraph, is_isomorphic
-from generators import cover_compatible_degrees, random_afbg, random_cut, random_ribbon_graph
+from generators import (
+    cover_compatible_degrees,
+    presentation_cases,
+    random_afbg,
+    random_cut,
+    random_ribbon_graph,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -185,6 +192,20 @@ def test_presentation_dict_shape():
     assert len(d["commutation_relations"]) == 2
     assert len(d["zero_relations"]) == 4
     assert "conventions" in d
+
+
+def test_presentation_json_equals_dumps_of_its_dict():
+    """The direct writer against its byte reference, the dict builders: on
+    closed graphs and windows, walks that wrap their orbit hundreds of
+    times, degree-1 walks and ids that JSON escapes."""
+    cases = presentation_cases()
+    assert {p.window is None for p in cases} == {True, False}
+    assert any(max(a.degrees.values()) > 500 for a in (p.afbg for p in cases))
+    for p in cases:
+        reference = presentation_to_dict if p.window is None else bordered_to_dict
+        assert presentation_json(p) == dumps(reference(p))
+    empty = build_presentation(Afbg.build(RibbonGraph.build({}, []), {}))
+    assert presentation_json(empty) == dumps(presentation_to_dict(empty))
 
 
 def test_dot_outputs_mention_everything():

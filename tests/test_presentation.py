@@ -19,19 +19,26 @@ from fbga.presentation import (
     dimension,
     loewy_table,
     oracle_dimension,
-    product_str,
     render_text,
     walk,
 )
 from fbga.ribbon import RibbonGraph
 from generators import (
     brauer_degrees,
+    presentation_cases,
     random_afbg,
     random_fractional_afbg,
     random_ribbon_graph,
     shuffled_copy,
 )
-from oracles import nakayama_on_presentation, presentation_isomorphism, special_cycles
+from oracles import (
+    nakayama_on_presentation,
+    presentation_isomorphism,
+    product_str,
+    reference_basis,
+    reference_commutations,
+    special_cycles,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -306,3 +313,35 @@ def test_render_text_mentions_everything():
     text = render_text(build_presentation(lambda_afbg()))
     assert "a_hp*a_h = a_ihp*a_ih" in text
     assert "a_h*a_ihp = 0" in text
+
+
+def commutation_lines(text: str) -> list:
+    lines = text.splitlines()
+    start = next(i for i, l in enumerate(lines) if l.startswith("commutation relations ("))
+    stop = next(i for i, l in enumerate(lines) if l.startswith("zero relations ("))
+    return lines[start + 1:stop]
+
+
+def test_render_text_cuts_each_walk_from_its_orbit():
+    """Each commutation line is the product string of the tuple walks, and
+    those are the walks of every edge that fit, in pair order."""
+    cases = presentation_cases()
+    assert {p.window is None for p in cases} == {True, False}
+    for p in cases:
+        assert p.commutation_relations == reference_commutations(p)
+        assert commutation_lines(render_text(p)) == [
+            f"  {product_str(wx)} = {product_str(wy)}" for wx, wy in p.commutation_relations]
+
+
+def test_basis_is_emitted_in_sorted_order():
+    """The basis comes out in the order the old sort gave: edge id (string
+    order, not pair order), kind, start, length."""
+    rng = Random(16)
+    algebras = [p.afbg for p in presentation_cases() if p.window is None]
+    algebras += [random_fractional_afbg(rng, rng.randint(1, 4)) for _ in range(6)]
+    star = RibbonGraph.build({"c": ["a", "a!", "b"], "x": ["ab"], "y": ["z"], "w": ["c"]},
+                             [["a", "z"], ["a!", "c"], ["b", "ab"]])
+    algebras.append(Afbg.build(star, {"c": 6, "x": 2, "y": 1, "w": 1}))
+    assert sorted(star.edge_ids()) != star.edge_ids()  # "a!~c" < "a~z", yet ("a", "z") < ("a!", "c")
+    for a in algebras:
+        assert basis(a) == reference_basis(a)

@@ -349,6 +349,56 @@ def test_one_wiring_per_class_agrees_with_all_wirings():
     assert kinds == {"unique", Ambiguous, Exceptional, InconsistentInput}
 
 
+def eleven_row_tables():
+    """Tables of 11 or more rows, so that side e10a sorts before e2a: a star
+    with 12 leaves, the 11-edge dipole, whose 11 ties give the oracle 2,048
+    wirings, the star beside the double edge (2 ties among 14 rows), and
+    random Brauer graphs of 11 and 12 edges."""
+    star = loewy_data_of(star_afbg(12))[0]
+    tables = [star, loewy_data_of(dipole(11, 11, 11))[0],
+              disjoint_union(loewy_data_of(lambda_afbg())[0], star)]
+    rng = random.Random(16)
+    tables += [loewy_data_of(random_afbg(rng, rng.randint(11, 12)))[0] for _ in range(4)]
+    return tables
+
+
+def test_eleven_row_tables_agree_with_all_wirings():
+    tables = eleven_row_tables()
+    assert [num_ties(d) for d in tables[:3]] == [0, 11, 2]
+    for data in tables:
+        assert len(data.rows) >= 11
+        assert outcome(reconstruct_afbg, data) == outcome(reconstruct_all_wirings, data)
+
+
+def test_the_first_wiring_of_a_tied_table_is_a_connected_admissible_dipole(monkeypatch):
+    """With ties, the first wiring follows each a side by an a side and each
+    b side by a b side: two vertices joined by every edge, on which ν turns
+    both stars alike.  So it always survives, the second wiring is kept only
+    for the verdict, and neither the order of the demand lists nor which tie
+    the second wiring exchanges can change an outcome."""
+    built = []
+
+    def spy(successor, strand_len, edges):
+        built.append((successor, _build_candidate(successor, strand_len, edges)))
+        return built[-1][1]
+
+    monkeypatch.setattr("fbga.reconstruct._build_candidate", spy)
+    checked = 0
+    for data in oracle_tables() + eleven_row_tables():
+        built.clear()
+        try:
+            reconstruct_afbg(data)
+        except FbgaError:
+            pass
+        if len(built) == 2:
+            successor, (graph, degrees) = built[0]
+            assert all(d[-1] == s[-1] for d, s in successor.items())
+            assert len(graph.vertices) == 2 and graph.connected
+            Afbg.build(graph, degrees)
+            checked += 1
+    assert checked > 30
+
+
 @pytest.mark.parametrize("k", [13, 20, 30, 40])
 def test_large_dipole_reconstructs_uniquely_from_two_wirings(k):
     a = dipole(k, k, k)
