@@ -129,13 +129,14 @@ class BorderedRibbonGraph:
     Rotation is partial: the last half-edge of a star on the top sheet
     has no successor (it points out of the window), and the first
     half-edge on the bottom sheet has no predecessor.  This is not a
-    ribbon graph; the presentation builder reads its attach, pairing and
-    partial rotation.
+    ribbon graph; the presentation builder reads its attach, pairing,
+    partial rotation and stars.
     """
 
     attach: dict
     pairing: dict
     rotation: dict  # partial
+    stars: dict  # vertex -> its column, in rotation order: a chain, not a cycle
     lo: int
     hi: int
 
@@ -155,7 +156,8 @@ def cover_window(base: Afbg, cut: dict, lo: int, hi: int) -> BorderedRibbonGraph
         rotation.update(zip(column, column[1:]))
     for x, y in edges:
         pairing[x], pairing[y] = y, x
-    return BorderedRibbonGraph(attach, pairing, rotation, lo, hi)
+    stars = {v: tuple(column) for v, column in columns.items()}
+    return BorderedRibbonGraph(attach, pairing, rotation, stars, lo, hi)
 
 
 # -- quotients ------------------------------------------------------------------

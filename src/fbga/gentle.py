@@ -178,8 +178,6 @@ def half_edge_key(graph_vertex_key: str, position: int) -> str:
 
 @dataclass(frozen=True)
 class AugmentedPaths:
-    paths: tuple          # maximal nonzero paths (arrow-name tuples)
-    trivial: tuple        # quiver vertices carrying a trivial path
     rotations: dict       # graph-vertex key -> half-edges of its visits, in order
     occurrences: dict     # quiver vertex -> the half-edges of its two visits
 
@@ -220,7 +218,7 @@ def augmented_vertex_set(p: GentlePresentation) -> AugmentedPaths:
         raise OccurrenceMismatch(
             f"quiver vertices not covered exactly twice by the augmented "
             f"path set: {bad}")
-    return AugmentedPaths(tuple(chains), tuple(trivial), rotations, occurrences)
+    return AugmentedPaths(rotations, occurrences)
 
 
 @dataclass(frozen=True)

@@ -7,16 +7,19 @@ first.  A walk is a start half-edge and a length; its arrow names, in
 *application order* (first-applied arrow first), come from ``walk`` and
 the pretty-printer reverses them.
 
-A walk of length ``d`` from ``h`` is a slice of the rotation orbit of
-``h``: the orbit turned to start at ``h``, repeated ``q`` times, then its
-first ``r`` entries, where ``q, r = divmod(d, len(orbit))`` (so ``q`` is
-``⌊d/val⌋`` at a vertex of valency ``val``).  A presentation keeps each
-relation walk as ``(start, length)``.  A renderer joins the pieces of each
-orbit once (``cut_walks``: arrow names or their JSON literals, in either
-direction) and cuts every walk's text from it as one slice; the tuple
-walks of ``Presentation.commutation_relations`` are named on demand.  The
-builders refuse an algebra whose dimension ``Σ val·d`` is above
-``WALK_BUDGET`` before building any walk.
+A walk of length ``d`` from ``h`` is a slice of the stored star of
+``h``'s vertex (``stars``: a rotation cycle of a closed graph, or a
+window's column, a chain): the star turned to start at ``h``, repeated
+``q`` times, then its first ``r`` entries, where ``q, r = divmod(d,
+val)`` at a vertex of valency ``val``.  A presentation keeps each
+relation walk as ``(start, length)``.  One cutter, ``cut_walks``, joins
+the pieces of a star once (arrow names, their JSON literals or half-edge
+ids, in either direction) and cuts every walk's text from it as one
+slice.  A tuple walk (``walk``, ``Presentation.commutation_relations``,
+the strands of ``loewy_table``) is that text joined by ``EDGE_SEP`` and
+split back, which is exact because no half-edge id, and so no arrow
+name, holds ``EDGE_SEP``.  The builders refuse an algebra whose dimension
+``Σ val·d`` is above ``WALK_BUDGET`` before building any walk.
 
 Relations:
 
@@ -42,7 +45,7 @@ from typing import TYPE_CHECKING
 
 from .afbg import Afbg
 from .errors import InvariantError, SizeLimitExceeded
-from .ribbon import edge_id_of_pair
+from .ribbon import EDGE_SEP, edge_id_of_pair
 
 if TYPE_CHECKING:
     from .covering import BorderedRibbonGraph
@@ -72,48 +75,12 @@ class Presentation:
     @property
     def commutation_relations(self) -> tuple:
         """The commutations as pairs of arrow-name walks in application order."""
-        g = self.afbg.graph if self.window is None else self.window
-        index = _orbit_index(g.rotation, g.attach, arrow_name)
-        return tuple((_walk(index, x, m), _walk(index, y, n))
-                     for (x, m), (y, n) in self.commutations)
+        walks = walk_texts(self, arrow_name, EDGE_SEP)
+        return tuple((_split(walks[x]), _split(walks[y])) for (x, _), (y, _) in self.commutations)
 
     @property
     def dangling(self) -> tuple:
         return tuple(sorted(n for n, a in self.arrows.items() if a.target is None))
-
-
-def _runs(rotation: dict, half_edges) -> list:
-    """The rotation orbits through ``half_edges``, as lists of half-edges:
-    the maximal chains of a partial rotation (a window's columns) first,
-    then the cycles of a total one."""
-    runs = []
-    seen = set()
-    targets = set(rotation.values())
-    for start in [*(h for h in half_edges if h not in targets), *half_edges]:
-        if start in seen:
-            continue
-        run = [start]
-        h = rotation.get(start)
-        while h is not None and h != start:
-            run.append(h)
-            h = rotation.get(h)
-        seen.update(run)
-        runs.append(run)
-    return runs
-
-
-def _orbit_index(rotation: dict, half_edges, name) -> dict:
-    """Each half-edge -> (orbit, position, closed).  ``orbit`` lists
-    ``name(h)`` along the rotation orbit through the half-edge: a cycle of
-    a total rotation, or a maximal chain of a partial one (a window's
-    columns)."""
-    index = {}
-    for run in _runs(rotation, half_edges):
-        orbit = tuple(map(name, run))
-        closed = run[-1] in rotation
-        for i, h in enumerate(run):
-            index[h] = (orbit, i, closed)
-    return index
 
 
 def cut_walks(pieces: list, sep: str, walks: list) -> list:
@@ -136,33 +103,26 @@ def walk_texts(pres: Presentation, piece, sep: str, reverse: bool = False) -> di
     """Half-edge -> the text of the commutation walk that starts there: the
     ``piece(h)`` of its arrows joined by ``sep``, in application order, or
     last arrow first when ``reverse`` (a right-to-left product).  Each
-    rotation orbit is joined once, in the direction asked for."""
+    star is joined once, in the direction asked for; a window's walks fit
+    inside its columns, so none wraps round a chain."""
     length = dict(w for pair in pres.commutations for w in pair)
     g = pres.afbg.graph if pres.window is None else pres.window
     out = {}
-    for run in _runs(g.rotation, g.attach):
-        starts = [(i, h) for i, h in enumerate(run) if h in length]
-        pieces = [piece(h) for h in run]
+    for star in g.stars.values():
+        starts = [(i, h) for i, h in enumerate(star) if h in length]
+        pieces = [piece(h) for h in star]
         if reverse:  # the walk from i of length n ends on piece i + n - 1
             pieces.reverse()
-            walks = [(-(i + length[h]) % len(run), length[h]) for i, h in starts]
+            walks = [(-(i + length[h]) % len(star), length[h]) for i, h in starts]
         else:
             walks = [(i, length[h]) for i, h in starts]
         out.update(zip((h for _, h in starts), cut_walks(pieces, sep, walks)))
     return out
 
 
-def _walk(index: dict, half_edge: str, length: int):
-    """Names along the walk of ``length`` arrows from ``half_edge``, or None
-    when its chain ends first (the last arrow may dangle)."""
-    orbit, i, closed = index[half_edge]
-    if i + length <= len(orbit):
-        return orbit[i:i + length]
-    if not closed:
-        return None
-    turn = orbit[i:] + orbit[:i]
-    q, r = divmod(length, len(orbit))
-    return turn * q + turn[:r]
+def _split(text: str) -> tuple:
+    """The names of a walk cut with ``EDGE_SEP`` as its separator."""
+    return tuple(text.split(EDGE_SEP)) if text else ()
 
 
 WALK_BUDGET = 1 << 24
@@ -188,9 +148,9 @@ def walk(a: Afbg, half_edge: str, length: int) -> tuple:
     _check_budget(length, "walk of length")
     if length <= 0:
         return ()
-    g = a.graph
-    star = g.stars[g.attach[half_edge]]  # the rotation orbit of half_edge
-    return _walk(_orbit_index(g.rotation, star, arrow_name), half_edge, length)
+    star = a.graph.stars[a.graph.attach[half_edge]]  # the rotation orbit of half_edge
+    text, = cut_walks([arrow_name(h) for h in star], EDGE_SEP, [(star.index(half_edge), length)])
+    return _split(text)
 
 
 def build_presentation(a: Afbg) -> Presentation:
@@ -221,7 +181,7 @@ def _present(a: Afbg, window: BorderedRibbonGraph | None = None) -> Presentation
 
     # arrows left from each half-edge to the end of its window column
     room = None if window is None else {
-        h: len(run) - i for run in _runs(rotation, attach) for i, h in enumerate(run)}
+        h: len(column) - i for column in window.stars.values() for i, h in enumerate(column)}
     # a walk from x starts with the arrow of x, so sorting the pairs by x, as
     # here, sorts the commutations as their name tuples would sort
     commutations = []
@@ -296,17 +256,19 @@ def loewy_table(a: Afbg, labels: dict | None = None) -> dict:
     name = {h: edge_id_of_pair(h, p) for h, p in g.pairing.items()}
     if labels is not None:
         name = {h: labels[e] for h, e in name.items()}
-    index = _orbit_index(g.rotation, g.attach, name.__getitem__)
+    strand = {}  # half-edge -> the names along its strand
+    for v, star in g.stars.items():
+        # a strand is the full walk from h without its first arrow, cut as half-edge ids
+        walks = [((i + 1) % len(star), a.degrees[v] - 1) for i in range(len(star))]
+        for h, text in zip(star, cut_walks(list(star), EDGE_SEP, walks)):
+            strand[h] = tuple(map(name.__getitem__, _split(text)))
     table = {}
     for x, y in g.edge_pairs():
         e = name[x]
-        # a strand is the full walk from h without its first arrow
-        strands = tuple(_walk(index, g.rotation[h], a.degrees[g.attach[h]] - 1)
-                        for h in (x, y))
         socle = name[a.nakayama[x]]
         if socle != name[a.nakayama[y]]:  # forced by admissibility (a)
             raise InvariantError(f"the two full walks of edge {e!r} end on different edges")
-        table[e] = LoewyRow(e, strands, socle)
+        table[e] = LoewyRow(e, (strand[x], strand[y]), socle)
     return table
 
 

@@ -157,8 +157,9 @@ def reconstruct_afbg(data: LoewyData) -> Reconstruction:
         raise InconsistentInput(
             "successor requirements do not match the available sides")
 
-    # a row supplies at most one tie key, so the label alone decides this order
-    ties = sorted(k for k, v in supply.items() if len(v) == 2)
+    # supply was filled row by row, rows are sorted by label and a row supplies
+    # at most one tie key, so the ties come in label order
+    ties = [k for k, v in supply.items() if len(v) == 2]
     # both sides of a tied row demand the same key, so that key is a tie too
     feeds = {key: wants[supply[key][0]] for key in ties}
     if ties and (len(ties) < len(rows) or len(cycles(feeds)) > 1):
@@ -168,12 +169,14 @@ def reconstruct_afbg(data: LoewyData) -> Reconstruction:
     edges = [[f"e{idx}a", f"e{idx}b"] for idx in range(len(rows))]
     edge_labels = {edge_id_of_pair(f"e{idx}a", f"e{idx}b"): row.label
                    for idx, row in enumerate(rows)}
+    # a demand list is one side, or (past the check above, where every row is
+    # tied) the sides [e{i}a, e{i}b] of one row, so each is already sorted
     successor = {d: s for key, dlist in demand.items()
-                 for d, s in zip(sorted(dlist), supply[key])}
+                 for d, s in zip(dlist, supply[key])}
     wirings = [successor]
     if ties:
         # the other parity class: the last tie's two sides exchanged
-        d1, d2 = sorted(demand[ties[-1]])
+        d1, d2 = demand[ties[-1]]
         wirings.append({**successor, d1: successor[d2], d2: successor[d1]})
 
     survivors = []

@@ -152,7 +152,8 @@ class RibbonGraph:
         return edge_id_of_pair(h, self.pairing[h])
 
     def edge_pairs(self) -> list[tuple]:
-        return sorted(tuple(sorted((a, b))) for a, b in self.pairing.items() if a < b)
+        # a < b, so each pair is already in order
+        return sorted((a, b) for a, b in self.pairing.items() if a < b)
 
     def edge_ids(self) -> list[str]:
         return [edge_id_of_pair(a, b) for a, b in self.edge_pairs()]

@@ -8,14 +8,7 @@ from fbga.afbg import RepFiniteReport, Violation, reduced_form
 from fbga.covering import SHEET_SEP
 from fbga.errors import InvariantError
 from fbga.invariants import Fingerprint
-from fbga.presentation import (
-    BasisElement,
-    _orbit_index,
-    _walk,
-    arrow_name,
-    loewy_table,
-    walk,
-)
+from fbga.presentation import BasisElement, arrow_name, loewy_table, walk
 from fbga.ribbon import is_isomorphic, orbits
 
 
@@ -24,17 +17,31 @@ def product_str(seq) -> str:
     return "*".join(reversed(seq))
 
 
+def step_walk(rotation: dict, half_edge: str, length: int):
+    """The reference walk, one rotation step per arrow: half-edges
+    ``half_edge``, ``rotation(half_edge)``, ... of a walk of ``length``
+    arrows, or None when a partial rotation ends first (the last arrow may
+    dangle)."""
+    run = []
+    h = half_edge
+    for _ in range(length):
+        if h is None:
+            return None
+        run.append(h)
+        h = rotation.get(h)
+    return run
+
+
 def reference_commutations(p) -> tuple:
-    """The tuple walks of a presentation's commutations, as the builder
-    stored them before it kept (start, length): the two full walks of every
-    edge whose walks both fit (inside the window's chains), sorted."""
+    """The tuple walks of a presentation's commutations, stepped out one
+    rotation at a time: the two full walks of every edge whose walks both
+    fit (inside the window's chains), sorted."""
     g = p.afbg.graph if p.window is None else p.window
-    index = _orbit_index(g.rotation, g.attach, arrow_name)
     out = []
     for x, y in sorted((x, y) for x, y in g.pairing.items() if x < y):
-        wx, wy = (_walk(index, h, p.afbg.degrees[g.attach[h]]) for h in (x, y))
+        wx, wy = (step_walk(g.rotation, h, p.afbg.degrees[g.attach[h]]) for h in (x, y))
         if wx is not None and wy is not None:
-            out.append((wx, wy))
+            out.append((tuple(map(arrow_name, wx)), tuple(map(arrow_name, wy))))
     return tuple(sorted(out))
 
 

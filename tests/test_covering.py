@@ -19,7 +19,7 @@ from fbga.errors import (
 )
 from fbga.presentation import dimension
 from fbga.ribbon import RibbonGraph, is_isomorphic
-from generators import cover_compatible_degrees, random_cut, random_ribbon_graph
+from generators import brauer_degrees, cover_compatible_degrees, random_cut, random_ribbon_graph
 from oracles import nakayama_orbit_sizes, verify_covering
 
 
@@ -133,6 +133,28 @@ def test_window_matches_cover_away_from_border():
     assert len(no_successor) == len(no_predecessor) == len(cov.vertices)
     # the window's rotation leaves it exactly at the top sheet's cut
     assert all(h.endswith(f"@{r - 1}") and cov.rotation[h].endswith("@0") for h in no_successor)
+
+
+def test_window_stars_are_the_maximal_chains_of_its_rotation():
+    """A window's stored stars are its columns: each vertex's maximal
+    chain of the partial rotation, in rotation order."""
+    rng = Random(17)
+    cases = [(lambda_afbg(), D1, 0, 2), (lambda_afbg(), D2, -1, 1), (lambda_afbg(), D1, 4, 4)]
+    for _ in range(6):
+        g = random_ribbon_graph(rng, rng.randint(1, 5))
+        lo = rng.randint(-3, 3)
+        cases.append((Afbg.build(g, brauer_degrees(rng, g)), random_cut(rng, g),
+                      lo, lo + rng.randint(0, 3)))
+    for base, cut, lo, hi in cases:
+        win = cover_window(base, cut, lo, hi)
+        chains = {}
+        for h in set(win.attach) - set(win.rotation.values()):
+            chain = [h]
+            while chain[-1] in win.rotation:
+                chain.append(win.rotation[chain[-1]])
+            chains[win.attach[h]] = tuple(chain)
+        assert win.stars == chains
+        assert sum(map(len, chains.values())) == len(win.attach)
 
 
 def test_window_rejects_empty_range():

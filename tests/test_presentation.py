@@ -11,8 +11,6 @@ from fbga.fileio import parse_gentle
 from fbga.gentle import repetitive_window
 from fbga.presentation import (
     WALK_BUDGET,
-    _orbit_index,
-    _walk,
     arrow_name,
     basis,
     build_presentation,
@@ -21,6 +19,7 @@ from fbga.presentation import (
     oracle_dimension,
     render_text,
     walk,
+    walk_texts,
 )
 from fbga.ribbon import RibbonGraph
 from generators import (
@@ -38,6 +37,7 @@ from oracles import (
     reference_basis,
     reference_commutations,
     special_cycles,
+    step_walk,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -81,21 +81,6 @@ def test_walk_application_order():
     assert product_str(walk(a, "h", 2)) == "a_hp*a_h"
 
 
-def step_walk(rotation: dict, half_edge: str, length: int):
-    """The reference walk, one rotation step per arrow: half-edges
-    ``half_edge``, ``rotation(half_edge)``, ... of a walk of ``length``
-    arrows, or None when a partial rotation ends first (the last arrow may
-    dangle)."""
-    run = []
-    h = half_edge
-    for _ in range(length):
-        if h is None:
-            return None
-        run.append(h)
-        h = rotation.get(h)
-    return run
-
-
 def dipole(n):
     g = RibbonGraph.build({"u": [f"x{i}" for i in range(n)],
                            "w": [f"y{i}" for i in reversed(range(n))]},
@@ -123,30 +108,37 @@ def closed_graphs():
 def test_walks_match_the_step_loop_on_closed_graphs():
     for a in closed_graphs():
         g = a.graph
-        index = _orbit_index(g.rotation, g.attach, arrow_name)
         for h in g.half_edges:
             val = g.valency(g.attach[h])
             for length in range(3 * val + 2):
                 want = tuple(map(arrow_name, step_walk(g.rotation, h, length)))
                 assert walk(a, h, length) == want
-                assert _walk(index, h, length) == want
     assert walk(a, "", 0) == ()
 
 
 @pytest.mark.parametrize("window", [(0, 2), (-1, 3), (0, 12)])
 @pytest.mark.parametrize("name", ["aprime", "kronecker"])
 def test_walks_match_the_step_loop_on_windows(name, window):
+    """A window keeps the commutation of an edge exactly when both full
+    walks stay inside their columns, and its walk texts, in either
+    direction, are those walks stepped out one rotation at a time."""
     pres = repetitive_window(parse_gentle((DATA / f"{name}.gentle").read_text()), *window)
-    win, base = pres.window, pres.afbg.graph
-    index = _orbit_index(win.rotation, win.attach, arrow_name)
+    win, degrees = pres.window, pres.afbg.degrees
+    walks = {}  # start half-edge -> the arrow names of its stepped walk
+    want = []
     ran_off = 0
-    for h in sorted(win.attach):
-        for length in range(3 * base.valency(win.attach[h]) + 2):
-            run = step_walk(win.rotation, h, length)
-            got = _walk(index, h, length)
-            assert got == (None if run is None else tuple(map(arrow_name, run)))
-            ran_off += got is None
-    assert ran_off > 0
+    for x, y in sorted((x, y) for x, y in win.pairing.items() if x < y):
+        wx, wy = (step_walk(win.rotation, h, degrees[win.attach[h]]) for h in (x, y))
+        if wx is None or wy is None:
+            ran_off += 1
+            continue
+        walks[x], walks[y] = (tuple(map(arrow_name, w)) for w in (wx, wy))
+        want.append((walks[x], walks[y]))
+    assert ran_off > 0 and want
+    assert pres.commutation_relations == tuple(want)
+    assert walk_texts(pres, arrow_name, " ") == {h: " ".join(w) for h, w in walks.items()}
+    assert walk_texts(pres, arrow_name, "*", reverse=True) == {
+        h: product_str(w) for h, w in walks.items()}
 
 
 def test_walk_budget_refuses_before_building_walks():

@@ -74,3 +74,15 @@ def test_imports_are_at_module_level():
                              if isinstance(n, (ast.Import, ast.ImportFrom)))
     assert len(list(SRC.glob("*.py"))) > 5
     assert not found, sorted(found)
+
+
+def test_oracles_import_no_private_names():
+    """A reference in ``tests/oracles.py`` never shares the code it checks:
+    it imports no underscore name from ``fbga``."""
+    tree = parsed(TESTS)["oracles"]
+    found = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fbga"
+             for alias in node.names if alias.name.startswith("_")]
+    assert any(isinstance(node, ast.ImportFrom) and node.module == "fbga.presentation"
+               for node in ast.walk(tree))
+    assert not found
