@@ -39,7 +39,6 @@ from .errors import (
     NonDivisorPower,
     NotABrauerGraph,
     NotAdmissible,
-    OccurrenceMismatch,
     ParseError,
     QuotientNotAdmissible,
     RibbonStructureError,

@@ -111,10 +111,6 @@ class UnboundedPath(MathPreconditionError):
     """The gentle presentation has a relation-free oriented cycle."""
 
 
-class OccurrenceMismatch(MathPreconditionError):
-    """A quiver vertex is not covered exactly twice by the augmented path set."""
-
-
 class Exceptional(MathPreconditionError):
     """Loewy data of the two exceptional 4-dimensional local algebras."""
 

@@ -5,8 +5,11 @@ that at every vertex composition behaves like a partial matching: each
 arrow has at most one allowed successor, at most one forbidden successor,
 and dually for predecessors.
 
-The maximal nonzero paths, augmented by trivial paths at vertices that
-would otherwise be undercovered, visit every quiver vertex exactly twice.
+The maximal nonzero paths visit every quiver vertex at most twice; each
+is named by its first arrow (``p:a``).  Counting those visits, every
+vertex visited once takes one trivial path (``t:v``) and every isolated
+vertex two (``u:v`` and ``t:v``), so the augmented paths visit every
+quiver vertex exactly twice.
 Reading each augmented path as a graph vertex whose rotation lists its
 visits in traversal order produces a ribbon graph whose edges are the
 quiver vertices; with degrees = valencies it is a Brauer graph and its
@@ -17,11 +20,12 @@ trivial extensions and the repetitive-algebra windows.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .afbg import Afbg
 from .covering import CoverResult, cover_finite, cover_window
-from .errors import InputError, OccurrenceMismatch, UnboundedPath
+from .errors import InputError, InvariantError, UnboundedPath
 from .presentation import Presentation, _present, build_presentation
 from .ribbon import EDGE_SEP, RibbonGraph
 
@@ -127,53 +131,31 @@ def maximal_paths(p: GentlePresentation) -> list[tuple]:
     """Maximal nonzero paths as arrow-name tuples in application order.
 
     The allowed-successor relation is a partial bijection on arrows, so
-    its components are chains (returned) or cycles (relation-free
-    oriented cycles make the algebra infinite-dimensional)."""
+    its components are chains (returned, in order of their first arrows)
+    or cycles (relation-free oriented cycles make the algebra
+    infinite-dimensional)."""
     _require_gentle(p)
     relset = set(p.zero_relations)
     out_at, _ = _arrows_at(p)
-    succ = {}
-    pred = {}
-    for a in p.arrows.values():
-        for b in out_at[a.target]:
-            if (b, a.name) not in relset:
-                succ[a.name] = b
-                pred[b] = a.name
-
+    succ = {a.name: b for a in p.arrows.values()
+            for b in out_at[a.target] if (b, a.name) not in relset}
     paths = []
-    starts = sorted(a for a in p.arrows if a not in pred)
-    used = set()
-    for s in starts:
+    for s in sorted(set(p.arrows) - set(succ.values())):
         chain = [s]
-        used.add(s)
         while chain[-1] in succ:
             chain.append(succ[chain[-1]])
-            used.add(chain[-1])
         paths.append(tuple(chain))
-    leftovers = sorted(set(p.arrows) - used)
-    if leftovers:
+    if sum(map(len, paths)) < len(p.arrows):  # chains are disjoint: succ is injective
         raise UnboundedPath(
-            f"relation-free oriented cycle through {leftovers}; "
+            f"relation-free oriented cycle through {sorted(set(p.arrows).difference(*paths))}; "
             "the path algebra is infinite-dimensional")
-    return sorted(paths)
+    return paths
 
 
-TRIVIAL_PREFIX = "t:"
 PATH_PREFIX = "p:"
-PATH_JOIN = "|"
-
-
-def path_visits(p: GentlePresentation, chain: tuple) -> list:
-    """Quiver vertices visited by a path, in traversal order."""
-    first = p.arrows[chain[0]]
-    visits = [first.source]
-    for name in chain:
-        visits.append(p.arrows[name].target)
-    return visits
-
-
-def half_edge_key(graph_vertex_key: str, position: int) -> str:
-    return f"{graph_vertex_key}#{position}"
+# a vertex that the maximal paths visit n < 2 times takes trivial paths
+# named with the last 2 - n prefixes: "t:" alone, or "u:" and "t:"
+TRIVIAL_PREFIXES = ("u:", "t:")
 
 
 @dataclass(frozen=True)
@@ -183,41 +165,31 @@ class AugmentedPaths:
 
 
 def augmented_vertex_set(p: GentlePresentation) -> AugmentedPaths:
-    """Maximal paths plus trivial paths, validated to cover every quiver
-    vertex exactly twice.
+    """Maximal paths plus trivial paths, which cover every quiver vertex
+    exactly twice.
 
-    A trivial path joins at vertex i when i is a single-arrow source, a
-    single-arrow sink, or has exactly one in-arrow a and one out-arrow b
-    with b*a nonzero (the pass-through then accounts for only one of the
-    two required visits)."""
-    chains = maximal_paths(p)
-    relset = set(p.zero_relations)
-    out_at, in_at = _arrows_at(p)
-
-    trivial = []
-    for v in p.vertices:
-        ins, outs = in_at[v], out_at[v]
-        if len(ins) == 0 and len(outs) == 1:
-            trivial.append(v)
-        elif len(ins) == 1 and len(outs) == 0:
-            trivial.append(v)
-        elif len(ins) == 1 and len(outs) == 1 and (outs[0], ins[0]) not in relset:
-            trivial.append(v)
+    A maximal path is named by its first arrow, which lies on no other
+    one.  In a gentle quiver the maximal paths visit each vertex at most
+    twice: at most two arrows enter it and two leave it, and an arrow
+    with two possible continuations has exactly one nonzero one.  Each
+    vertex then takes one trivial path per missing visit, so an isolated
+    vertex takes two."""
+    tours = [(PATH_PREFIX + c[0], [p.arrows[c[0]].source] + [p.arrows[a].target for a in c])
+             for c in maximal_paths(p)]
+    visits = Counter(v for _, vs in tours for v in vs)
+    tours += [(prefix + v, [v]) for v in sorted(p.vertices)
+              for prefix in TRIVIAL_PREFIXES[visits[v]:]]
 
     rotations = {}
     occurrences = {v: [] for v in p.vertices}
-    visits = [(PATH_PREFIX + PATH_JOIN.join(c), path_visits(p, c)) for c in chains]
-    trivial.sort()
-    for key, vs in visits + [(TRIVIAL_PREFIX + v, [v]) for v in trivial]:
-        rotations[key] = [half_edge_key(key, pos) for pos in range(len(vs))]
+    for key, vs in tours:
+        rotations[key] = [f"{key}#{pos}" for pos in range(len(vs))]
         for h, v in zip(rotations[key], vs):
             occurrences[v].append(h)
-
     bad = {v: len(occ) for v, occ in occurrences.items() if len(occ) != 2}
     if bad:
-        raise OccurrenceMismatch(
-            f"quiver vertices not covered exactly twice by the augmented "
-            f"path set: {bad}")
+        raise InvariantError(
+            f"quiver vertices not visited exactly twice by the augmented paths: {bad}")
     return AugmentedPaths(rotations, occurrences)
 
 

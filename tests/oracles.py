@@ -7,6 +7,7 @@ from math import lcm
 from fbga.afbg import RepFiniteReport, Violation, reduced_form
 from fbga.covering import SHEET_SEP
 from fbga.errors import InvariantError
+from fbga.gentle import GentlePresentation
 from fbga.invariants import Fingerprint
 from fbga.presentation import BasisElement, arrow_name, loewy_table, walk
 from fbga.ribbon import is_isomorphic, orbits
@@ -151,6 +152,23 @@ def verify_covering(cover, base):
         if cover.degrees[v] != base.degrees[v]:
             return False, f"degree differs at vertex {v}"
     return True, "covering verified"
+
+
+def cut_algebra(graph, cut):
+    """Schroll's gentle algebra of a Brauer graph with multiplicities 1 cut
+    at ``cut`` (J. Algebra 444, 2015): the graph's quiver (an arrow from
+    the edge of ``h`` to the edge of ``rotation(h)`` per half-edge ``h``)
+    without the arrows at cut half-edges, and the zero relations
+    ``(pairing(rotation(h)), h)`` whose two arrows are both kept.  A quiver
+    vertex is named by the smaller half-edge of its edge, which holds no
+    ``EDGE_SEP``; an arrow by its half-edge."""
+    kept = sorted(set(graph.half_edges) - set(cut.values()))
+    edge = {h: min(h, graph.pairing[h]) for h in graph.half_edges}
+    after = {h: graph.pairing[graph.rotation[h]] for h in kept}
+    return GentlePresentation.build(
+        sorted(set(edge.values())),
+        [(h, edge[h], edge[graph.rotation[h]]) for h in kept],
+        [(after[h], h) for h in kept if after[h] in after])
 
 
 # -- the invariants, with the reduced form built ----------------------------------

@@ -1,9 +1,10 @@
 import time
+from itertools import product
 
 import pytest
 
 from fbga.covering import cover_finite
-from fbga.errors import InputError, OccurrenceMismatch, UnboundedPath
+from fbga.errors import InputError, UnboundedPath
 from fbga.gentle import (
     GentlePresentation,
     augmented_vertex_set,
@@ -18,7 +19,8 @@ from fbga.gentle import (
 from fbga.afbg import Afbg, rep_finite_report
 from fbga.presentation import build_presentation, dimension
 from fbga.ribbon import RibbonGraph, is_isomorphic
-from oracles import presentation_isomorphism
+from generators import connected_graphs_up_to
+from oracles import cut_algebra, presentation_isomorphism
 
 # the two gentle algebras whose trivial extensions coincide
 KRONECKER = (["1", "2"], [("x", "1", "2"), ("y", "1", "2")], [])
@@ -113,11 +115,47 @@ def test_cycle_with_relation_is_fine():
     assert maximal_paths(p) == [("a",)]
 
 
-def test_occurrence_mismatch_isolated_vertex():
+def test_isolated_vertex_gets_two_trivial_paths():
     p = GentlePresentation.build(
         ["1", "2", "3"], [("x", "1", "2")], [])
-    with pytest.raises(OccurrenceMismatch):
-        augmented_vertex_set(p)
+    aug = augmented_vertex_set(p)
+    assert aug.rotations == {"p:x": ["p:x#0", "p:x#1"], "t:1": ["t:1#0"], "t:2": ["t:2#0"],
+                             "u:3": ["u:3#0"], "t:3": ["t:3#0"]}
+    assert aug.occurrences == {"1": ["p:x#0", "t:1#0"], "2": ["p:x#1", "t:2#0"],
+                               "3": ["u:3#0", "t:3#0"]}
+
+
+def test_the_field_gives_the_one_edge_graph_with_two_leaves():
+    """k is gentle, and its trivial extension k[x]/(x^2) is the one edge
+    between two leaves, both of degree 1."""
+    res = ribbon_graph_of_gentle(GentlePresentation.build(["1"], [], []))
+    g = res.afbg.graph
+    assert g.num_edges() == 1 and len(g.vertices) == 2
+    assert sorted(res.afbg.degrees.values()) == [1, 1]
+    assert dimension(res.afbg) == 2
+
+
+def test_paths_are_named_by_their_first_arrow():
+    """Joined arrow names would name both paths below ``p:a|b``."""
+    p = GentlePresentation.build(
+        ["1", "2", "3", "4", "5"], [("a", "1", "2"), ("b", "2", "3"), ("a|b", "4", "5")], [])
+    assert maximal_paths(p) == [("a", "b"), ("a|b",)]
+    res = ribbon_graph_of_gentle(p)
+    g = res.afbg.graph
+    assert {v: g.valency(v) for v in g.vertices if v.startswith("p:")} == {"p:a": 3, "p:a|b": 2}
+    assert g.num_edges() == 5
+    assert dimension(res.afbg) == 18
+
+
+def test_half_edge_ids_do_not_grow_with_the_path():
+    """The relation-free line with 1,000 vertices is one path of 1,000
+    visits plus 1,000 trivial paths."""
+    n = 1000
+    p = GentlePresentation.build(
+        [str(i) for i in range(n)], [(f"a{i}", str(i), str(i + 1)) for i in range(n - 1)], [])
+    res = ribbon_graph_of_gentle(p)
+    assert dimension(res.afbg) == 1_001_000
+    assert max(map(len, res.afbg.graph.attach)) <= 8
 
 
 def test_every_quiver_vertex_covered_twice():
@@ -272,3 +310,22 @@ def test_line_quiver_with_8000_vertices_takes_linear_time():
     pres = trivial_extension(p)
     assert time.monotonic() - t0 < 3.0
     assert dimension(pres.afbg) == 4 * n - 2
+
+
+def test_cut_algebras_of_graphs_with_up_to_3_edges_come_back():
+    """Schroll's cut algebra of a Brauer graph G with multiplicities 1 and a
+    cut c is gentle, and its r-fold trivial extension is the r-sheeted
+    cover of G along c."""
+    pairs = 0
+    for g in connected_graphs_up_to(3):
+        degrees = {v: g.valency(v) for v in g.vertices}
+        base = Afbg.build(g, degrees)
+        for chosen in product(*(g.stars[v] for v in g.vertices)):
+            cut = dict(zip(g.vertices, chosen))
+            algebra = cut_algebra(g, cut)
+            for r in (1, 2, 3):
+                got = gentle_cover(algebra, r).cover
+                want = cover_finite(base, cut, r).cover
+                assert is_isomorphic(got.graph, want.graph, got.degrees, want.degrees) is not None
+            pairs += 1
+    assert pairs == 143

@@ -86,3 +86,33 @@ def test_oracles_import_no_private_names():
     assert any(isinstance(node, ast.ImportFrom) and node.module == "fbga.presentation"
                for node in ast.walk(tree))
     assert not found
+
+
+def raised_names(tree) -> set:
+    """Names of the classes that ``raise`` statements in ``tree`` raise:
+    ``raise X``, ``raise X(...)`` or ``raise module.X(...)``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                out.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
+    return out
+
+
+def test_every_error_class_is_raised():
+    """Each class in ``errors.py`` is raised somewhere in the package, or is
+    the base class of one that is: an error nothing raises only documents
+    a refusal that no longer happens."""
+    modules = parsed(SRC)
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in modules["errors"].body if isinstance(node, ast.ClassDef)}
+    covered = set()
+    queue = [name for tree in modules.values() for name in raised_names(tree) if name in bases]
+    while queue:
+        name = queue.pop()
+        if name not in covered:
+            covered.add(name)
+            queue += [b for b in bases[name] if b in bases]
+    assert len(bases) > 10
+    assert set(bases) - covered == set()
