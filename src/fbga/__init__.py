@@ -40,7 +40,6 @@ from .errors import (
     NotABrauerGraph,
     NotAdmissible,
     ParseError,
-    QuotientNotAdmissible,
     RibbonStructureError,
     SizeLimitExceeded,
     UnboundedPath,

@@ -10,8 +10,8 @@ when
 
 Admissible pairs are wrapped in :class:`Afbg`; every operation that needs
 the conditions takes one of these, so the checks run exactly once.
-:func:`reduced_form` builds the quotient by the Nakayama orbits, and
-:func:`nu_orbit_data` reads its numbers off the orbits in closed form.
+:func:`reduced_form` reads the quotient by the Nakayama orbits off the
+stars, and :func:`nu_orbit_data` reads its numbers off them in closed form.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import ribbon  # quotient_by_orbits is looked up here, so a test can make it raise
 from .errors import DisconnectedInput, MissingDegree, NotAdmissible
 from .ribbon import RibbonGraph, orbits
 
@@ -151,15 +150,24 @@ def reduced_form(a: Afbg) -> Afbg:
     """Collapse each Nakayama orbit to its smallest half-edge, keeping the
     vertices and degrees: always a Brauer graph (see :func:`nu_orbit_data`),
     idempotent, and the identity on Brauer graphs (singleton orbits)."""
-    return _collapse_orbits(a, a.nakayama)
+    return _quotient(a, 1)
 
 
-def _collapse_orbits(a: Afbg, perm: dict) -> Afbg:
-    """The quotient of ``a`` by the orbits of the half-edge permutation
-    ``perm``, each orbit named by its smallest member, with the degrees of
-    ``a``.  Backs reduced forms and Nakayama-power quotients."""
-    cls = {h: cyc[0] for cyc in orbits(perm) for h in cyc}  # orbits() anchors at the minimum
-    return Afbg.build(ribbon.quotient_by_orbits(a.graph, cls), dict(a.degrees))
+def _quotient(a: Afbg, k: int) -> Afbg:
+    """The quotient of ``a`` by the orbits of the k-th Nakayama power, each
+    named by its smallest member, with the degrees of ``a``.  The power
+    turns the star of v by k·d(v) steps, so its orbits there are the star
+    positions mod g = gcd(k·d(v), val(v)), and the quotient star lists them
+    in rotation order.  The pairing maps these orbits onto orbits (a), none
+    onto itself (b), so the quotient is admissible."""
+    rotations, rep = {}, {}
+    for v in a.graph.vertices:
+        star = a.graph.stars[v]
+        g = gcd(k * a.degrees[v], len(star))
+        rotations[v] = reps = [min(star[i::g]) for i in range(g)]
+        rep.update((h, reps[i % g]) for i, h in enumerate(star))
+    edges = sorted({tuple(sorted((rep[x], rep[y]))) for x, y in a.graph.pairing.items()})
+    return Afbg.build(RibbonGraph.build(rotations, [list(e) for e in edges]), dict(a.degrees))
 
 
 @dataclass(frozen=True)

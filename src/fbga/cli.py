@@ -139,8 +139,7 @@ def _window_text(win) -> str:
              f"quiver vertices ({len(win.quiver_vertices)}): "
              + ", ".join(win.quiver_vertices),
              f"arrows ({len(win.arrows)}):"]
-    for name in sorted(win.arrows):
-        a = win.arrows[name]
+    for name, a in win.arrows.items():
         tgt = a.target if a.target is not None else "(out of window)"
         lines.append(f"  {name}: {a.source} -> {tgt}")
     lines.append(f"commutation relations inside window: {len(win.commutations)}")

@@ -32,16 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .afbg import Afbg, _collapse_orbits, nakayama_permutation
-from .errors import (
-    CoverNotAdmissible,
-    InvalidCut,
-    NonDivisorPower,
-    NotABrauerGraph,
-    NotAdmissible,
-    QuotientNotAdmissible,
-    RibbonStructureError,
-)
+from .afbg import Afbg, _quotient
+from .errors import CoverNotAdmissible, InvalidCut, NonDivisorPower, NotABrauerGraph, NotAdmissible
 from .presentation import _check_budget, dimension
 from .ribbon import RibbonGraph
 
@@ -171,9 +163,4 @@ def quotient_by_nakayama_power(a: Afbg, k: int) -> Afbg:
     if not isinstance(k, int) or k < 1 or order % k != 0:
         raise NonDivisorPower(
             f"power {k!r} must be a positive divisor of the nakayama order {order}")
-    # nu fixes the vertex, so nu^k turns each star by k·d(v)
-    power = nakayama_permutation(a.graph, {v: k * d for v, d in a.degrees.items()})
-    try:
-        return _collapse_orbits(a, power)
-    except (RibbonStructureError, NotAdmissible) as exc:
-        raise QuotientNotAdmissible(f"quotient by nakayama^{k} failed: {exc}") from exc
+    return _quotient(a, k)

@@ -93,10 +93,6 @@ class NonDivisorPower(MathPreconditionError):
     """Quotient power must divide the order of the Nakayama permutation."""
 
 
-class QuotientNotAdmissible(MathPreconditionError):
-    """Quotient by a Nakayama power is not a valid admissible graph."""
-
-
 class SizeLimitExceeded(MathPreconditionError):
     """An input above a declared bound was refused: an algebra whose
     dimension is above the walk budget of the presentation, Loewy table

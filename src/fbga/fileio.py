@@ -43,7 +43,7 @@ PATH_CONVENTIONS = {
 def _load(text: str):
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int over the digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
@@ -250,7 +250,7 @@ def presentation_json(p: Presentation) -> str:
               "vertices": p.quiver_vertices,
               "arrows": [f'{{\n      "id": {literal(name)},\n      "from": {literal(a.source)},'
                          f'\n      "to": {"null" if a.target is None else literal(a.target)}'
-                         "\n    }" for name, a in sorted(p.arrows.items())],
+                         "\n    }" for name, a in p.arrows.items()],
               **({} if w is None else {"dangling": p.dangling}),
               "commutation_relations": [f"[\n      [\n        {walk[x]}\n      ],\n      "
                                         f"[\n        {walk[y]}\n      ]\n    ]"
@@ -295,7 +295,7 @@ def dot_of_presentation(p) -> str:
     for v in p.quiver_vertices:
         lines.append(f"  {_q(v)};")
     boundary = False
-    for name, a in sorted(p.arrows.items()):
+    for name, a in p.arrows.items():
         if a.target is None:
             boundary = True
             lines.append(f"  {_q(a.source)} -> boundary [label={_q(name)}, style=dashed];")

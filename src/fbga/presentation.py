@@ -80,7 +80,7 @@ class Presentation:
 
     @property
     def dangling(self) -> tuple:
-        return tuple(sorted(n for n, a in self.arrows.items() if a.target is None))
+        return tuple(n for n, a in self.arrows.items() if a.target is None)
 
 
 def cut_walks(pieces: list, sep: str, walks: list) -> list:
@@ -136,10 +136,13 @@ def _check_budget(steps: int, what: str, half_edges: int = 0) -> None:
     """Refuse, before anything is built, work above ``WALK_BUDGET``:
     ``steps`` walk steps (an algebra's dimension, one walk's length or a
     window's total walk length) plus ``half_edges`` built half-edges at
-    ``HALF_EDGE_STEPS`` each.  ``what`` names the cost in the message."""
+    ``HALF_EDGE_STEPS`` each.  ``what`` names the cost in the message; from
+    2^64 on the message gives its leading power of two instead, since
+    ``str`` refuses an int with more digits than ``sys.get_int_max_str_digits()``."""
     cost = steps + HALF_EDGE_STEPS * half_edges
     if cost > WALK_BUDGET:
-        raise SizeLimitExceeded(f"{what} {cost} is above the walk budget of {WALK_BUDGET}")
+        shown = cost if cost < 1 << 64 else f"at least 2^{cost.bit_length() - 1}"
+        raise SizeLimitExceeded(f"{what} {shown} is above the walk budget of {WALK_BUDGET}")
 
 
 def walk(a: Afbg, half_edge: str, length: int) -> tuple:
@@ -171,7 +174,7 @@ def _present(a: Afbg, window: BorderedRibbonGraph | None = None) -> Presentation
         edge[x] = edge[y] = edge_id_of_pair(x, y)
     name = {h: arrow_name(h) for h in attach}
 
-    arrows = {}
+    arrows = {}  # in name order: the half-edges are walked sorted, each named ARROW_PREFIX + itself
     zeros = []
     for h in sorted(attach):
         nxt = rotation.get(h)
@@ -366,8 +369,7 @@ def render_text(pres: Presentation) -> str:
     lines.append(f"quiver vertices ({len(pres.quiver_vertices)}): "
                  + ", ".join(pres.quiver_vertices))
     lines.append(f"arrows ({len(pres.arrows)}):")
-    for name in sorted(pres.arrows):
-        a = pres.arrows[name]
+    for name, a in pres.arrows.items():
         lines.append(f"  {name}: {a.source} -> {a.target}")
     walks = walk_texts(pres, arrow_name, "*", reverse=True)  # each one a product_str
     lines.append(f"commutation relations ({len(pres.commutations)}):")

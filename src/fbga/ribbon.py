@@ -55,8 +55,7 @@ def cycles(perm: dict) -> list[list]:
 def orbits(perm: dict) -> list[tuple]:
     """Cycle decomposition of a permutation-as-dict, cycles anchored at
     their smallest element, listed in sorted anchor order.  Only names and
-    lists that depend on that order use it (the classes of
-    ``afbg._collapse_orbits``, the vertices ``v0, v1, ...`` of
+    lists that depend on that order use it (the vertices ``v0, v1, ...`` of
     ``reconstruct._build_candidate``, the order of ``afbg._violations``)."""
     out = []
     for cyc in cycles(perm):
@@ -338,24 +337,3 @@ def is_isomorphic(g1: RibbonGraph, g2: RibbonGraph,
             raise InvariantError(f"equal words but the induced map fails at {h!r}")
     return mapping
 
-
-def quotient_by_orbits(graph: RibbonGraph, cls: dict) -> RibbonGraph:
-    """Quotient by a partition of half-edges (map to class representatives)
-    compatible with attach, pairing and rotation.  Backs reduced forms and
-    Nakayama-power quotients."""
-    rotations = {}
-    for v in graph.vertices:
-        reps = sorted({cls[h] for h in graph.stars[v]})
-        anchor = reps[0]
-        cycle = [anchor]
-        nxt = cls[graph.rotation[anchor]]
-        while nxt != anchor:
-            cycle.append(nxt)
-            nxt = cls[graph.rotation[nxt]]
-        if len(cycle) != len(reps):
-            raise RibbonStructureError(
-                f"partition does not quotient the star at {v!r} cleanly")
-        rotations[v] = cycle
-    edges = sorted({tuple(sorted((cls[x], cls[y])))
-                    for x, y in graph.pairing.items()})
-    return RibbonGraph.build(rotations, [list(e) for e in edges])

@@ -4,13 +4,13 @@ the tests use."""
 from dataclasses import dataclass
 from math import lcm
 
-from fbga.afbg import RepFiniteReport, Violation, reduced_form
+from fbga.afbg import Afbg, RepFiniteReport, Violation, reduced_form
 from fbga.covering import SHEET_SEP
 from fbga.errors import InvariantError
 from fbga.gentle import GentlePresentation
 from fbga.invariants import Fingerprint
 from fbga.presentation import BasisElement, arrow_name, loewy_table, walk
-from fbga.ribbon import is_isomorphic, orbits
+from fbga.ribbon import RibbonGraph, is_isomorphic, orbits
 
 
 def product_str(seq) -> str:
@@ -207,6 +207,41 @@ def reference_rep_finite_report(a) -> RepFiniteReport:
                                f"reduced tree has {len(big)} vertices of multiplicity > 1")
     m = int(red.multiplicity(big[0])) if big else 1
     return RepFiniteReport(True, g.num_edges(), m, order, "reduced form is a Brauer tree")
+
+
+# -- Nakayama quotients, with the orbits stepped out --------------------------------
+
+def quotient_by_orbits(graph, cls: dict) -> RibbonGraph:
+    """Quotient by a partition of half-edges (each mapped to its class
+    representative) compatible with attach, pairing and rotation: each star
+    is stepped round class by class, and a partition that does not step
+    uniformly round a star is an error."""
+    rotations = {}
+    for v in graph.vertices:
+        reps = sorted({cls[h] for h in graph.stars[v]})
+        anchor = reps[0]
+        cycle = [anchor]
+        nxt = cls[graph.rotation[anchor]]
+        while nxt != anchor:
+            cycle.append(nxt)
+            nxt = cls[graph.rotation[nxt]]
+        if len(cycle) != len(reps):
+            raise InvariantError(f"partition does not quotient the star at {v!r} cleanly")
+        rotations[v] = cycle
+    edges = sorted({tuple(sorted((cls[x], cls[y]))) for x, y in graph.pairing.items()})
+    return RibbonGraph.build(rotations, [list(e) for e in edges])
+
+
+def reference_quotient(a, k: int):
+    """The quotient of ``a`` by the orbits of the k-th Nakayama power, the
+    power stepped out k times and its orbits walked, each class named by
+    its smallest member: the reference for :func:`fbga.afbg.reduced_form`
+    (k = 1) and :func:`fbga.covering.quotient_by_nakayama_power`."""
+    power = {h: h for h in a.nakayama}
+    for _ in range(k):
+        power = {h: a.nakayama[p] for h, p in power.items()}
+    cls = {h: cyc[0] for cyc in reference_orbits(power) for h in cyc}
+    return Afbg.build(quotient_by_orbits(a.graph, cls), dict(a.degrees))
 
 
 # -- the ribbon kernels as sorted walks and union-find ----------------------------

@@ -76,6 +76,8 @@ def loop_of_degree(d):
 
 
 LOOP = loop_of_degree(2)
+# a JSON integer with more digits than int() converts from a string
+HUGE = b"9" * (sys.get_int_max_str_digits() + 1)
 MALFORMED = {
     "graph-vertices-not-a-list": (["validate"], {"vertices": 5, "edges": []}),
     "graph-edges-not-a-list": (["validate"], {**LOOP, "edges": 5}),
@@ -97,6 +99,12 @@ MALFORMED = {
     "not-utf8": (["validate"], b"\xff\xfe"),
     "nested-too-deep": (["validate"], b"[" * 100_000 + b"]" * 100_000),
     "out-unwritable": (["validate", "--out", "{tmp}/missing/out.txt"], LOOP),
+    "degree-over-the-int-digit-limit": (["validate"], b'{"vertices": [{"id": "v", "degree": %s, '
+                                        b'"rotation": ["a", "b"]}], "edges": [["a", "b"]]}' % HUGE),
+    "loewy-socle-over-the-int-digit-limit": (["reconstruct"],
+                                             b'[{"id": "s", "strands": [], "socle": %s}]' % HUGE),
+    "gentle-id-over-the-int-digit-limit": (["gentle-trivext"],
+                                           b'{"vertices": [%s], "arrows": []}' % HUGE),
 }
 
 
@@ -307,6 +315,18 @@ def test_degree_10_18_answers_or_refuses_within_a_second(tmp_path, capsys, argv,
     err = capsys.readouterr().err
     if exit_code:
         assert len(err.splitlines()) == 1 and err.startswith("error:") and "walk budget" in err
+
+
+@pytest.mark.parametrize("argv", [["present"], ["export", "--loewy"]], ids=["present", "loewy"])
+def test_a_dimension_past_the_int_digit_limit_is_refused_in_one_line(tmp_path, capsys, argv):
+    """A degree with as many digits as ``int`` reads from a string gives a
+    dimension with more, which the refusal names without converting it."""
+    huge = tmp_path / "huge.rg"
+    degree = "9" * sys.get_int_max_str_digits()
+    huge.write_text((DATA / "lambda.rg").read_text().replace('"degree": 2', f'"degree": {degree}'))
+    assert main([argv[0], str(huge), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "dimension at least 2^" in err and "walk budget" in err
 
 
 SHEETS_ABOVE_BUDGET = {

@@ -16,11 +16,20 @@ from fbga.errors import (
     InvalidCut,
     NonDivisorPower,
     NotABrauerGraph,
+    NotAdmissible,
 )
+from fbga.fileio import afbg_to_dict
 from fbga.presentation import dimension
 from fbga.ribbon import RibbonGraph, is_isomorphic
-from generators import brauer_degrees, cover_compatible_degrees, random_cut, random_ribbon_graph
-from oracles import nakayama_orbit_sizes, verify_covering
+from generators import (
+    brauer_degrees,
+    cover_compatible_degrees,
+    random_cut,
+    random_fractional_afbg,
+    random_ribbon_graph,
+    small_degree_pairs,
+)
+from oracles import nakayama_orbit_sizes, reference_quotient, verify_covering
 
 
 def lambda_afbg():
@@ -201,3 +210,35 @@ def test_quotient_tower_on_cover():
     q4 = quotient_by_nakayama_power(res.cover, 4)
     assert is_isomorphic(q4.graph, res.cover.graph,
                          q4.degrees, res.cover.degrees) is not None
+
+
+def test_quotients_match_the_stepped_out_orbits():
+    """reduced_form and every quotient by a dividing Nakayama power equal,
+    in every listed name, the quotient by the orbits of the power stepped
+    out one Nakayama step at a time: on random fractional algebras, covers
+    with r = 2, 3, 4, 6, every admissible pair on at most 3 edges with
+    degrees up to 4, and the lambda graph with degree 1, whose two parallel
+    edges are glued into one."""
+    glued = Afbg.build(lambda_afbg().graph, {"u": 1, "w": 1})
+    assert reduced_form(glued).graph.edge_pairs() == [("h", "ih")]
+    rng = Random(1901)
+    algebras = [glued] + [random_fractional_afbg(rng, n) for n in range(1, 9)]
+    for r in (2, 3, 4, 6):
+        g = random_ribbon_graph(rng, 3)
+        base = Afbg.build(g, cover_compatible_degrees(rng, g, r))
+        algebras.append(cover_finite(base, random_cut(rng, g), r).cover)
+    for g, d in small_degree_pairs(3, 4):
+        try:
+            algebras.append(Afbg.build(g, d))
+        except NotAdmissible:
+            pass
+    assert len(algebras) > 100
+    quotients = 0
+    for a in algebras:
+        assert afbg_to_dict(reduced_form(a)) == afbg_to_dict(reference_quotient(a, 1))
+        order = a.nakayama_order()
+        for k in (k for k in range(1, order + 1) if order % k == 0):
+            assert (afbg_to_dict(quotient_by_nakayama_power(a, k))
+                    == afbg_to_dict(reference_quotient(a, k)))
+            quotients += 1
+    assert quotients > len(algebras)

@@ -316,10 +316,12 @@ def commutation_lines(text: str) -> list:
 
 def test_render_text_cuts_each_walk_from_its_orbit():
     """Each commutation line is the product string of the tuple walks, and
-    those are the walks of every edge that fit, in pair order."""
+    those are the walks of every edge that fit, in pair order.  The arrows
+    are listed in name order, which the renderers write as they are."""
     cases = presentation_cases()
     assert {p.window is None for p in cases} == {True, False}
     for p in cases:
+        assert list(p.arrows) == sorted(p.arrows)
         assert p.commutation_relations == reference_commutations(p)
         assert commutation_lines(render_text(p)) == [
             f"  {product_str(wx)} = {product_str(wy)}" for wx, wy in p.commutation_relations]

@@ -21,7 +21,6 @@ from fbga.ribbon import (
     edge_id_of_pair,
     is_isomorphic,
     orbits,
-    quotient_by_orbits,
 )
 from generators import (
     connected_graphs_up_to,
@@ -332,23 +331,3 @@ def test_rooted_word_stops_exactly_when_it_exceeds_the_bound():
                 assert (found is None) == (word > bound)
                 assert found is None or found[0] == word
 
-
-def test_quotient_by_orbits_collapses_parallel_pair():
-    g = lambda_graph()
-    # glue the two edges together (the rotation-induced classes of the
-    # degree-1 function): stars must quotient cleanly
-    cls = {"h": "h", "hp": "h", "ih": "ih", "ihp": "ih"}
-    q = quotient_by_orbits(g, cls)
-    assert q.num_edges() == 1
-    assert set(q.vertices) == {"u", "w"}
-    assert q.valency("u") == 1
-
-
-def test_quotient_rejects_unclean_classes():
-    g = RibbonGraph.build(
-        {"u": ["a", "b", "c", "d"]},
-        [["a", "b"], ["c", "d"]])
-    # classes that do not step uniformly around the star
-    cls = {"a": "a", "c": "a", "b": "b", "d": "d"}
-    with pytest.raises(RibbonStructureError):
-        quotient_by_orbits(g, cls)

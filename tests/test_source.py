@@ -116,3 +116,20 @@ def test_every_error_class_is_raised():
             queue += [b for b in bases[name] if b in bases]
     assert len(bases) > 10
     assert set(bases) - covered == set()
+
+
+def test_json_is_decoded_only_by_the_one_loader():
+    """Every input parser decodes JSON through ``fileio._load``, so every
+    decode failure (bad syntax, nesting too deep, an integer over the digit
+    limit) becomes the same one-line ``ParseError``."""
+    found = set()
+    for name, tree in parsed(SRC).items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                        and node.func.attr in ("load", "loads")):
+                    found.add(f"{name}.{getattr(top, 'name', top.lineno)}")
+        found.update(f"{name}.from json import" for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module == "json")
+    assert found == {"fileio._load"}
