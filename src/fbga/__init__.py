@@ -62,13 +62,11 @@ from .presentation import (
     basis,
     build_presentation,
     dimension,
-    loewy_table,
     oracle_dimension,
 )
 from .reconstruct import (
     LoewyData,
     Reconstruction,
-    loewy_data_of,
     reconstruct_afbg,
 )
 from .ribbon import RibbonGraph, canonical_code, is_isomorphic

@@ -3,9 +3,9 @@
 Quiver vertices are the edges of the graph; every half-edge ``h``
 contributes one arrow from its own edge to the edge of ``rotation(h)``.
 Paths multiply right to left: in a product ``b*a`` the arrow ``a`` acts
-first.  A walk is a start half-edge and a length; its arrow names, in
-*application order* (first-applied arrow first), come from ``walk`` and
-the pretty-printer reverses them.
+first.  A walk is a start half-edge and a length; its arrows are listed
+in *application order* (first-applied arrow first), and the
+pretty-printer reverses them.
 
 A walk of length ``d`` from ``h`` is a slice of the stored star of
 ``h``'s vertex (``stars``: a rotation cycle of a closed graph, or a
@@ -13,13 +13,14 @@ window's column, a chain): the star turned to start at ``h``, repeated
 ``q`` times, then its first ``r`` entries, where ``q, r = divmod(d,
 val)`` at a vertex of valency ``val``.  A presentation keeps each
 relation walk as ``(start, length)``.  One cutter, ``cut_walks``, joins
-the pieces of a star once (arrow names, their JSON literals or half-edge
-ids, in either direction) and cuts every walk's text from it as one
-slice.  A tuple walk (``walk``, ``Presentation.commutation_relations``,
-the strands of ``loewy_table``) is that text joined by ``EDGE_SEP`` and
-split back, which is exact because no half-edge id, and so no arrow
-name, holds ``EDGE_SEP``.  The builders refuse an algebra whose dimension
-``Σ val·d`` is above ``WALK_BUDGET`` before building any walk.
+the pieces of a star once (arrow names, or the JSON literals of arrow
+names or Loewy labels, in either direction) and cuts every walk's text
+from it as one slice.  The tuple walks of
+``Presentation.commutation_relations`` are that text joined by
+``EDGE_SEP`` and split back, which is exact because no half-edge id, and
+so no arrow name, holds ``EDGE_SEP``.  The builders refuse an algebra
+whose dimension ``Σ val·d`` is above ``WALK_BUDGET`` before building any
+walk.
 
 Relations:
 
@@ -44,7 +45,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .afbg import Afbg
-from .errors import InvariantError, SizeLimitExceeded
+from .errors import SizeLimitExceeded
 from .ribbon import EDGE_SEP, edge_id_of_pair
 
 if TYPE_CHECKING:
@@ -145,17 +146,6 @@ def _check_budget(steps: int, what: str, half_edges: int = 0) -> None:
         raise SizeLimitExceeded(f"{what} {shown} is above the walk budget of {WALK_BUDGET}")
 
 
-def walk(a: Afbg, half_edge: str, length: int) -> tuple:
-    """Arrow names of the walk from ``half_edge``: first arrow is its own,
-    then the arrows of successive rotations.  Application order."""
-    _check_budget(length, "walk of length")
-    if length <= 0:
-        return ()
-    star = a.graph.stars[a.graph.attach[half_edge]]  # the rotation orbit of half_edge
-    text, = cut_walks([arrow_name(h) for h in star], EDGE_SEP, [(star.index(half_edge), length)])
-    return _split(text)
-
-
 def build_presentation(a: Afbg) -> Presentation:
     return _present(a)
 
@@ -211,14 +201,14 @@ def dimension(a: Afbg) -> int:
     return sum(a.graph.valency(v) * a.degrees[v] for v in a.graph.vertices)
 
 
-# -- basis and Loewy structure ------------------------------------------------
+# -- basis ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BasisElement:
     kind: str        # "idempotent" | "walk" | "socle"
     edge: str        # quiver vertex the element starts at
     start: str       # half-edge of the walk ("" for idempotents)
-    length: int      # arrows in the walk; walk(a, start, length) names them
+    length: int      # arrows in the walk, the first of them the arrow of start
 
 
 def basis(a: Afbg) -> list:
@@ -237,42 +227,6 @@ def basis(a: Afbg) -> list:
         out += (BasisElement("walk", e, x, m) for m in range(1, dx))
         out += (BasisElement("walk", e, y, m) for m in range(1, dy))
     return out
-
-
-@dataclass(frozen=True)
-class LoewyRow:
-    label: str
-    strands: tuple   # two label sequences, ordered by the half-edge pair when walked
-    socle: str
-
-    @property
-    def uniserial(self) -> bool:
-        return not (self.strands[0] and self.strands[1])
-
-
-def loewy_table(a: Afbg, labels: dict | None = None) -> dict:
-    """Per edge: its label, the two radical strands (one per half-edge,
-    listing the edges hit by walks of length 1..degree-1), and the socle
-    edge.  Edges are named by their ids, or by ``labels[id]`` when given."""
-    _check_budget(dimension(a), "algebra of dimension")
-    g = a.graph
-    name = {h: edge_id_of_pair(h, p) for h, p in g.pairing.items()}
-    if labels is not None:
-        name = {h: labels[e] for h, e in name.items()}
-    strand = {}  # half-edge -> the names along its strand
-    for v, star in g.stars.items():
-        # a strand is the full walk from h without its first arrow, cut as half-edge ids
-        walks = [((i + 1) % len(star), a.degrees[v] - 1) for i in range(len(star))]
-        for h, text in zip(star, cut_walks(list(star), EDGE_SEP, walks)):
-            strand[h] = tuple(map(name.__getitem__, _split(text)))
-    table = {}
-    for x, y in g.edge_pairs():
-        e = name[x]
-        socle = name[a.nakayama[x]]
-        if socle != name[a.nakayama[y]]:  # forced by admissibility (a)
-            raise InvariantError(f"the two full walks of edge {e!r} end on different edges")
-        table[e] = LoewyRow(e, (strand[x], strand[y]), socle)
-    return table
 
 
 # -- independent dimension oracle ----------------------------------------------

@@ -22,8 +22,8 @@ with the empty strand when S is empty).  That strand has the length L of
 S, so the sides of one rotation cycle share one L, and
 ``_build_candidate`` gives their vertex degree L + 1.  By induction
 ρ^k(s) lies on row S[k-1] for 1 ≤ k ≤ L, and ρ^(L+1)(s) on row σ.  A
-candidate's edges are its rows, so the walk of ``loewy_table`` from s
-lists S, and ν(s) = ρ^(L+1)(s) lies on edge σ: every side of the
+candidate's edges are its rows, so the rotation walk from s lists S,
+and ν(s) = ρ^(L+1)(s) lies on edge σ: every side of the
 candidate carries the strand and the socle that the input gives it.
 
 At most two wirings need building, so there is no search bound.  Both
@@ -66,8 +66,18 @@ from .errors import (
     InputError,
     NotAdmissible,
 )
-from .presentation import LoewyRow, loewy_table
 from .ribbon import EDGE_SEP, RibbonGraph, cycles, edge_id_of_pair, is_isomorphic, orbits
+
+
+@dataclass(frozen=True)
+class LoewyRow:
+    label: str
+    strands: tuple   # two label sequences, ordered by the half-edge pair when walked
+    socle: str
+
+    @property
+    def uniserial(self) -> bool:
+        return not (self.strands[0] and self.strands[1])
 
 
 @dataclass(frozen=True)
@@ -107,14 +117,6 @@ class LoewyData:
 def loewy_labels(graph: RibbonGraph) -> dict:
     """Edge id -> row label of a Loewy table: s0, s1, ... in edge-id order."""
     return {e: f"s{i}" for i, e in enumerate(sorted(graph.edge_ids()))}
-
-
-def loewy_data_of(a: Afbg):
-    """Loewy data of an algebra, with edges relabeled by ``loewy_labels``.
-    Returns (data, mapping edge id -> label)."""
-    name = loewy_labels(a.graph)
-    raw = [(r.label, r.strands, r.socle) for r in loewy_table(a, name).values()]
-    return LoewyData.build(raw), name
 
 
 @dataclass(frozen=True)

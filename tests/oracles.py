@@ -9,8 +9,9 @@ from fbga.covering import SHEET_SEP
 from fbga.errors import InvariantError
 from fbga.gentle import GentlePresentation
 from fbga.invariants import Fingerprint
-from fbga.presentation import BasisElement, arrow_name, loewy_table, walk
-from fbga.ribbon import RibbonGraph, is_isomorphic, orbits
+from fbga.presentation import BasisElement, arrow_name
+from fbga.reconstruct import LoewyData, LoewyRow, loewy_labels
+from fbga.ribbon import RibbonGraph, edge_id_of_pair, is_isomorphic, orbits
 
 
 def product_str(seq) -> str:
@@ -31,6 +32,12 @@ def step_walk(rotation: dict, half_edge: str, length: int):
         run.append(h)
         h = rotation.get(h)
     return run
+
+
+def walk(a, half_edge: str, length: int) -> tuple:
+    """Arrow names of the walk of ``length`` from ``half_edge`` of a closed
+    graph, stepped out one rotation at a time: application order."""
+    return tuple(map(arrow_name, step_walk(a.graph.rotation, half_edge, length)))
 
 
 def reference_commutations(p) -> tuple:
@@ -322,7 +329,36 @@ def reference_root_keys(graph, degrees) -> dict:
             for h, p in pair.items()}
 
 
-# -- reconstruction, with the candidate's table rebuilt ----------------------------
+# -- Loewy tables stepped out, and reconstruction with the candidate's table rebuilt --
+
+def loewy_table(a, labels: dict | None = None) -> dict:
+    """Per edge: its label, the two radical strands (per half-edge ``h``, the
+    edges of the walk of length degree - 1 from ``rotation(h)``, stepped
+    out) and the socle edge (that of ``nakayama(h)``, the same for both
+    half-edges).  Edges are named by their ids, or by ``labels[id]``."""
+    g = a.graph
+    name = {h: edge_id_of_pair(h, p) for h, p in g.pairing.items()}
+    if labels is not None:
+        name = {h: labels[e] for h, e in name.items()}
+    table = {}
+    for x, y in g.edge_pairs():
+        strands = tuple(tuple(name[s] for s in step_walk(
+            g.rotation, g.rotation[h], a.degrees[g.attach[h]] - 1)) for h in (x, y))
+        socle = name[a.nakayama[x]]
+        if socle != name[a.nakayama[y]]:  # forced by admissibility (a)
+            raise InvariantError(f"the two full walks of edge {name[x]!r} end on different edges")
+        table[name[x]] = LoewyRow(name[x], strands, socle)
+    return table
+
+
+def loewy_data_of(a):
+    """The Loewy data of ``a``, edges labelled by
+    :func:`fbga.reconstruct.loewy_labels`, strands as tuples (so the data
+    hashes), and that labelling: (data, edge id -> label)."""
+    name = loewy_labels(a.graph)
+    table = loewy_table(a, name)
+    return LoewyData.build((r.label, r.strands, r.socle) for r in table.values()), name
+
 
 def table_matches(a, data, edge_labels) -> bool:
     """Whether the Loewy table of ``a``, its edges named by ``edge_labels``,

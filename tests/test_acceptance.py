@@ -21,7 +21,7 @@ from fbga.presentation import (
     dimension,
     oracle_dimension,
 )
-from fbga.reconstruct import loewy_data_of, reconstruct_afbg
+from fbga.reconstruct import reconstruct_afbg
 from fbga.ribbon import RibbonGraph, is_isomorphic, orbits
 from generators import (
     connected_graphs_up_to,
@@ -33,7 +33,12 @@ from generators import (
     random_ribbon_graph,
     shuffled_copy,
 )
-from oracles import nakayama_on_presentation, presentation_isomorphism, verify_covering
+from oracles import (
+    loewy_data_of,
+    nakayama_on_presentation,
+    presentation_isomorphism,
+    verify_covering,
+)
 
 CORPUS_SIZE = 200
 

@@ -36,6 +36,7 @@ from generators import (
     random_cut,
     random_ribbon_graph,
 )
+from oracles import loewy_data_of
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -155,25 +156,32 @@ def loewy_json_cases():
     return cases
 
 
-def test_loewy_json_equals_dumps_of_loewy_to_list():
+def oracle_rows(a) -> list:
+    """The rows of the stepped-out reference table, as a Loewy file lists them."""
+    return [{"id": r.label, "strands": r.strands, "uniserial": r.uniserial, "socle": r.socle}
+            for r in loewy_data_of(a)[0].rows]
+
+
+def test_loewy_json_equals_dumps_of_the_oracle_rows():
     cases = loewy_json_cases()
     assert any(a.graph.num_edges() >= 11 for a in cases)
     assert any(1 in a.degrees.values() for a in cases)
     for a in cases:
-        assert loewy_json(a) == dumps(loewy_to_list(a))
+        assert loewy_json(a) == dumps(oracle_rows(a))
     assert loewy_json(Afbg.build(RibbonGraph.build({}, []), {})) == "[]\n"
 
 
-def test_loewy_json_keeps_the_table_checks(monkeypatch):
-    """Each check of LoewyData.build and loewy_table refuses a forged
-    algebra or label set with the error the table builders raise."""
+def test_loewy_json_raises_the_oracle_table_errors(monkeypatch):
+    """A forged algebra is refused with the error, and the message, of the
+    stepped-out reference table and LoewyData.build; a forged label set
+    with the label check of LoewyData.build."""
     graph, degrees = parse_ribbon(LAMBDA_TEXT)
     a = Afbg.build(graph, degrees)
     for nu, error in (({**a.nakayama, "h": "hp"}, InvariantError),
                       ({h: "h" for h in a.nakayama}, InconsistentInput)):
         forged = Afbg(graph, degrees, nu)
         with pytest.raises(error) as expected:
-            loewy_to_list(forged)
+            loewy_data_of(forged)
         with pytest.raises(error, match=re.escape(str(expected.value))):
             loewy_json(forged)
     for labels in ({"h~ih": "s0", "hp~ihp": "s0"}, {"h~ih": "s0", "hp~ihp": "s~1"},

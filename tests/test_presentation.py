@@ -7,20 +7,20 @@ import pytest
 from fbga.afbg import Afbg
 from fbga.covering import cover_finite, smallest_cut
 from fbga.errors import InvariantError, SizeLimitExceeded
-from fbga.fileio import parse_gentle
+from fbga.fileio import loewy_json, parse_gentle, parse_loewy
 from fbga.gentle import repetitive_window
 from fbga.presentation import (
     WALK_BUDGET,
     arrow_name,
     basis,
     build_presentation,
+    cut_walks,
     dimension,
-    loewy_table,
     oracle_dimension,
     render_text,
-    walk,
     walk_texts,
 )
+from fbga.reconstruct import loewy_labels
 from fbga.ribbon import RibbonGraph
 from generators import (
     brauer_degrees,
@@ -38,6 +38,7 @@ from oracles import (
     reference_commutations,
     special_cycles,
     step_walk,
+    walk,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -106,14 +107,17 @@ def closed_graphs():
 
 
 def test_walks_match_the_step_loop_on_closed_graphs():
+    """Every walk that ``cut_walks`` cuts from a star's arrow names, from
+    each start and of each length up to three turns round the star and
+    one arrow past, is the walk stepped out one rotation at a time."""
     for a in closed_graphs():
         g = a.graph
-        for h in g.half_edges:
-            val = g.valency(g.attach[h])
-            for length in range(3 * val + 2):
-                want = tuple(map(arrow_name, step_walk(g.rotation, h, length)))
-                assert walk(a, h, length) == want
-    assert walk(a, "", 0) == ()
+        for star in g.stars.values():
+            val = len(star)
+            walks = [(i, n) for i in range(val) for n in range(3 * val + 2)]
+            texts = cut_walks([arrow_name(h) for h in star], " ", walks)
+            assert texts == [" ".join(map(arrow_name, step_walk(g.rotation, star[i], n)))
+                             for i, n in walks]
 
 
 @pytest.mark.parametrize("window", [(0, 2), (-1, 3), (0, 12)])
@@ -144,15 +148,14 @@ def test_walks_match_the_step_loop_on_windows(name, window):
 def test_walk_budget_refuses_before_building_walks():
     a = Afbg.build(lambda_afbg().graph, {"u": 10**18, "w": 10**18})
     t0 = time.monotonic()
-    for build in (build_presentation, loewy_table, basis):
+    for build in (build_presentation, loewy_json, basis):
         with pytest.raises(SizeLimitExceeded, match="walk budget"):
             build(a)
-    with pytest.raises(SizeLimitExceeded, match="walk budget"):
-        walk(a, "h", 10**18)
     assert time.monotonic() - t0 < 1.0
     below = Afbg.build(lambda_afbg().graph, {"u": 10**6, "w": 10**6})
     assert dimension(below) < WALK_BUDGET
-    assert len(loewy_table(below)["h~ih"].strands[0]) == 10**6 - 1
+    row = parse_loewy(loewy_json(below)).rows[0]
+    assert len(row.strands[0]) == 10**6 - 1
 
 
 def test_relation_counts():
@@ -225,17 +228,22 @@ def test_inadmissible_afbg_fails_consistency_checks():
     g = lambda_afbg().graph
     bad = Afbg(g, {"u": 1, "w": 2}, {"h": "hp", "hp": "h", "ih": "ih", "ihp": "ihp"})
     with pytest.raises(InvariantError):
-        loewy_table(bad)
+        parse_loewy(loewy_json(bad))
     with pytest.raises(InvariantError):
         nakayama_on_presentation(bad)
 
 
+def loewy_rows(a) -> dict:
+    """The rows of the Loewy file of ``a``, read back, by label."""
+    return {row.label: row for row in parse_loewy(loewy_json(a)).rows}
+
+
 def test_loewy_table_shapes():
     a = lambda_afbg()
-    table = loewy_table(a)
-    row = table["h~ih"]
-    assert row.strands == (("hp~ihp",), ("hp~ihp",))
-    assert row.socle == "h~ih"
+    assert loewy_labels(a.graph) == {"hp~ihp": "s0", "h~ih": "s1"}
+    row = loewy_rows(a)["s1"]
+    assert row.strands == (["s0"], ["s0"])
+    assert row.socle == "s1"
     assert not row.uniserial
 
 
@@ -243,15 +251,16 @@ def test_loewy_strand_lengths_and_socle():
     rng = Random(37)
     for _ in range(10):
         a = random_afbg(rng, rng.randint(2, 6))
-        table = loewy_table(a)
+        rows = loewy_rows(a)
         g = a.graph
+        name = loewy_labels(g)
         for x, y in g.edge_pairs():
-            row = table[g.edge_of(x)]
+            row = rows[name[g.edge_of(x)]]
             assert len(row.strands[0]) == a.degrees[g.attach[x]] - 1
             assert len(row.strands[1]) == a.degrees[g.attach[y]] - 1
             assert row.uniserial == (not (row.strands[0] and row.strands[1]))
             # socle is where the full walks land
-            assert row.socle == g.edge_of(a.nakayama[x])
+            assert row.socle == name[g.edge_of(a.nakayama[x])]
 
 
 def test_nakayama_identity_on_brauer_graphs():

@@ -5,8 +5,6 @@ from itertools import product
 
 import pytest
 
-import fbga.presentation
-import fbga.reconstruct
 from fbga.afbg import Afbg
 from fbga.errors import (
     Ambiguous,
@@ -20,12 +18,11 @@ from fbga.fileio import parse_loewy
 from fbga.reconstruct import (
     LoewyData,
     _build_candidate,
-    loewy_data_of,
     reconstruct_afbg,
 )
 from fbga.ribbon import RibbonGraph, canonical_code, edge_id_of_pair, is_isomorphic
 from generators import random_afbg, random_fractional_afbg
-from oracles import table_matches
+from oracles import loewy_data_of, table_matches
 
 
 def roundtrip_check(a: Afbg) -> bool:
@@ -477,25 +474,3 @@ def test_a_label_holding_the_separator_is_never_a_key():
     text = json.dumps([{"id": l, "strands": s, "socle": so} for l, s, so in raw])
     with pytest.raises(InputError, match="mentions unknown label"):
         parse_loewy(text)
-
-
-class TableBuilt(Exception):
-    pass
-
-
-def test_reconstruction_does_not_build_a_table(monkeypatch):
-    """With ``loewy_table`` refusing to run, random tables still reconstruct,
-    or fail, as the all-wirings oracle (which builds every table) says."""
-    rng = random.Random(3)
-    tables = [loewy_data_of(random_afbg(rng, rng.randint(2, 5)))[0] for _ in range(6)]
-    tables.append(LoewyData.build(mutated(random.Random(1), tables[0])))
-    expected = [outcome(reconstruct_all_wirings, data) for data in tables]
-
-    def refuse(*args):
-        raise TableBuilt
-
-    monkeypatch.setattr(fbga.presentation, "loewy_table", refuse)
-    monkeypatch.setattr(fbga.reconstruct, "loewy_table", refuse)
-    assert [outcome(reconstruct_afbg, data) for data in tables] == expected
-    with pytest.raises(TableBuilt):
-        loewy_data_of(star_afbg(2))

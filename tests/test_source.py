@@ -133,3 +133,28 @@ def test_json_is_decoded_only_by_the_one_loader():
         found.update(f"{name}.from json import" for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom) and node.module == "json")
     assert found == {"fileio._load"}
+
+
+def test_the_loewy_table_is_built_only_by_its_writer():
+    """``fileio.loewy_json`` is the package's one Loewy table builder:
+    reconstruction proves that a candidate reproduces its input table, so
+    ``reconstruct`` imports neither the presentation walks nor the writer,
+    and the table builders and the tuple walker the tests keep as
+    references (``tests/oracles.py``) are defined in no module."""
+    modules = parsed(SRC)
+    assert relative_imports(modules["reconstruct"]) & {"presentation", "fileio"} == set()
+    found = set()
+    for name, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                bound = [n.id for n in ast.walk(node)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            found.update(f"{name}.{b}" for b in bound
+                         if b in ("loewy_table", "loewy_data_of", "walk"))
+    assert "loewy_json" in {node.name for node in modules["fileio"].body
+                            if isinstance(node, ast.FunctionDef)}
+    assert not found, sorted(found)
