@@ -15,12 +15,11 @@ that gives it must agree.  Ids, half-edges and labels are strings and
 degrees are positive integers; anything else is a :class:`ParseError`.
 
 Exported paths list arrows in application order (first arrow first);
-exported zero relations are ``[later, earlier]`` pairs.  The ``*_to_dict``
-builders hand tuples through as they are; ``dumps`` writes them as JSON
-arrays, as ``json.dumps`` does.  ``presentation_json`` writes a
-presentation in those bytes without the dicts, and ``loewy_json`` the
-Loewy table: each strand or relation walk is cut from its orbit's text,
-rendered once (``presentation.cut_walks``).
+exported zero relations are ``[later, earlier]`` pairs.  ``dumps`` writes
+tuples as JSON arrays, as ``json.dumps`` does.  A presentation and a Loewy
+table each have one writer, ``presentation_json`` and ``loewy_json``, which
+build no dict tree: each strand or relation walk is cut from its orbit's
+text, rendered once (``presentation.cut_walks``).
 """
 
 from __future__ import annotations
@@ -211,36 +210,21 @@ def loewy_json(a: Afbg) -> str:
 # -- presentations ---------------------------------------------------------------
 
 def presentation_to_dict(p: Presentation) -> dict:
-    return {
-        "conventions": dict(PATH_CONVENTIONS),
-        "vertices": list(p.quiver_vertices),
-        "arrows": [{"id": name, "from": a.source, "to": a.target}
-                   for name, a in sorted(p.arrows.items())],
-        "commutation_relations": p.commutation_relations,
-        "zero_relations": p.zero_relations,
-        "dimension": dimension(p.afbg),
-    }
+    """``presentation_json(p)`` decoded, for a closed graph or a window.  No
+    command calls it, nor its alias ``bordered_to_dict``; both stay public
+    names because the benchmark's trace layer wraps them by name."""
+    return _load(presentation_json(p))
 
 
-def bordered_to_dict(b: Presentation) -> dict:
-    """A repetitive window (a presentation whose ``window`` is set)."""
-    return {
-        "conventions": dict(PATH_CONVENTIONS),
-        "window": [b.window.lo, b.window.hi],
-        "vertices": list(b.quiver_vertices),
-        "arrows": [{"id": name, "from": a.source, "to": a.target}
-                   for name, a in sorted(b.arrows.items())],
-        "dangling": list(b.dangling),
-        "commutation_relations": b.commutation_relations,
-        "zero_relations": b.zero_relations,
-    }
+bordered_to_dict = presentation_to_dict
 
 
 def presentation_json(p: Presentation) -> str:
-    """``dumps(presentation_to_dict(p))``, or ``dumps(bordered_to_dict(p))``
-    for a window, byte for byte, without building either.  Arrows are
-    written as they are listed, and each commutation walk is cut from its
-    orbit's text of arrow-name literals (``presentation.walk_texts``)."""
+    """The presentation JSON of ``p``, in the bytes ``dumps`` writes for its
+    dict tree, without building the tree.  A window adds its bounds and its
+    dangling arrows and leaves out the dimension.  Arrows are written as
+    they are listed, and each commutation walk is cut from its orbit's text
+    of arrow-name literals (``presentation.walk_texts``)."""
     literal = _Literals().__getitem__
     walk = walk_texts(p, lambda h: literal(arrow_name(h)), ",\n        ")
     w = p.window

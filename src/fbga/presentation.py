@@ -15,12 +15,8 @@ val)`` at a vertex of valency ``val``.  A presentation keeps each
 relation walk as ``(start, length)``.  One cutter, ``cut_walks``, joins
 the pieces of a star once (arrow names, or the JSON literals of arrow
 names or Loewy labels, in either direction) and cuts every walk's text
-from it as one slice.  The tuple walks of
-``Presentation.commutation_relations`` are that text joined by
-``EDGE_SEP`` and split back, which is exact because no half-edge id, and
-so no arrow name, holds ``EDGE_SEP``.  The builders refuse an algebra
-whose dimension ``Σ val·d`` is above ``WALK_BUDGET`` before building any
-walk.
+from it as one slice.  The builders refuse an algebra whose dimension
+``Σ val·d`` is above ``WALK_BUDGET`` before building any walk.
 
 Relations:
 
@@ -74,12 +70,6 @@ class Presentation:
     window: BorderedRibbonGraph | None = None  # set for repetitive windows
 
     @property
-    def commutation_relations(self) -> tuple:
-        """The commutations as pairs of arrow-name walks in application order."""
-        walks = walk_texts(self, arrow_name, EDGE_SEP)
-        return tuple((_split(walks[x]), _split(walks[y])) for (x, _), (y, _) in self.commutations)
-
-    @property
     def dangling(self) -> tuple:
         return tuple(n for n, a in self.arrows.items() if a.target is None)
 
@@ -119,11 +109,6 @@ def walk_texts(pres: Presentation, piece, sep: str, reverse: bool = False) -> di
             walks = [(i, length[h]) for i, h in starts]
         out.update(zip((h for _, h in starts), cut_walks(pieces, sep, walks)))
     return out
-
-
-def _split(text: str) -> tuple:
-    """The names of a walk cut with ``EDGE_SEP`` as its separator."""
-    return tuple(text.split(EDGE_SEP)) if text else ()
 
 
 WALK_BUDGET = 1 << 24
@@ -249,16 +234,20 @@ def oracle_dimension(pres: Presentation) -> int:
             f"{ORACLE_HALF_EDGE_LIMIT} arrows (got {len(pres.arrows)})")
 
     zero_pairs = set(pres.zero_relations)  # (later, earlier)
+    # the arrow names of each relation walk (degrees are positive, so none is
+    # empty); exact, as no arrow name holds EDGE_SEP
+    walks = {h: tuple(text.split(EDGE_SEP))
+             for h, text in walk_texts(pres, arrow_name, EDGE_SEP).items()}
+    relations = [(walks[x], walks[y]) for (x, _), (y, _) in pres.commutations]
     comm = []
-    for wx, wy in pres.commutation_relations:
+    for wx, wy in relations:
         if wx != wy:
             comm.append((wx, wy))
             comm.append((wy, wx))
     # Alive paths are rotation runs, and a run strictly longer than the full
     # walk at its start rewrites to a form with a zero pair; the longest walk
     # can sit on either side of a commutation.
-    max_side = max((max(len(wx), len(wy))
-                    for wx, wy in pres.commutation_relations), default=1)
+    max_side = max((max(len(wx), len(wy)) for wx, wy in relations), default=1)
     cap = max_side + 2
 
     def equivalence_class(path):

@@ -75,10 +75,6 @@ class LoewyRow:
     strands: tuple   # two label sequences, ordered by the half-edge pair when walked
     socle: str
 
-    @property
-    def uniserial(self) -> bool:
-        return not (self.strands[0] and self.strands[1])
-
 
 @dataclass(frozen=True)
 class LoewyData:

@@ -137,10 +137,6 @@ class RibbonGraph:
 
     # -- basic queries ---------------------------------------------------
 
-    @property
-    def half_edges(self) -> tuple:
-        return tuple(sorted(self.attach))
-
     def valency(self, v) -> int:
         """Number of half-edges at ``v`` (a loop counts twice)."""
         if v not in self.stars:
@@ -161,28 +157,25 @@ class RibbonGraph:
         return len(self.pairing) // 2
 
     def is_bipartite(self) -> bool:
-        """2-colorability of the underlying multigraph; a loop is an odd cycle."""
-        adj = {v: [] for v in self.vertices}
-        for a, b in self.pairing.items():
-            if a < b:
-                u, w = self.attach[a], self.attach[b]
-                if u == w:
-                    return False
-                adj[u].append(w)
-                adj[w].append(u)
+        """2-colorability of the underlying multigraph; a loop is an odd cycle.
+        Each star is walked once, each half-edge leading to the vertex of its
+        partner; a loop leads back to ``v`` itself, so it meets its own color."""
+        attach, pairing, stars = self.attach, self.pairing, self.stars
         color = {}
-        for start in self.vertices:
+        for start in stars:
             if start in color:
                 continue
             color[start] = 0
             queue = [start]
             while queue:
                 v = queue.pop()
-                for w in adj[v]:
+                c = color[v]
+                for h in stars[v]:
+                    w = attach[pairing[h]]
                     if w not in color:
-                        color[w] = 1 - color[v]
+                        color[w] = 1 - c
                         queue.append(w)
-                    elif color[w] == color[v]:
+                    elif color[w] == c:
                         return False
         return True
 

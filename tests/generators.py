@@ -19,12 +19,44 @@ from fbga.afbg import Afbg
 from fbga.covering import cover_finite
 from fbga.errors import NotAdmissible
 from fbga.fileio import parse_gentle, parse_ribbon
-from fbga.gentle import r_fold_trivial_extension, repetitive_window, trivial_extension
+from fbga.gentle import (
+    GentlePresentation,
+    r_fold_trivial_extension,
+    repetitive_window,
+    trivial_extension,
+)
 from fbga.presentation import build_presentation
 from fbga.ribbon import RibbonGraph, canonical_code, orbits
 
 CONNECTED_TRIES = 1000
 MAX_SHEETS = 3
+
+
+def lambda_afbg(d: int = 2) -> Afbg:
+    """The double edge: two vertices joined by two edges, both vertices of
+    degree ``d`` (``data/lambda.rg`` at d = 2)."""
+    g = RibbonGraph.build(
+        {"u": ["h", "hp"], "w": ["ih", "ihp"]},
+        [["h", "ih"], ["hp", "ihp"]])
+    return Afbg.build(g, {"u": d, "w": d})
+
+
+def loop_afbg(d: int = 2) -> Afbg:
+    """One loop at one vertex of degree ``d``."""
+    g = RibbonGraph.build({"v": ["a", "b"]}, [["a", "b"]])
+    return Afbg.build(g, {"v": d})
+
+
+def kronecker() -> GentlePresentation:
+    """The Kronecker quiver, two arrows 1 -> 2, no relations."""
+    return GentlePresentation.build(["1", "2"], [("x", "1", "2"), ("y", "1", "2")], [])
+
+
+def aprime() -> GentlePresentation:
+    """The two-cycle 1 -> 2 -> 1 with both composites zero; its trivial
+    extension is the Kronecker quiver's."""
+    return GentlePresentation.build(["1", "2"], [("x", "1", "2"), ("y", "2", "1")],
+                                    [("y", "x"), ("x", "y")])
 
 
 def _graph_from_perm(perm) -> RibbonGraph:

@@ -2,14 +2,16 @@
 the tests use."""
 
 from dataclasses import dataclass
+from itertools import product
 from math import lcm
 
 from fbga.afbg import Afbg, RepFiniteReport, Violation, reduced_form
 from fbga.covering import SHEET_SEP
 from fbga.errors import InvariantError
+from fbga.fileio import PATH_CONVENTIONS
 from fbga.gentle import GentlePresentation
 from fbga.invariants import Fingerprint
-from fbga.presentation import BasisElement, arrow_name
+from fbga.presentation import BasisElement, arrow_name, dimension
 from fbga.reconstruct import LoewyData, LoewyRow, loewy_labels
 from fbga.ribbon import RibbonGraph, edge_id_of_pair, is_isomorphic, orbits
 
@@ -53,6 +55,37 @@ def reference_commutations(p) -> tuple:
     return tuple(sorted(out))
 
 
+def commutation_walks(p) -> tuple:
+    """The presentation's commutations, each ``(start, length)`` walk
+    stepped out into its arrow names, in the presentation's order."""
+    g = p.afbg.graph if p.window is None else p.window
+    return tuple(tuple(tuple(map(arrow_name, step_walk(g.rotation, h, n))) for h, n in pair)
+                 for pair in p.commutations)
+
+
+def reference_presentation_dict(p) -> dict:
+    """The dict tree of a presentation's JSON file, its commutations
+    stepped out (``reference_commutations``): the byte reference of
+    :func:`fbga.fileio.presentation_json`.  A window adds its bounds and
+    its dangling arrows and has no dimension."""
+    arrows = [{"id": name, "from": a.source, "to": a.target}
+              for name, a in sorted(p.arrows.items())]
+    if p.window is None:
+        return {"conventions": dict(PATH_CONVENTIONS),
+                "vertices": list(p.quiver_vertices),
+                "arrows": arrows,
+                "commutation_relations": reference_commutations(p),
+                "zero_relations": p.zero_relations,
+                "dimension": dimension(p.afbg)}
+    return {"conventions": dict(PATH_CONVENTIONS),
+            "window": [p.window.lo, p.window.hi],
+            "vertices": list(p.quiver_vertices),
+            "arrows": arrows,
+            "dangling": [row["id"] for row in arrows if row["to"] is None],
+            "commutation_relations": reference_commutations(p),
+            "zero_relations": p.zero_relations}
+
+
 def reference_basis(a) -> list:
     """The monomial basis as ``basis`` built it before it emitted the
     elements in order: built per edge and per half-edge, then sorted."""
@@ -62,7 +95,7 @@ def reference_basis(a) -> list:
         e = g.edge_of(x)
         out.append(BasisElement("idempotent", e, "", 0))
         out.append(BasisElement("socle", e, x, a.degrees[g.attach[x]]))
-    for h in g.half_edges:
+    for h in sorted(g.attach):
         e = g.edge_of(h)
         for m in range(1, a.degrees[g.attach[h]]):
             out.append(BasisElement("walk", e, h, m))
@@ -74,7 +107,7 @@ def special_cycles(a) -> dict:
     """Full rotation cycle of arrows through each arrow (length = valency)."""
     g = a.graph
     return {arrow_name(h): walk(a, h, g.valency(g.attach[h]))
-            for h in g.half_edges}
+            for h in sorted(g.attach)}
 
 
 def presentation_isomorphism(p1, p2):
@@ -92,8 +125,8 @@ def presentation_isomorphism(p1, p2):
         return tuple(amap[x] for x in w)
 
     c1 = {tuple(sorted((map_walk(a), map_walk(b))))
-          for a, b in p1.commutation_relations}
-    c2 = {tuple(sorted((a, b))) for a, b in p2.commutation_relations}
+          for a, b in commutation_walks(p1)}
+    c2 = {tuple(sorted((a, b))) for a, b in commutation_walks(p2)}
     z1 = {(amap[l], amap[e]) for l, e in p1.zero_relations}
     z2 = set(p2.zero_relations)
     if c1 != c2 or z1 != z2:
@@ -116,9 +149,9 @@ def nakayama_on_presentation(a) -> PresentationAutomorphism:
     follow their edges."""
     g = a.graph
     nu_inv = {b: x for x, b in a.nakayama.items()}
-    arrow_map = {arrow_name(h): arrow_name(nu_inv[h]) for h in g.half_edges}
+    arrow_map = {arrow_name(h): arrow_name(nu_inv[h]) for h in sorted(g.attach)}
     vertex_map = {}
-    for h in g.half_edges:
+    for h in sorted(g.attach):
         e = g.edge_of(h)
         image = g.edge_of(nu_inv[h])
         if vertex_map.setdefault(e, image) != image:  # forced by admissibility (a)
@@ -135,11 +168,11 @@ def verify_covering(cover, base):
     over ``h``) is an equivariant covering map with uniform fibers.
     Returns (ok, reason)."""
     gc, gb = cover.graph, base.graph
-    if not all(SHEET_SEP in h for h in gc.half_edges):
+    if not all(SHEET_SEP in h for h in gc.attach):
         return False, "projection is not defined on every cover half-edge"
-    projection = {h: h.rpartition(SHEET_SEP)[0] for h in gc.half_edges}
+    projection = {h: h.rpartition(SHEET_SEP)[0] for h in sorted(gc.attach)}
     image = set(projection.values())
-    if image != set(gb.half_edges):
+    if image != set(gb.attach):
         return False, "projection is not onto the base's half-edges"
     if set(gc.vertices) != set(gb.vertices):
         return False, "cover and base must share their vertex set"
@@ -169,8 +202,8 @@ def cut_algebra(graph, cut):
     ``(pairing(rotation(h)), h)`` whose two arrows are both kept.  A quiver
     vertex is named by the smaller half-edge of its edge, which holds no
     ``EDGE_SEP``; an arrow by its half-edge."""
-    kept = sorted(set(graph.half_edges) - set(cut.values()))
-    edge = {h: min(h, graph.pairing[h]) for h in graph.half_edges}
+    kept = sorted(set(graph.attach) - set(cut.values()))
+    edge = {h: min(h, graph.pairing[h]) for h in graph.attach}
     after = {h: graph.pairing[graph.rotation[h]] for h in kept}
     return GentlePresentation.build(
         sorted(set(edge.values())),
@@ -185,17 +218,17 @@ def reference_fingerprint(a) -> Fingerprint:
     the Nakayama orbits walked out: the reference for the closed forms of
     :func:`fbga.invariants.fingerprint`."""
     g, red = a.graph, reduced_form(a)
-    face_step = {h: g.rotation[g.pairing[h]] for h in g.half_edges}
+    face_step = {h: g.rotation[g.pairing[h]] for h in sorted(g.attach)}
     nu_inv = {v: k for k, v in a.nakayama.items()}
-    q = {h: nu_inv[face_step[face_step[h]]] for h in g.half_edges}
+    q = {h: nu_inv[face_step[face_step[h]]] for h in sorted(g.attach)}
     return Fingerprint(
         num_vertices=len(g.vertices),
         num_edges=g.num_edges(),
         multiplicities=tuple(sorted(a.multiplicities().values())),
-        bipartite=g.is_bipartite(),
+        bipartite=reference_bipartite(g),
         nakayama_order=lcm(*nakayama_orbit_sizes(a)),
         reduced=(len(red.graph.vertices), red.graph.num_edges(),
-                 tuple(sorted(red.multiplicities().values())), red.graph.is_bipartite()),
+                 tuple(sorted(red.multiplicities().values())), reference_bipartite(red.graph)),
         face_perimeters=tuple(g.face_perimeters()),
         special_orbits=tuple(sorted(len(c) for c in orbits(q))),
     )
@@ -277,7 +310,7 @@ def reference_violations(graph, nu: dict) -> list:
     order for (a), and orbit by orbit for (b)."""
     pair = graph.pairing
     out = []
-    for h in graph.half_edges:
+    for h in sorted(graph.attach):
         if pair[nu[h]] != nu[pair[h]]:
             out.append(Violation(
                 h, "pairing_compat",
@@ -313,8 +346,18 @@ def reference_connected(graph) -> bool:
 
 
 def reference_faces(graph) -> list[tuple]:
-    phi = {h: graph.rotation[graph.pairing[h]] for h in graph.half_edges}
+    phi = {h: graph.rotation[graph.pairing[h]] for h in sorted(graph.attach)}
     return reference_orbits(phi)
+
+
+def reference_bipartite(graph) -> bool:
+    """Whether some colouring of the vertices by 0 and 1 gives the two ends
+    of every edge different colours, trying every colouring (2^V of them):
+    a loop's ends share their vertex, so no colouring passes it."""
+    ends = [(graph.attach[x], graph.attach[y]) for x, y in graph.pairing.items()]
+    return any(all(colour[u] != colour[w] for u, w in ends)
+               for colour in (dict(zip(graph.vertices, bits))
+                              for bits in product((0, 1), repeat=len(graph.vertices))))
 
 
 def reference_root_keys(graph, degrees) -> dict:

@@ -19,6 +19,7 @@ from fbga.fileio import parse_ribbon
 from generators import (
     brauer_degrees,
     disjoint_union,
+    lambda_afbg,
     random_fractional_afbg,
     random_ribbon_graph,
     small_degree_pairs,
@@ -26,12 +27,6 @@ from generators import (
 from oracles import nakayama_orbit_sizes, reference_violations
 
 DATA = Path(__file__).resolve().parent.parent / "data"
-
-
-def lambda_graph():
-    return RibbonGraph.build(
-        {"u": ["h", "hp"], "w": ["ih", "ihp"]},
-        [["h", "ih"], ["hp", "ihp"]])
 
 
 def loop(d):
@@ -45,15 +40,15 @@ def single_edge(d1, d2):
 
 
 def test_nakayama_shift():
-    g = lambda_graph()
+    g = lambda_afbg().graph
     nu = nakayama_permutation(g, {"u": 1, "w": 1})
     assert nu == {"h": "hp", "hp": "h", "ih": "ihp", "ihp": "ih"}
     assert nakayama_permutation(g, {"u": 2, "w": 2}) == {
-        h: h for h in g.half_edges}
+        h: h for h in g.attach}
 
 
 def test_missing_and_bad_degrees():
-    g = lambda_graph()
+    g = lambda_afbg().graph
     with pytest.raises(MissingDegree):
         nakayama_permutation(g, {"u": 2})
     with pytest.raises(MissingDegree):
@@ -83,7 +78,7 @@ def test_loop_degree_two_admissible():
 
 def test_half_multiplicity_example():
     # double edge with degree 1 at both vertices: admissible, m = 1/2
-    g = lambda_graph()
+    g = lambda_afbg().graph
     a = Afbg.build(g, {"u": 1, "w": 1})
     assert a.multiplicities() == {"u": Fraction(1, 2), "w": Fraction(1, 2)}
     assert not a.is_brauer_graph()
@@ -93,7 +88,7 @@ def test_half_multiplicity_example():
 
 def test_pairing_compat_violation():
     # degree 1 at u only: nakayama swaps the star at u but fixes w's star
-    g = lambda_graph()
+    g = lambda_afbg().graph
     _, violations = is_admissible(g, {"u": 1, "w": 2})
     assert violations
     assert "pairing_compat" in {v.condition for v in violations}
@@ -106,18 +101,18 @@ def test_brauer_iff_nakayama_identity():
         a = Afbg.build(g, brauer_degrees(rng, g))
         assert a.is_brauer_graph()
         assert a.nakayama_order() == 1
-        assert all(a.nakayama[h] == h for h in g.half_edges)
+        assert all(a.nakayama[h] == h for h in g.attach)
 
 
 def test_reduced_form_is_identity_on_brauer_graphs():
-    g = lambda_graph()
+    g = lambda_afbg().graph
     a = Afbg.build(g, {"u": 2, "w": 2})
     red = reduced_form(a)
     assert is_isomorphic(red.graph, g, red.degrees, a.degrees) is not None
 
 
 def test_reduced_form_of_half_multiplicity():
-    a = Afbg.build(lambda_graph(), {"u": 1, "w": 1})
+    a = Afbg.build(lambda_afbg().graph, {"u": 1, "w": 1})
     red = reduced_form(a)
     assert red.graph.num_edges() == 1
     assert red.multiplicities() == {"u": 1, "w": 1}
@@ -154,7 +149,7 @@ def test_rep_finite_star_tree():
 
 
 def test_rep_infinite_double_edge():
-    a = Afbg.build(lambda_graph(), {"u": 2, "w": 2})
+    a = Afbg.build(lambda_afbg().graph, {"u": 2, "w": 2})
     rep = rep_finite_report(a)
     assert not rep.rep_finite
     assert rep.reason == "reduced form is not a tree"

@@ -24,19 +24,13 @@ from fbga.ribbon import RibbonGraph, is_isomorphic
 from generators import (
     brauer_degrees,
     cover_compatible_degrees,
+    lambda_afbg,
     random_cut,
     random_fractional_afbg,
     random_ribbon_graph,
     small_degree_pairs,
 )
 from oracles import nakayama_orbit_sizes, reference_quotient, verify_covering
-
-
-def lambda_afbg():
-    g = RibbonGraph.build(
-        {"u": ["h", "hp"], "w": ["ih", "ihp"]},
-        [["h", "ih"], ["hp", "ihp"]])
-    return Afbg.build(g, {"u": 2, "w": 2})
 
 
 D1 = {"u": "hp", "w": "ihp"}
@@ -120,7 +114,7 @@ def test_cover_roundtrip_properties(seed, r):
     res = cover_finite(base, cut, r)
     ok, reason = verify_covering(res.cover, res.base)
     assert ok, reason
-    assert len(res.cover.graph.half_edges) == r * len(g.half_edges)
+    assert len(res.cover.graph.attach) == r * len(g.attach)
     assert dimension(res.cover) == r * dimension(base)
     assert set(nakayama_orbit_sizes(res.cover)) == {r}
     red = reduced_form(res.cover)

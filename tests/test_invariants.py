@@ -7,9 +7,11 @@ from fbga.afbg import Afbg, is_admissible, rep_finite_report
 from fbga.covering import cover_finite
 from fbga.gentle import GentlePresentation, gentle_cover
 from fbga.invariants import COMPARED_FIELDS, compare, fingerprint, special_orbit_sizes
-from fbga.ribbon import RibbonGraph, is_isomorphic
+from fbga.ribbon import is_isomorphic
 from generators import (
     cover_compatible_degrees,
+    lambda_afbg,
+    loop_afbg,
     random_afbg,
     random_cut,
     random_fractional_afbg,
@@ -18,18 +20,6 @@ from generators import (
     small_degree_pairs,
 )
 from oracles import reference_fingerprint, reference_rep_finite_report
-
-
-def lambda_afbg(d=2):
-    g = RibbonGraph.build(
-        {"u": ["h", "hp"], "w": ["ih", "ihp"]},
-        [["h", "ih"], ["hp", "ihp"]])
-    return Afbg.build(g, {"u": d, "w": d})
-
-
-def loop_afbg(d=2):
-    g = RibbonGraph.build({"v": ["a", "b"]}, [["a", "b"]])
-    return Afbg.build(g, {"v": d})
 
 
 def test_fingerprint_fields_of_double_edge():

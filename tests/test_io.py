@@ -36,7 +36,7 @@ from generators import (
     random_cut,
     random_ribbon_graph,
 )
-from oracles import loewy_data_of
+from oracles import loewy_data_of, reference_presentation_dict
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -113,8 +113,8 @@ def test_loewy_roundtrip_through_json():
 def test_parse_loewy_uniserial_is_optional():
     rows = [{"id": "s0", "strands": [["s1"], ["s1"]], "socle": "s0"},
             {"id": "s1", "strands": [["s0"], ["s0"]], "socle": "s1"}]
-    data = parse_loewy(json.dumps(rows))
-    assert data.rows[0].uniserial is False
+    flagged = [{**row, "uniserial": False} for row in rows]
+    assert parse_loewy(json.dumps(rows)) == parse_loewy(json.dumps(flagged))
 
 
 def test_parse_loewy_rejects_uniserial_contradiction():
@@ -157,8 +157,10 @@ def loewy_json_cases():
 
 
 def oracle_rows(a) -> list:
-    """The rows of the stepped-out reference table, as a Loewy file lists them."""
-    return [{"id": r.label, "strands": r.strands, "uniserial": r.uniserial, "socle": r.socle}
+    """The rows of the stepped-out reference table, as a Loewy file lists
+    them: a row is uniserial unless both of its strands are non-empty."""
+    return [{"id": r.label, "strands": r.strands,
+             "uniserial": not (r.strands[0] and r.strands[1]), "socle": r.socle}
             for r in loewy_data_of(a)[0].rows]
 
 
@@ -203,17 +205,17 @@ def test_presentation_dict_shape():
 
 
 def test_presentation_json_equals_dumps_of_its_dict():
-    """The direct writer against its byte reference, the dict builders: on
-    closed graphs and windows, walks that wrap their orbit hundreds of
-    times, degree-1 walks and ids that JSON escapes."""
+    """The writer against its byte reference, the dict tree built with the
+    walks stepped out (``tests/oracles.py``): on closed graphs and windows,
+    walks that wrap their orbit hundreds of times, degree-1 walks and ids
+    that JSON escapes."""
     cases = presentation_cases()
     assert {p.window is None for p in cases} == {True, False}
     assert any(max(a.degrees.values()) > 500 for a in (p.afbg for p in cases))
     for p in cases:
-        reference = presentation_to_dict if p.window is None else bordered_to_dict
-        assert presentation_json(p) == dumps(reference(p))
+        assert presentation_json(p) == dumps(reference_presentation_dict(p))
     empty = build_presentation(Afbg.build(RibbonGraph.build({}, []), {}))
-    assert presentation_json(empty) == dumps(presentation_to_dict(empty))
+    assert presentation_json(empty) == dumps(reference_presentation_dict(empty))
 
 
 def test_dot_outputs_mention_everything():

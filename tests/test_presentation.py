@@ -1,3 +1,4 @@
+import json
 import time
 from pathlib import Path
 from random import Random
@@ -24,6 +25,7 @@ from fbga.reconstruct import loewy_labels
 from fbga.ribbon import RibbonGraph
 from generators import (
     brauer_degrees,
+    lambda_afbg,
     presentation_cases,
     random_afbg,
     random_fractional_afbg,
@@ -31,6 +33,7 @@ from generators import (
     shuffled_copy,
 )
 from oracles import (
+    commutation_walks,
     nakayama_on_presentation,
     presentation_isomorphism,
     product_str,
@@ -42,13 +45,6 @@ from oracles import (
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
-
-
-def lambda_afbg():
-    g = RibbonGraph.build(
-        {"u": ["h", "hp"], "w": ["ih", "ihp"]},
-        [["h", "ih"], ["hp", "ihp"]])
-    return Afbg.build(g, {"u": 2, "w": 2})
 
 
 def test_arrows_follow_rotation():
@@ -63,7 +59,7 @@ def test_arrows_follow_rotation():
 def test_golden_double_edge_relations():
     """The known four-arrow presentation with six relations."""
     p = build_presentation(lambda_afbg())
-    assert set(p.commutation_relations) == {
+    assert set(commutation_walks(p)) == {
         (("a_h", "a_hp"), ("a_ih", "a_ihp")),
         (("a_hp", "a_h"), ("a_ihp", "a_ih")),
     }
@@ -137,9 +133,9 @@ def test_walks_match_the_step_loop_on_windows(name, window):
             ran_off += 1
             continue
         walks[x], walks[y] = (tuple(map(arrow_name, w)) for w in (wx, wy))
-        want.append((walks[x], walks[y]))
+        want.append(((x, len(wx)), (y, len(wy))))
     assert ran_off > 0 and want
-    assert pres.commutation_relations == tuple(want)
+    assert pres.commutations == tuple(want)
     assert walk_texts(pres, arrow_name, " ") == {h: " ".join(w) for h, w in walks.items()}
     assert walk_texts(pres, arrow_name, "*", reverse=True) == {
         h: product_str(w) for h, w in walks.items()}
@@ -163,9 +159,9 @@ def test_relation_counts():
     for _ in range(10):
         a = random_afbg(rng, rng.randint(1, 5))
         p = build_presentation(a)
-        assert len(p.arrows) == len(a.graph.half_edges)
-        assert len(p.commutation_relations) == a.graph.num_edges()
-        assert len(p.zero_relations) == len(a.graph.half_edges)
+        assert len(p.arrows) == len(a.graph.attach)
+        assert len(p.commutations) == a.graph.num_edges()
+        assert len(p.zero_relations) == len(a.graph.attach)
 
 
 def test_commutation_walks_share_endpoints():
@@ -173,7 +169,7 @@ def test_commutation_walks_share_endpoints():
     for _ in range(10):
         a = random_afbg(rng, rng.randint(1, 5))
         p = build_presentation(a)
-        for wx, wy in p.commutation_relations:
+        for wx, wy in commutation_walks(p):
             assert p.arrows[wx[0]].source == p.arrows[wy[0]].source
             assert p.arrows[wx[-1]].target == p.arrows[wy[-1]].target
 
@@ -219,7 +215,7 @@ def test_basis_elements_are_walks_from_their_start():
         if arrows:
             assert p.arrows[arrows[0]].source == x.edge
     socles = {walk(a, x.start, x.length) for x in b if x.kind == "socle"}
-    assert socles == {wx for wx, _ in p.commutation_relations}
+    assert socles == {wx for wx, _ in commutation_walks(p)}
 
 
 def test_inadmissible_afbg_fails_consistency_checks():
@@ -234,17 +230,17 @@ def test_inadmissible_afbg_fails_consistency_checks():
 
 
 def loewy_rows(a) -> dict:
-    """The rows of the Loewy file of ``a``, read back, by label."""
-    return {row.label: row for row in parse_loewy(loewy_json(a)).rows}
+    """The rows of the Loewy file of ``a``, as written, by label."""
+    return {row["id"]: row for row in json.loads(loewy_json(a))}
 
 
 def test_loewy_table_shapes():
     a = lambda_afbg()
     assert loewy_labels(a.graph) == {"hp~ihp": "s0", "h~ih": "s1"}
     row = loewy_rows(a)["s1"]
-    assert row.strands == (["s0"], ["s0"])
-    assert row.socle == "s1"
-    assert not row.uniserial
+    assert row["strands"] == [["s0"], ["s0"]]
+    assert row["socle"] == "s1"
+    assert row["uniserial"] is False
 
 
 def test_loewy_strand_lengths_and_socle():
@@ -256,11 +252,12 @@ def test_loewy_strand_lengths_and_socle():
         name = loewy_labels(g)
         for x, y in g.edge_pairs():
             row = rows[name[g.edge_of(x)]]
-            assert len(row.strands[0]) == a.degrees[g.attach[x]] - 1
-            assert len(row.strands[1]) == a.degrees[g.attach[y]] - 1
-            assert row.uniserial == (not (row.strands[0] and row.strands[1]))
+            sx, sy = row["strands"]
+            assert len(sx) == a.degrees[g.attach[x]] - 1
+            assert len(sy) == a.degrees[g.attach[y]] - 1
+            assert row["uniserial"] is (not (sx and sy))
             # socle is where the full walks land
-            assert row.socle == name[g.edge_of(a.nakayama[x])]
+            assert row["socle"] == name[g.edge_of(a.nakayama[x])]
 
 
 def test_nakayama_identity_on_brauer_graphs():
@@ -324,16 +321,16 @@ def commutation_lines(text: str) -> list:
 
 
 def test_render_text_cuts_each_walk_from_its_orbit():
-    """Each commutation line is the product string of the tuple walks, and
-    those are the walks of every edge that fit, in pair order.  The arrows
-    are listed in name order, which the renderers write as they are."""
+    """Each commutation line is the product string of the walks of an edge
+    whose walks both fit, stepped out, in pair order.  The arrows are
+    listed in name order, which the renderers write as they are."""
     cases = presentation_cases()
     assert {p.window is None for p in cases} == {True, False}
     for p in cases:
         assert list(p.arrows) == sorted(p.arrows)
-        assert p.commutation_relations == reference_commutations(p)
+        assert commutation_walks(p) == reference_commutations(p)
         assert commutation_lines(render_text(p)) == [
-            f"  {product_str(wx)} = {product_str(wy)}" for wx, wy in p.commutation_relations]
+            f"  {product_str(wx)} = {product_str(wy)}" for wx, wy in reference_commutations(p)]
 
 
 def test_basis_is_emitted_in_sorted_order():

@@ -21,7 +21,7 @@ from fbga.reconstruct import (
     reconstruct_afbg,
 )
 from fbga.ribbon import RibbonGraph, canonical_code, edge_id_of_pair, is_isomorphic
-from generators import random_afbg, random_fractional_afbg
+from generators import lambda_afbg, loop_afbg, random_afbg, random_fractional_afbg
 from oracles import loewy_data_of, table_matches
 
 
@@ -33,18 +33,6 @@ def roundtrip_check(a: Afbg) -> bool:
     res = reconstruct_afbg(data)
     return (is_isomorphic(res.afbg.graph, a.graph, res.afbg.degrees, a.degrees) is not None
             and table_matches(res.afbg, data, res.edge_labels))
-
-
-def lambda_afbg():
-    g = RibbonGraph.build(
-        {"u": ["h", "hp"], "w": ["ih", "ihp"]},
-        [["h", "ih"], ["hp", "ihp"]])
-    return Afbg.build(g, {"u": 2, "w": 2})
-
-
-def loop_afbg(d):
-    g = RibbonGraph.build({"v": ["a", "b"]}, [["a", "b"]])
-    return Afbg.build(g, {"v": d})
 
 
 def star_afbg(k):
@@ -88,7 +76,6 @@ def test_build_rejects_non_permutation_socles():
 def test_build_pads_missing_strand():
     data = LoewyData.build([("a", (("a",),), "a")])
     assert data.rows[0].strands == (("a",), ())
-    assert data.rows[0].uniserial is True
 
 
 # ------------------------------------------------------------ reconstruction

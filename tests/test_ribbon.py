@@ -26,22 +26,20 @@ from generators import (
     connected_graphs_up_to,
     cover_compatible_degrees,
     disjoint_union,
+    lambda_afbg,
+    loop_afbg,
     random_cut,
     random_ribbon_graph,
     shuffled_copy,
     small_degree_pairs,
 )
-from oracles import reference_connected, reference_faces, reference_orbits, reference_root_keys
-
-
-def lambda_graph():
-    return RibbonGraph.build(
-        {"u": ["h", "hp"], "w": ["ih", "ihp"]},
-        [["h", "ih"], ["hp", "ihp"]])
-
-
-def loop_graph():
-    return RibbonGraph.build({"v": ["a", "b"]}, [["a", "b"]])
+from oracles import (
+    reference_bipartite,
+    reference_connected,
+    reference_faces,
+    reference_orbits,
+    reference_root_keys,
+)
 
 
 def test_orbits_anchored_at_min():
@@ -82,7 +80,7 @@ def test_root_keys_agree_with_sorted_face_orbits():
 
 
 def test_build_basic():
-    g = lambda_graph()
+    g = lambda_afbg().graph
     assert set(g.vertices) == {"u", "w"}
     assert g.valency("u") == 2
     assert g.num_edges() == 2
@@ -117,11 +115,11 @@ def test_build_rejects_reserved_separator():
 
 def test_unknown_vertex():
     with pytest.raises(UnknownVertex):
-        lambda_graph().valency("nope")
+        lambda_afbg().graph.valency("nope")
 
 
 def test_faces_of_lambda():
-    g = lambda_graph()
+    g = lambda_afbg().graph
     assert g.face_perimeters() == [2, 2]
     # Euler characteristic V - E + F of the underlying surface is even
     assert (len(g.vertices) - g.num_edges() + len(g.faces())) % 2 == 0
@@ -129,12 +127,31 @@ def test_faces_of_lambda():
 
 def test_faces_of_loop():
     # one loop at one vertex: two faces of perimeter one
-    assert loop_graph().face_perimeters() == [1, 1]
+    assert loop_afbg().graph.face_perimeters() == [1, 1]
 
 
 def test_loop_not_bipartite_double_edge_is():
-    assert not loop_graph().is_bipartite()
-    assert lambda_graph().is_bipartite()
+    assert not loop_afbg().graph.is_bipartite()
+    assert lambda_afbg().graph.is_bipartite()
+
+
+def test_is_bipartite_agrees_with_every_two_colouring():
+    """``is_bipartite`` against the brute-force 2-colouring of
+    ``tests/oracles.py``: on every connected graph with at most 3 edges,
+    on disjoint unions of them in both orders (an odd component after an
+    even one and before it) and on loops added at a vertex of an even
+    graph, alone or beside other edges."""
+    graphs = [g for g, _ in small_degree_pairs(max_degree=1)]
+    unions = [disjoint_union(pair) for i in range(len(graphs) - 1)
+              for pair in ((graphs[i], graphs[i + 1]), (graphs[i + 1], graphs[i]))]
+    looped = [RibbonGraph.build({"u": ["h", "hp"], "w": star},
+                                [["h", "ih"], ["hp", "ihp"], ["l", "lp"]])
+              for star in (["ih", "ihp", "l", "lp"], ["ih", "l", "ihp", "lp"])]
+    looped.append(disjoint_union([lambda_afbg().graph, loop_afbg().graph]))
+    for g in graphs + unions + looped:
+        assert g.is_bipartite() == reference_bipartite(g)
+    assert {g.is_bipartite() for g in graphs} == {True, False}
+    assert not any(g.is_bipartite() for g in looped)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -144,7 +161,7 @@ def test_euler_characteristic_parity(seed):
     chi = len(g.vertices) - g.num_edges() + len(g.faces())
     assert chi % 2 == 0
     assert chi <= 2
-    assert sum(g.face_perimeters()) == len(g.half_edges)
+    assert sum(g.face_perimeters()) == len(g.attach)
 
 
 def test_canonical_code_invariant_under_relabeling():
@@ -157,7 +174,7 @@ def test_canonical_code_invariant_under_relabeling():
 
 
 def test_canonical_code_degree_aware():
-    g = lambda_graph()
+    g = lambda_afbg().graph
     same = canonical_code(g, {"u": 2, "w": 2})
     other = canonical_code(g, {"u": 2, "w": 4})
     assert same != other
@@ -178,20 +195,20 @@ def test_is_isomorphic_returns_checked_bijection():
     g2, _ = shuffled_copy(rng, g)
     phi = is_isomorphic(g, g2)
     assert phi is not None
-    for h in g.half_edges:
+    for h in sorted(g.attach):
         assert g2.pairing[phi[h]] == phi[g.pairing[h]]
         assert g2.rotation[phi[h]] == phi[g.rotation[h]]
 
 
 def test_is_isomorphic_distinguishes_loop_from_edge():
     edge = RibbonGraph.build({"v": ["a"], "w": ["b"]}, [["a", "b"]])
-    assert is_isomorphic(loop_graph(), edge) is None
+    assert is_isomorphic(loop_afbg().graph, edge) is None
 
 
 def brute_force_iso(g1, g2, d1=None, d2=None):
     """Exhaustive bijection scan; only viable for tiny graphs.  Degrees are
     compared iff both ``d1`` and ``d2`` are given."""
-    hs1, hs2 = list(g1.half_edges), list(g2.half_edges)
+    hs1, hs2 = sorted(g1.attach), sorted(g2.attach)
     if len(hs1) != len(hs2):
         return False
     for image in permutations(hs2):
@@ -222,8 +239,8 @@ def mirror(graph):
 def assert_checked_isomorphism(g1, g2, d1=None, d2=None):
     phi = is_isomorphic(g1, g2, d1, d2)
     assert phi is not None
-    assert sorted(phi) == list(g1.half_edges) and sorted(phi.values()) == list(g2.half_edges)
-    for h in g1.half_edges:
+    assert sorted(phi) == sorted(g1.attach) and sorted(phi.values()) == sorted(g2.attach)
+    for h in sorted(g1.attach):
         assert g2.pairing[phi[h]] == phi[g1.pairing[h]]
         assert g2.rotation[phi[h]] == phi[g1.rotation[h]]
         if d1 is not None:
@@ -322,10 +339,10 @@ def two_phase_word(graph, root):
 def test_rooted_word_stops_exactly_when_it_exceeds_the_bound():
     for g in connected_graphs_up_to(3):
         rinv = g.rotation_inverse()
-        for root in g.half_edges:
+        for root in sorted(g.attach):
             word = two_phase_word(g, root)
             assert _rooted_word(g, root, rinv, None)[0] == word
-            for other in g.half_edges:
+            for other in sorted(g.attach):
                 bound = two_phase_word(g, other)
                 found = _rooted_word(g, root, rinv, None, bound)
                 assert (found is None) == (word > bound)
