@@ -28,7 +28,7 @@ from .ribbon import canonical_code
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
@@ -135,15 +135,14 @@ def _validation_text(res: dict) -> str:
 
 
 def _window_text(win) -> str:
+    vertices, arrows = win.quiver_vertices(), win.arrows()
     lines = [f"window sheets {win.window.lo}..{win.window.hi}",
-             f"quiver vertices ({len(win.quiver_vertices)}): "
-             + ", ".join(win.quiver_vertices),
-             f"arrows ({len(win.arrows)}):"]
-    for name, a in win.arrows.items():
-        tgt = a.target if a.target is not None else "(out of window)"
-        lines.append(f"  {name}: {a.source} -> {tgt}")
+             f"quiver vertices ({len(vertices)}): " + ", ".join(vertices),
+             f"arrows ({len(arrows)}):"]
+    for name, source, target in arrows:
+        lines.append(f"  {name}: {source} -> {'(out of window)' if target is None else target}")
     lines.append(f"commutation relations inside window: {len(win.commutations)}")
-    lines.append(f"zero relations inside window: {len(win.zero_relations)}")
+    lines.append(f"zero relations inside window: {len(win.window.rotation)}")  # per rotation step
     return "\n".join(lines) + "\n"
 
 
@@ -312,13 +311,14 @@ def main(argv=None) -> int:
         args = PARSER.parse_args(argv)
         code, renderers = args.func(args)
         text = renderers.get(args.format, renderers["text"])()
-        if args.out:
-            try:
-                Path(args.out).write_text(text)
-            except OSError as exc:
-                raise InputError(f"cannot write {args.out}: {exc}") from exc
-        else:
-            sys.stdout.write(text)
+        try:
+            if args.out:
+                Path(args.out).write_text(text, encoding="utf-8")
+            else:
+                sys.stdout.write(text)
+        except (OSError, UnicodeEncodeError) as exc:  # only stdout has the locale's encoding
+            hint = "; set PYTHONIOENCODING=utf-8" if isinstance(exc, UnicodeEncodeError) else ""
+            raise InputError(f"cannot write {args.out or 'stdout'}: {exc}{hint}") from exc
         return code
     except AmbiguityError as exc:
         print(f"ambiguous: {exc}", file=sys.stderr)

@@ -230,15 +230,16 @@ def presentation_json(p: Presentation) -> str:
     w = p.window
     fields = {"conventions": PATH_CONVENTIONS,
               **({} if w is None else {"window": [w.lo, w.hi]}),
-              "vertices": p.quiver_vertices,
-              "arrows": [f'{{\n      "id": {literal(name)},\n      "from": {literal(a.source)},'
-                         f'\n      "to": {"null" if a.target is None else literal(a.target)}'
-                         "\n    }" for name, a in p.arrows.items()],
-              **({} if w is None else {"dangling": p.dangling}),
+              "vertices": p.quiver_vertices(),
+              "arrows": [f'{{\n      "id": {literal(name)},\n      "from": {literal(source)},'
+                         f'\n      "to": {"null" if target is None else literal(target)}'
+                         "\n    }" for name, source, target in p.arrows()],
+              **({} if w is None else  # a window's dangling arrows end its columns
+                 {"dangling": sorted(arrow_name(c[-1]) for c in w.stars.values())}),
               "commutation_relations": [f"[\n      [\n        {walk[x]}\n      ],\n      "
                                         f"[\n        {walk[y]}\n      ]\n    ]"
                                         for (x, _), (y, _) in p.commutations],
-              "zero_relations": p.zero_relations,
+              "zero_relations": p.zero_relations(),
               **({"dimension": dimension(p.afbg)} if w is None else {})}
     parts, sep = [], "{\n  "
     for key, value in fields.items():
@@ -275,15 +276,15 @@ def dot_of_presentation(p) -> str:
     """Directed quiver of a presentation; dangling arrows of a window
     point at a shared boundary node."""
     lines = ["digraph Q {"]
-    for v in p.quiver_vertices:
+    for v in p.quiver_vertices():
         lines.append(f"  {_q(v)};")
     boundary = False
-    for name, a in p.arrows.items():
-        if a.target is None:
+    for name, source, target in p.arrows():
+        if target is None:
             boundary = True
-            lines.append(f"  {_q(a.source)} -> boundary [label={_q(name)}, style=dashed];")
+            lines.append(f"  {_q(source)} -> boundary [label={_q(name)}, style=dashed];")
         else:
-            lines.append(f"  {_q(a.source)} -> {_q(a.target)} [label={_q(name)}];")
+            lines.append(f"  {_q(source)} -> {_q(target)} [label={_q(name)}];")
     if boundary:
         lines.append('  boundary [shape=plaintext, label="…"];')
     lines.append("}")

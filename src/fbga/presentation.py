@@ -12,7 +12,9 @@ A walk of length ``d`` from ``h`` is a slice of the stored star of
 window's column, a chain): the star turned to start at ``h``, repeated
 ``q`` times, then its first ``r`` entries, where ``q, r = divmod(d,
 val)`` at a vertex of valency ``val``.  A presentation keeps each
-relation walk as ``(start, length)``.  One cutter, ``cut_walks``, joins
+relation walk as ``(start, length)``, and only its relation walks: its
+quiver vertices, arrows and zero relations are read off the pairing and
+rotation of its ``graph`` on each call.  One cutter, ``cut_walks``, joins
 the pieces of a star once (arrow names, or the JSON literals of arrow
 names or Loewy labels, in either direction) and cuts every walk's text
 from it as one slice.  The builders refuse an algebra whose dimension
@@ -55,23 +57,39 @@ def arrow_name(half_edge: str) -> str:
 
 
 @dataclass(frozen=True)
-class Arrow:
-    source: str  # edge id
-    target: str | None  # edge id; None when the rotation step leaves a window
-
-
-@dataclass(frozen=True)
 class Presentation:
     afbg: Afbg
-    quiver_vertices: tuple
-    arrows: dict  # name -> Arrow
     commutations: tuple  # (((x, length), (y, length)), ...): the two walks of an edge
-    zero_relations: tuple  # ((later, earlier), ...)
     window: BorderedRibbonGraph | None = None  # set for repetitive windows
 
     @property
-    def dangling(self) -> tuple:
-        return tuple(n for n, a in self.arrows.items() if a.target is None)
+    def graph(self):
+        """The closed graph, or the window."""
+        return self.afbg.graph if self.window is None else self.window
+
+    def quiver_vertices(self) -> list:
+        """The edge ids, by smaller half-edge (a window's sorted)."""
+        pairing = self.graph.pairing
+        ids = [x + EDGE_SEP + pairing[x] for x in sorted(pairing) if x < pairing[x]]
+        return ids if self.window is None else sorted(ids)
+
+    def arrows(self) -> list:
+        """``(name, source, target)`` per arrow, in name order: the arrow of
+        ``h`` goes from the edge of ``h`` to the edge of ``rotation(h)``, or
+        to None when that step leaves the window."""
+        g, edge = self.graph, {}
+        for x, y in g.pairing.items():
+            if x < y:
+                edge[x] = edge[y] = x + EDGE_SEP + y  # edge_id_of_pair, as x < y
+        # edge.get(None) is None: a dangling arrow has no target
+        return [(arrow_name(h), edge[h], edge.get(g.rotation.get(h))) for h in sorted(edge)]
+
+    def zero_relations(self) -> list:
+        """``(later, earlier)`` arrow names, sorted: the arrow of
+        ``pairing(rotation(h))`` after the arrow of ``h``, per rotation step."""
+        g = self.graph
+        name = {h: arrow_name(h) for h in g.pairing}  # each name shared by two relations
+        return sorted((name[g.pairing[n]], name[h]) for h, n in g.rotation.items())
 
 
 def cut_walks(pieces: list, sep: str, walks: list) -> list:
@@ -97,9 +115,8 @@ def walk_texts(pres: Presentation, piece, sep: str, reverse: bool = False) -> di
     star is joined once, in the direction asked for; a window's walks fit
     inside its columns, so none wraps round a chain."""
     length = dict(w for pair in pres.commutations for w in pair)
-    g = pres.afbg.graph if pres.window is None else pres.window
     out = {}
-    for star in g.stars.values():
+    for star in pres.graph.stars.values():
         starts = [(i, h) for i, h in enumerate(star) if h in length]
         pieces = [piece(h) for h in star]
         if reverse:  # the walk from i of length n ends on piece i + n - 1
@@ -138,47 +155,21 @@ def build_presentation(a: Afbg) -> Presentation:
 def _present(a: Afbg, window: BorderedRibbonGraph | None = None) -> Presentation:
     """The presentation over ``a.graph``, or over a window of a cover of
     it, with the degrees of ``a``.  A window's rotation is partial: an
-    arrow without a rotation successor dangles, and a relation is kept
-    only when all of its arrows lie inside the window."""
+    arrow without a rotation successor dangles, and a commutation is kept
+    only when both of its walks lie inside the window."""
     _check_budget(dimension(a), "algebra of dimension")
     g = a.graph if window is None else window
-    rotation, pairing, attach = g.rotation, g.pairing, g.attach
-    pairs = sorted((x, y) for x, y in pairing.items() if x < y)
-    edge = {}
-    for x, y in pairs:
-        edge[x] = edge[y] = edge_id_of_pair(x, y)
-    name = {h: arrow_name(h) for h in attach}
-
-    arrows = {}  # in name order: the half-edges are walked sorted, each named ARROW_PREFIX + itself
-    zeros = []
-    for h in sorted(attach):
-        nxt = rotation.get(h)
-        arrows[name[h]] = Arrow(edge[h], None if nxt is None else edge[nxt])
-        if nxt is not None:
-            zeros.append((name[pairing[nxt]], name[h]))
-
     # arrows left from each half-edge to the end of its window column
     room = None if window is None else {
         h: len(column) - i for column in window.stars.values() for i, h in enumerate(column)}
     # a walk from x starts with the arrow of x, so sorting the pairs by x, as
     # here, sorts the commutations as their name tuples would sort
     commutations = []
-    for x, y in pairs:
-        wx, wy = (x, a.degrees[attach[x]]), (y, a.degrees[attach[y]])
+    for x, y in sorted((x, y) for x, y in g.pairing.items() if x < y):
+        wx, wy = (x, a.degrees[g.attach[x]]), (y, a.degrees[g.attach[y]])
         if room is None or (wx[1] <= room[x] and wy[1] <= room[y]):
             commutations.append((wx, wy))
-
-    quiver_vertices = [edge[x] for x, _ in pairs]
-    if window is not None:
-        quiver_vertices.sort()  # windows list their edge ids sorted
-    return Presentation(
-        afbg=a,
-        quiver_vertices=tuple(quiver_vertices),
-        arrows=arrows,
-        commutations=tuple(commutations),
-        zero_relations=tuple(sorted(zeros)),
-        window=window,
-    )
+    return Presentation(a, tuple(commutations), window)
 
 
 def dimension(a: Afbg) -> int:
@@ -228,12 +219,13 @@ def oracle_dimension(pres: Presentation) -> int:
     about degrees, walks or the Nakayama permutation is consulted, so this
     is an independent check on ``dimension``.
     """
-    if len(pres.arrows) > ORACLE_HALF_EDGE_LIMIT:
+    half_edges = len(pres.graph.pairing)  # one arrow each
+    if half_edges > ORACLE_HALF_EDGE_LIMIT:
         raise SizeLimitExceeded(
             f"oracle refuses presentations with more than "
-            f"{ORACLE_HALF_EDGE_LIMIT} arrows (got {len(pres.arrows)})")
+            f"{ORACLE_HALF_EDGE_LIMIT} arrows (got {half_edges})")
 
-    zero_pairs = set(pres.zero_relations)  # (later, earlier)
+    zero_pairs = set(pres.zero_relations())  # (later, earlier)
     # the arrow names of each relation walk (degrees are positive, so none is
     # empty); exact, as no arrow name holds EDGE_SEP
     walks = {h: tuple(text.split(EDGE_SEP))
@@ -269,15 +261,15 @@ def oracle_dimension(pres: Presentation) -> int:
         return any((path[i + 1], path[i]) in zero_pairs
                    for i in range(len(path) - 1))
 
-    target = {name: a.target for name, a in pres.arrows.items()}
-    source = {name: a.source for name, a in pres.arrows.items()}
+    arrows = pres.arrows()  # in name order
+    target = {name: t for name, _, t in arrows}
     by_source = {}
-    for name in sorted(pres.arrows):
-        by_source.setdefault(source[name], []).append(name)
+    for name, source, _ in arrows:
+        by_source.setdefault(source, []).append(name)
 
     classes = set()
     frontier = []
-    for name in sorted(pres.arrows):
+    for name, _, _ in arrows:
         cls = equivalence_class((name,))
         if any(contains_zero(p) for p in cls):
             continue
@@ -302,23 +294,21 @@ def oracle_dimension(pres: Presentation) -> int:
                     nxt.append(q)
         frontier = nxt
 
-    return len(pres.quiver_vertices) + len(classes)
+    return half_edges // 2 + len(classes)
 
 
 # -- rendering -----------------------------------------------------------------
 
 def render_text(pres: Presentation) -> str:
-    lines = []
-    lines.append(f"quiver vertices ({len(pres.quiver_vertices)}): "
-                 + ", ".join(pres.quiver_vertices))
-    lines.append(f"arrows ({len(pres.arrows)}):")
-    for name, a in pres.arrows.items():
-        lines.append(f"  {name}: {a.source} -> {a.target}")
+    # counts are read off the graph, and each section's rows are dropped once written
+    g = pres.graph
+    lines = [f"quiver vertices ({len(g.pairing) // 2}): " + ", ".join(pres.quiver_vertices()),
+             f"arrows ({len(g.pairing)}):"]
+    lines += (f"  {name}: {source} -> {target}" for name, source, target in pres.arrows())
     walks = walk_texts(pres, arrow_name, "*", reverse=True)  # each one a product_str
     lines.append(f"commutation relations ({len(pres.commutations)}):")
     for (x, _), (y, _) in pres.commutations:
         lines.append(f"  {walks[x]} = {walks[y]}")
-    lines.append(f"zero relations ({len(pres.zero_relations)}):")
-    for later, earlier in pres.zero_relations:
-        lines.append(f"  {later}*{earlier} = 0")
+    lines.append(f"zero relations ({len(g.rotation)}):")
+    lines += (f"  {later}*{earlier} = 0" for later, earlier in pres.zero_relations())
     return "\n".join(lines)

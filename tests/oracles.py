@@ -46,7 +46,7 @@ def reference_commutations(p) -> tuple:
     """The tuple walks of a presentation's commutations, stepped out one
     rotation at a time: the two full walks of every edge whose walks both
     fit (inside the window's chains), sorted."""
-    g = p.afbg.graph if p.window is None else p.window
+    g = p.graph
     out = []
     for x, y in sorted((x, y) for x, y in g.pairing.items() if x < y):
         wx, wy = (step_walk(g.rotation, h, p.afbg.degrees[g.attach[h]]) for h in (x, y))
@@ -58,32 +58,50 @@ def reference_commutations(p) -> tuple:
 def commutation_walks(p) -> tuple:
     """The presentation's commutations, each ``(start, length)`` walk
     stepped out into its arrow names, in the presentation's order."""
-    g = p.afbg.graph if p.window is None else p.window
+    g = p.graph
     return tuple(tuple(tuple(map(arrow_name, step_walk(g.rotation, h, n))) for h, n in pair)
                  for pair in p.commutations)
 
 
+def reference_quiver(p) -> tuple:
+    """(vertices, arrows, zero relations) of a presentation, stepped out of
+    its graph's pairing and rotation one half-edge at a time.  A quiver
+    vertex is an edge id, listed by smaller half-edge (a window's sorted);
+    an arrow is ``{"id", "from", "to"}``, one per half-edge in name order,
+    its "to" None when the rotation step leaves the window; a zero
+    relation is ``(later, earlier)``, one per rotation step, sorted."""
+    g, arrows, zeros = p.graph, [], []
+    vertices = [edge_id_of_pair(x, g.pairing[x]) for x in sorted(g.pairing) if x < g.pairing[x]]
+    for h in sorted(g.attach, key=arrow_name):
+        nxt = g.rotation.get(h)
+        arrows.append({"id": arrow_name(h), "from": edge_id_of_pair(h, g.pairing[h]),
+                       "to": None if nxt is None else edge_id_of_pair(nxt, g.pairing[nxt])})
+        if nxt is not None:
+            zeros.append((arrow_name(g.pairing[nxt]), arrow_name(h)))
+    return vertices if p.window is None else sorted(vertices), arrows, sorted(zeros)
+
+
 def reference_presentation_dict(p) -> dict:
-    """The dict tree of a presentation's JSON file, its commutations
-    stepped out (``reference_commutations``): the byte reference of
+    """The dict tree of a presentation's JSON file, its quiver and its
+    commutations stepped out (``reference_quiver``,
+    ``reference_commutations``): the byte reference of
     :func:`fbga.fileio.presentation_json`.  A window adds its bounds and
     its dangling arrows and has no dimension."""
-    arrows = [{"id": name, "from": a.source, "to": a.target}
-              for name, a in sorted(p.arrows.items())]
+    vertices, arrows, zeros = reference_quiver(p)
     if p.window is None:
         return {"conventions": dict(PATH_CONVENTIONS),
-                "vertices": list(p.quiver_vertices),
+                "vertices": vertices,
                 "arrows": arrows,
                 "commutation_relations": reference_commutations(p),
-                "zero_relations": p.zero_relations,
+                "zero_relations": zeros,
                 "dimension": dimension(p.afbg)}
     return {"conventions": dict(PATH_CONVENTIONS),
             "window": [p.window.lo, p.window.hi],
-            "vertices": list(p.quiver_vertices),
+            "vertices": vertices,
             "arrows": arrows,
             "dangling": [row["id"] for row in arrows if row["to"] is None],
             "commutation_relations": reference_commutations(p),
-            "zero_relations": p.zero_relations}
+            "zero_relations": zeros}
 
 
 def reference_basis(a) -> list:
@@ -127,8 +145,8 @@ def presentation_isomorphism(p1, p2):
     c1 = {tuple(sorted((map_walk(a), map_walk(b))))
           for a, b in commutation_walks(p1)}
     c2 = {tuple(sorted((a, b))) for a, b in commutation_walks(p2)}
-    z1 = {(amap[l], amap[e]) for l, e in p1.zero_relations}
-    z2 = set(p2.zero_relations)
+    z1 = {(amap[l], amap[e]) for l, e in reference_quiver(p1)[2]}
+    z2 = set(reference_quiver(p2)[2])
     if c1 != c2 or z1 != z2:
         raise InvariantError("the graph isomorphism does not carry relations to relations")
     return amap

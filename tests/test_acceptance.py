@@ -69,18 +69,18 @@ def corpus():
 def test_criterion_01_presentation_of_double_edge():
     t0 = time.monotonic()
     pres = build_presentation(lambda_afbg())
-    assert len(pres.quiver_vertices) == 2
-    assert len(pres.arrows) == 4
-    assert len(pres.commutations) + len(pres.zero_relations) == 6
+    assert len(pres.quiver_vertices()) == 2
+    assert len(pres.arrows()) == 4
+    assert len(pres.commutations) + len(pres.zero_relations()) == 6
 
     # written right to left, x1x2 - y1y2 etc.; tuples are application order
     expected_comm = {frozenset({("x2", "x1"), ("y2", "y1")}),
                      frozenset({("x1", "x2"), ("y1", "y2")})}
     expected_zero = {("y2", "x1"), ("x1", "y2"), ("y1", "x2"), ("x2", "y1")}
 
-    e1, e2 = sorted(pres.quiver_vertices)
-    fwd = [n for n, a in pres.arrows.items() if (a.source, a.target) == (e1, e2)]
-    bwd = [n for n, a in pres.arrows.items() if (a.source, a.target) == (e2, e1)]
+    e1, e2 = sorted(pres.quiver_vertices())
+    fwd = [n for n, s, t in pres.arrows() if (s, t) == (e1, e2)]
+    bwd = [n for n, s, t in pres.arrows() if (s, t) == (e2, e1)]
     assert len(fwd) == 2 and len(bwd) == 2
 
     matched = False
@@ -92,7 +92,7 @@ def test_criterion_01_presentation_of_double_edge():
             comm = {frozenset({tuple(ren[a] for a in wx),
                                tuple(ren[a] for a in wy)})
                     for wx, wy in commutation_walks(pres)}
-            zero = {tuple(ren[a] for a in z) for z in pres.zero_relations}
+            zero = {tuple(ren[a] for a in z) for z in pres.zero_relations()}
             if comm == expected_comm and zero == expected_zero:
                 matched = True
     assert matched, "no arrow renaming yields the six expected relations"
@@ -131,14 +131,14 @@ def test_criterion_03_two_sheet_quivers():
     pk = r_fold_trivial_extension(kronecker(), 2)
     pa = r_fold_trivial_extension(aprime(), 2)
     for p in (pk, pa):
-        assert len(p.quiver_vertices) == 4
-        assert len(p.arrows) == 8
+        assert len(p.quiver_vertices()) == 4
+        assert len(p.arrows()) == 8
 
-    arrows_k = [(a.source, a.target) for a in pk.arrows.values()]
+    arrows_k = [(s, t) for _, s, t in pk.arrows()]
     doubled_cycle = [(i, (i + 1) % 4) for i in range(4)] * 2
     assert _matches_under_bijection(arrows_k, doubled_cycle)
 
-    arrows_a = [(a.source, a.target) for a in pa.arrows.values()]
+    arrows_a = [(s, t) for _, s, t in pa.arrows()]
     both_ways = [(i, (i + 1) % 4) for i in range(4)] + \
                 [((i + 1) % 4, i) for i in range(4)]
     assert _matches_under_bijection(arrows_a, both_ways)
@@ -272,7 +272,7 @@ def test_criterion_10_reconstruction_round_trip(corpus):
 def test_criterion_11_nakayama_orbits_on_covers(corpus):
     for _base, _cut, r, res in corpus:
         aut = nakayama_on_presentation(res.cover)
-        quiver_vertices = set(build_presentation(res.cover).quiver_vertices)
+        quiver_vertices = set(build_presentation(res.cover).quiver_vertices())
         assert set(aut.vertex_map) == quiver_vertices
         sizes = {len(c) for c in orbits(aut.vertex_map)}
         assert sizes == {r}

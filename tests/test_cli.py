@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -360,3 +361,40 @@ def test_console_script_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "admissible: yes" in proc.stdout
+
+
+def run_in_posix_locale(*argv):
+    """The command in a subprocess whose locale encoding is ASCII: the POSIX
+    locale, with Python's UTF-8 mode and stream-encoding override off."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(LC_ALL="POSIX", PYTHONUTF8="0")
+    return subprocess.run([sys.executable, "-m", "fbga.cli", *map(str, argv)],
+                          capture_output=True, env=env)
+
+
+def test_a_utf8_graph_file_is_read_in_any_locale(tmp_path):
+    omega = tmp_path / "omega.rg"
+    omega.write_text(json.dumps({
+        "vertices": [{"id": "ω", "rotation": ["a"]}, {"id": "v", "rotation": ["b"]}],
+        "edges": [["a", "b"]]}, ensure_ascii=False), encoding="utf-8")
+    proc = run_in_posix_locale("iso", omega, omega)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"isomorphic\n", b"")
+
+
+def test_out_is_written_as_utf8_in_any_locale(tmp_path):
+    """The dot boundary label of a window is "…", which ASCII cannot encode."""
+    out = tmp_path / "window.dot"
+    argv = ["repetitive-window", KRONECKER, "--window", "0:2", "--format", "dot"]
+    proc = run_in_posix_locale(*argv, "--out", out)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert out.read_bytes() == subprocess.run(
+        [sys.executable, "-m", "fbga.cli", *argv], capture_output=True, check=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8"}).stdout
+    assert 'label="…"'.encode() in out.read_bytes()
+
+
+def test_a_stdout_that_cannot_encode_the_output_ends_in_one_error_line():
+    proc = run_in_posix_locale("repetitive-window", KRONECKER, "--window", "0:2", "--format", "dot")
+    assert proc.returncode == 1 and proc.stdout == b""
+    (line,) = proc.stderr.decode("ascii").splitlines()
+    assert line.startswith("error: cannot write stdout:") and "PYTHONIOENCODING=utf-8" in line

@@ -10,7 +10,7 @@ ENTRY_POINTS = ("__init__", "cli")
 
 def parsed(directory: Path) -> dict:
     """Module name -> syntax tree of every ``*.py`` file in ``directory``."""
-    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             for path in sorted(directory.glob("*.py"))}
 
 
@@ -196,4 +196,32 @@ def test_presentation_output_has_one_form():
     assert ("bordered_to_dict", "presentation_to_dict") in aliases
     assert bound_names(tree.body).count("bordered_to_dict") == 1
     found = defined_in_package(("commutation_relations", "_split", "uniserial", "half_edges"))
+    assert not found, sorted(found)
+
+
+def test_files_are_read_and_written_as_utf8():
+    """Every ``open``, ``read_text`` and ``write_text`` call in the package
+    names its encoding, so no file's text depends on the locale."""
+    found, calls = [], 0
+    for name, tree in parsed(SRC).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) == "open"
+                    or getattr(node.func, "attr", None) in ("open", "read_text", "write_text")):
+                calls += 1
+                if "encoding" not in {k.arg for k in node.keywords}:
+                    found.append(f"{name}.py:{node.lineno}")
+    assert calls >= 2
+    assert not found, found
+
+
+def test_a_presentation_stores_only_its_relations():
+    """A presentation keeps its algebra, its commutations and its window;
+    its quiver vertices, arrows and zero relations are read off the graph
+    on each call, so no module defines a stored arrow."""
+    (cls,) = [node for node in parsed(SRC)["presentation"].body
+              if isinstance(node, ast.ClassDef) and node.name == "Presentation"]
+    fields = [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
+    assert fields == ["afbg", "commutations", "window"]
+    found = defined_in_package(("Arrow", "dangling"))
     assert not found, sorted(found)
