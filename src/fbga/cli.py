@@ -12,6 +12,7 @@ called repeatedly in-process at the cost of parsing alone.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -316,8 +317,11 @@ def main(argv=None) -> int:
                 Path(args.out).write_text(text, encoding="utf-8")
             else:
                 sys.stdout.write(text)
-        except (OSError, UnicodeEncodeError) as exc:  # only stdout has the locale's encoding
-            hint = "; set PYTHONIOENCODING=utf-8" if isinstance(exc, UnicodeEncodeError) else ""
+        except (OSError, UnicodeEncodeError) as exc:
+            # only stdout has the locale's encoding, and UTF-8 refuses lone surrogates
+            helps = (isinstance(exc, UnicodeEncodeError) and not args.out
+                     and not re.search(r"[\ud800-\udfff]", text))
+            hint = "; set PYTHONIOENCODING=utf-8" if helps else ""
             raise InputError(f"cannot write {args.out or 'stdout'}: {exc}{hint}") from exc
         return code
     except AmbiguityError as exc:

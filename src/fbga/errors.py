@@ -67,14 +67,15 @@ class MathPreconditionError(FbgaError):
 
 
 class NotAdmissible(MathPreconditionError):
-    """The degree function fails an admissibility condition."""
+    """The degree function fails an admissibility condition.  ``violations``
+    holds them all; the message names at most the first three."""
 
     def __init__(self, violations):
         self.violations = list(violations)
-        super().__init__(
-            "degree function is not admissible: "
-            + "; ".join(str(v) for v in self.violations)
-        )
+        shown = "; ".join(str(v) for v in self.violations[:3])
+        if len(self.violations) > 3:
+            shown = f"{len(self.violations)} violations, the first 3: {shown}"
+        super().__init__(f"degree function is not admissible: {shown}")
 
 
 class NotABrauerGraph(MathPreconditionError):

@@ -15,11 +15,12 @@ that gives it must agree.  Ids, half-edges and labels are strings and
 degrees are positive integers; anything else is a :class:`ParseError`.
 
 Exported paths list arrows in application order (first arrow first);
-exported zero relations are ``[later, earlier]`` pairs.  ``dumps`` writes
-tuples as JSON arrays, as ``json.dumps`` does.  A presentation and a Loewy
-table each have one writer, ``presentation_json`` and ``loewy_json``, which
-build no dict tree: each strand or relation walk is cut from its orbit's
-text, rendered once (``presentation.cut_walks``).
+exported zero relations are ``[later, earlier]`` pairs.  Every JSON output
+is what ``dumps`` writes: ``json.dumps(obj, indent=2)`` and a newline.  A
+presentation and a Loewy table each have one writer, ``presentation_json``
+and ``loewy_json``, which write those bytes without building the dict tree:
+each strand or relation walk is cut from its orbit's text, rendered once
+(``presentation.cut_walks``).
 """
 
 from __future__ import annotations
@@ -224,8 +225,9 @@ def presentation_json(p: Presentation) -> str:
     dict tree, without building the tree.  A window adds its bounds and its
     dangling arrows and leaves out the dimension.  Arrows are written as
     they are listed, and each commutation walk is cut from its orbit's text
-    of arrow-name literals (``presentation.walk_texts``)."""
-    literal = _Literals().__getitem__
+    of arrow-name literals (``presentation.walk_texts``); the other fields
+    go through ``json.dumps``, indented one level."""
+    literal = json.encoder.encode_basestring_ascii
     walk = walk_texts(p, lambda h: literal(arrow_name(h)), ",\n        ")
     w = p.window
     fields = {"conventions": PATH_CONVENTIONS,
@@ -241,16 +243,14 @@ def presentation_json(p: Presentation) -> str:
                                         for (x, _), (y, _) in p.commutations],
               "zero_relations": p.zero_relations(),
               **({"dimension": dimension(p.afbg)} if w is None else {})}
-    parts, sep = [], "{\n  "
+    parts = []
     for key, value in fields.items():
-        parts.append(sep + literal(key) + ": ")
-        sep = ",\n  "
         if key in ("arrows", "commutation_relations"):  # items written above
-            parts.append("[\n    " + ",\n    ".join(value) + "\n  ]" if value else "[]")
-        else:
-            _emit(value, "\n  ", parts.append, literal)
-    parts.append("\n}\n")
-    return "".join(parts)
+            value = "[\n    " + ",\n    ".join(value) + "\n  ]" if value else "[]"
+        else:  # indented as a whole: JSON escapes every newline inside a string
+            value = json.dumps(value, indent=2).replace("\n", "\n  ")
+        parts.append(f"{literal(key)}: {value}")
+    return "{\n  " + ",\n  ".join(parts) + "\n}\n"
 
 
 # -- DOT rendering ---------------------------------------------------------------
@@ -292,67 +292,5 @@ def dot_of_presentation(p) -> str:
 
 
 def dumps(obj) -> str:
-    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte, for dicts with
-    ``str`` keys, lists, tuples, ``str``, ``int``, ``bool`` and ``None``.
-
-    ``json.dumps`` encodes every value in Python once ``indent`` is set;
-    here a list of strings is joined in one C call, and each distinct
-    string is encoded once.  The pieces are joined once at the end, so a
-    large output is not copied per nesting level.  A non-``str`` key or
-    any other type raises ``TypeError``."""
-    parts = []
-    _emit(obj, "\n", parts.append, _Literals().__getitem__)
-    parts.append("\n")
-    return "".join(parts)
-
-
-class _Literals(dict):
-    """A string -> its JSON literal, each computed on first use; anything
-    that is not a string raises TypeError."""
-
-    def __missing__(self, s):
-        self[s] = literal = json.encoder.encode_basestring_ascii(s)
-        return literal
-
-
-def _emit(obj, newline: str, out, literal) -> None:
-    """Append the pieces of ``obj``; ``newline`` is a line break followed by
-    the indentation of ``obj``'s own line."""
-    if isinstance(obj, str):
-        out(literal(obj))
-    elif obj is None:
-        out("null")
-    elif obj is True:
-        out("true")
-    elif obj is False:
-        out("false")
-    elif isinstance(obj, int):
-        out(int.__repr__(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out("[]")
-            return
-        inner = newline + "  "
-        out("[" + inner)
-        try:
-            out(("," + inner).join(map(literal, obj)))
-        except TypeError:  # not a list of strings
-            sep = ""
-            for item in obj:
-                out(sep)
-                sep = "," + inner
-                _emit(item, inner, out, literal)
-        out(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in obj.items():
-            out(sep + literal(key) + ": ")  # TypeError unless key is a str
-            sep = "," + inner
-            _emit(value, inner, out, literal)
-        out(newline + "}")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    """``obj`` as JSON: two-space indents, ASCII escapes and a final newline."""
+    return json.dumps(obj, indent=2) + "\n"

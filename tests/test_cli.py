@@ -398,3 +398,59 @@ def test_a_stdout_that_cannot_encode_the_output_ends_in_one_error_line():
     assert proc.returncode == 1 and proc.stdout == b""
     (line,) = proc.stderr.decode("ascii").splitlines()
     assert line.startswith("error: cannot write stdout:") and "PYTHONIOENCODING=utf-8" in line
+
+
+LONE_SURROGATE_TARGETS = {  # the environment, and whether --out names a file
+    "stdout-utf8": ({"PYTHONIOENCODING": "utf-8"}, False),
+    "stdout-posix": ({"LC_ALL": "POSIX", "PYTHONUTF8": "0"}, False),
+    "out": ({}, True),
+}
+
+
+@pytest.mark.parametrize("env,to_file", LONE_SURROGATE_TARGETS.values(),
+                         ids=LONE_SURROGATE_TARGETS.keys())
+def test_text_with_a_lone_surrogate_ends_without_the_encoding_hint(tmp_path, env, to_file):
+    """A vertex id that is an escaped lone surrogate parses, but no UTF-8
+    stream or file can take it as text, so the one error line gives no
+    PYTHONIOENCODING hint; the json, which escapes it, is written."""
+    graph = tmp_path / "surrogate.rg"
+    graph.write_text(json.dumps({
+        "vertices": [{"id": "\ud800", "rotation": ["a"]}, {"id": "v", "rotation": ["b"]}],
+        "edges": [["a", "b"]]}))
+    out = tmp_path / "out"
+    target = ["--out", out] if to_file else []
+    env = {**{k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}, **env}
+
+    def export(*argv):
+        return subprocess.run([sys.executable, "-m", "fbga.cli", "export", *map(str, argv)],
+                              capture_output=True, env=env)
+
+    proc = export(graph, *target)
+    assert proc.returncode == 1 and proc.stdout == b""
+    (line,) = proc.stderr.decode("ascii").splitlines()
+    where = out if to_file else "stdout"
+    assert line.startswith(f"error: cannot write {where}:") and "PYTHONIOENCODING" not in line
+    proc = export(graph, "--format", "json", *target)
+    assert proc.returncode == 0 and proc.stderr == b""
+    written = out.read_bytes() if to_file else proc.stdout
+    assert [v["id"] for v in json.loads(written)["vertices"]] == ["v", "\ud800"]
+
+
+def test_a_refusal_names_the_count_and_the_first_three_violations(tmp_path, capsys):
+    """3,000 leaves of degree 2 around a hub of degree 1 fail admissibility
+    6,000 times: the refusal stays one short line, and ``validate`` still
+    lists every violation."""
+    n = 3000
+    star = tmp_path / "star.rg"
+    star.write_text(json.dumps({
+        "vertices": [{"id": "c", "degree": 1, "rotation": [f"c{i}" for i in range(n)]}]
+                    + [{"id": f"v{i}", "degree": 2, "rotation": [f"l{i}"]} for i in range(n)],
+        "edges": [[f"c{i}", f"l{i}"] for i in range(n)]}))
+    assert main(["present", str(star)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: degree function is not admissible: 6000 violations, the first 3: ")
+    assert line.count("pairing_compat at ") == 3 and len(line.encode()) <= 1000
+    code, out = run(capsys, "validate", star, "--format", "json")
+    assert code == 2 and len(json.loads(out)["violations"]) == 2 * n
+    code, out = run(capsys, "validate", star)
+    assert code == 2 and out.count("\n  pairing_compat at ") == 2 * n

@@ -25,6 +25,21 @@ def test_no_assert_statements():
     assert not found
 
 
+def test_no_floating_point():
+    """The package computes exactly, with ``int`` and ``Fraction``: no float
+    literal, no ``float(...)`` call and no true division (``/``, ``/=``)."""
+    found = []
+    for name, tree in parsed(SRC).items():
+        for node in ast.walk(tree):
+            if ((isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+                    or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float")
+                    or (isinstance(node, (ast.BinOp, ast.AugAssign))
+                        and isinstance(node.op, ast.Div))):
+                found.append(f"{name}.py:{node.lineno}")
+    assert len(list(SRC.glob("*.py"))) > 5
+    assert not found, found
+
+
 def relative_imports(tree) -> set:
     """Modules of the package that ``tree`` imports relatively, at any depth
     (``from .x import y`` names ``x``; ``from . import x`` names ``x``)."""
