@@ -48,8 +48,7 @@ def _graph_text(graph, degrees=None, extra=None) -> str:
 def _graph_output(graph, degrees=None, extra=None) -> dict:
     """A graph's renderers; ``extra`` facts follow the graph in text and json."""
     return {"text": lambda: _graph_text(graph, degrees, extra),
-            "json": lambda: fileio.dumps({**fileio.ribbon_to_dict(graph, degrees),
-                                          **(extra or {})}),
+            "json": lambda: fileio.graph_json(graph, degrees, extra),
             "dot": lambda: fileio.dot_of_graph(graph, degrees)}
 
 
@@ -313,8 +312,8 @@ def main(argv=None) -> int:
         code, renderers = args.func(args)
         text = renderers.get(args.format, renderers["text"])()
         try:
-            if args.out:
-                Path(args.out).write_text(text, encoding="utf-8")
+            if args.out:  # encoded before the file is opened, so a failure keeps it
+                Path(args.out).write_bytes(text.encode(encoding="utf-8"))
             else:
                 sys.stdout.write(text)
         except (OSError, UnicodeEncodeError) as exc:

@@ -16,16 +16,17 @@ degrees are positive integers; anything else is a :class:`ParseError`.
 
 Exported paths list arrows in application order (first arrow first);
 exported zero relations are ``[later, earlier]`` pairs.  Every JSON output
-is what ``dumps`` writes: ``json.dumps(obj, indent=2)`` and a newline.  A
-presentation and a Loewy table each have one writer, ``presentation_json``
-and ``loewy_json``, which write those bytes without building the dict tree:
-each strand or relation walk is cut from its orbit's text, rendered once
-(``presentation.cut_walks``).
+is what ``dumps`` writes: ``json.dumps(obj, indent=2)`` and a newline.
+Graphs, presentations and Loewy tables each have one writer, ``graph_json``,
+``presentation_json`` and ``loewy_json``, which write those bytes without
+the dict tree: each list is joined once, and each strand or relation walk
+is cut from its orbit's text, rendered once (``presentation.cut_walks``).
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 
 from .afbg import Afbg
 from .errors import InconsistentInput, InputError, InvariantError, ParseError
@@ -40,9 +41,9 @@ PATH_CONVENTIONS = {
 }
 
 
-def _load(text: str):
+def _load(text: str, object_hook=None):
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=object_hook)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int over the digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
 
@@ -116,6 +117,32 @@ def afbg_to_dict(a: Afbg) -> dict:
     return ribbon_to_dict(a.graph, a.degrees)
 
 
+def graph_json(graph: RibbonGraph, degrees=None, extra=None) -> str:
+    """``dumps({**ribbon_to_dict(graph, degrees), **extra})``, written without
+    the dict tree: ids by their literals, each list joined once."""
+    literal = json.encoder.encode_basestring_ascii
+    vertices = []
+    for v in sorted(graph.vertices):
+        degree = "" if degrees is None else f',\n      "degree": {degrees[v]}'
+        vertices.append(f'{{\n      "id": {literal(v)},\n      "rotation": [\n        '
+                        + ",\n        ".join(map(literal, graph.stars[v]))  # never empty
+                        + f'\n      ]{degree}\n    }}')
+    edges = [f"[\n      {literal(x)},\n      {literal(y)}\n    ]" for x, y in graph.edge_pairs()]
+    return _document({"vertices": vertices, "edges": edges, **(extra or {})}, ("vertices", "edges"))
+
+
+def _document(fields: dict, written: tuple) -> str:
+    """``dumps(fields)``, where each list under ``written`` holds its items' JSON."""
+    parts = []
+    for key, value in fields.items():
+        if key in written:
+            value = "[\n    " + ",\n    ".join(value) + "\n  ]" if value else "[]"
+        else:  # indented as a whole: JSON escapes every newline inside a string
+            value = json.dumps(value, indent=2).replace("\n", "\n  ")
+        parts.append(f"{json.encoder.encode_basestring_ascii(key)}: {value}")
+    return "{\n  " + ",\n  ".join(parts) + "\n}\n"
+
+
 def parse_cut(text: str) -> dict:
     obj = _load(text)
     if not isinstance(obj, list):
@@ -149,22 +176,42 @@ def parse_gentle(text: str) -> GentlePresentation:
 # -- Loewy data ----------------------------------------------------------------
 
 def parse_loewy(text: str) -> LoewyData:
-    obj = _load(text)
+    """The Loewy table in ``text``; strands are joined into texts as each row is decoded."""
+    entries = set()  # every entry of a joined strand
+
+    def join_strands(obj: dict) -> dict:
+        s = obj.get("strands")
+        if type(s) is list and len(s) <= 2 and all(type(x) is list for x in s):
+            with suppress(TypeError):  # an entry that is not a string: left as a list
+                obj["strands"] = tuple(map(EDGE_SEP.join, s)) + ("",) * (2 - len(s))
+                entries.update(*s)
+        return obj
+
+    with suppress(InputError):  # a refused table is decoded again as lists, for the message
+        data = LoewyData._of_texts(_loewy_rows(_load(text, join_strands)), entries)
+        if data is not None:
+            return data
+    return LoewyData.build(_loewy_rows(_load(text)))
+
+
+def _loewy_rows(obj) -> list:
     if not isinstance(obj, list):
         raise ParseError("loewy file: expected a list of rows")
     raw = []
     for row in obj:
         label = _need(row, "id", "loewy row")
         where = f"loewy row {label!r}"
-        strands = [_strings(s, f"{where} strand")
-                   for s in _typed(_need(row, "strands", where), list, f"{where} strands")]
+        strands = _need(row, "strands", where)
+        if type(strands) is not tuple:  # not joined while decoding
+            strands = [_strings(s, f"{where} strand")
+                       for s in _typed(strands, list, f"{where} strands")]
         socle = _typed(_need(row, "socle", where), str, f"{where} socle")
         uniserial = sum(1 for s in strands if s) <= 1
         if _typed(row.get("uniserial", uniserial), bool, f"{where} uniserial") != uniserial:
             raise InconsistentInput(
                 f"simple {label!r}: uniserial flag contradicts the strands")
         raw.append((label, strands, socle))
-    return LoewyData.build(raw)
+    return raw
 
 
 def loewy_to_list(a: Afbg) -> list:
@@ -243,14 +290,7 @@ def presentation_json(p: Presentation) -> str:
                                         for (x, _), (y, _) in p.commutations],
               "zero_relations": p.zero_relations(),
               **({"dimension": dimension(p.afbg)} if w is None else {})}
-    parts = []
-    for key, value in fields.items():
-        if key in ("arrows", "commutation_relations"):  # items written above
-            value = "[\n    " + ",\n    ".join(value) + "\n  ]" if value else "[]"
-        else:  # indented as a whole: JSON escapes every newline inside a string
-            value = json.dumps(value, indent=2).replace("\n", "\n  ")
-        parts.append(f"{literal(key)}: {value}")
-    return "{\n  " + ",\n  ".join(parts) + "\n}\n"
+    return _document(fields, ("arrows", "commutation_relations"))
 
 
 # -- DOT rendering ---------------------------------------------------------------

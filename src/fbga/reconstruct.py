@@ -72,18 +72,18 @@ from .ribbon import EDGE_SEP, RibbonGraph, cycles, edge_id_of_pair, is_isomorphi
 @dataclass(frozen=True)
 class LoewyRow:
     label: str
-    strands: tuple   # two label sequences, ordered by the half-edge pair when walked
+    strands: tuple   # two texts, labels joined by EDGE_SEP, in half-edge pair order
     socle: str
 
 
 @dataclass(frozen=True)
 class LoewyData:
-    rows: tuple  # LoewyRow, sorted by label; strands kept as given; () is a valid strand
+    rows: tuple  # LoewyRow, sorted by label; strands kept as given; "" is a valid strand
 
     @classmethod
     def build(cls, raw_rows) -> "LoewyData":
-        """From (label, strands, socle) triples; a row lists at most two
-        strands, and a missing one is empty."""
+        """From (label, strands, socle) triples, each strand a label sequence;
+        a row lists at most two strands, and a missing one is empty."""
         rows = []
         labels = set()
         for label, strands, socle in raw_rows:
@@ -95,19 +95,30 @@ class LoewyData:
             strands = tuple(strands)
             if len(strands) > 2:
                 raise InputError(f"simple {label!r} lists {len(strands)} strands (max 2)")
-            rows.append(LoewyRow(label, strands + ((),) * (2 - len(strands)), socle))
-        for row in rows:
-            for s in row.strands:
+            rows.append((label, strands + ((),) * (2 - len(strands)), socle))
+        for label, strands, socle in rows:
+            for s in strands:
                 if not labels.issuperset(s):
                     x = next(x for x in s if x not in labels)
-                    raise InputError(
-                        f"strand of {row.label!r} mentions unknown label {x!r}")
-            if row.socle not in labels:
-                raise InputError(f"socle of {row.label!r} is unknown label {row.socle!r}")
-        if sorted(r.socle for r in rows) != sorted(labels):
+                    raise InputError(f"strand of {label!r} mentions unknown label {x!r}")
+            if socle not in labels:
+                raise InputError(f"socle of {label!r} is unknown label {socle!r}")
+        if sorted(socle for _, _, socle in rows) != sorted(labels):
             raise InconsistentInput(
                 "socles must permute the simples (each label exactly once)")
-        return cls(tuple(sorted(rows, key=lambda r: r.label)))
+        return cls._of_texts([(label, tuple(map(EDGE_SEP.join, strands)), socle)
+                              for label, strands, socle in rows], labels)
+
+    @classmethod
+    def _of_texts(cls, rows, entries):
+        """From (label, two strand texts, socle) rows whose strand entries lie
+        in ``entries``, or None where ``build`` refuses them (it names why)."""
+        labels = {l for l, _, _ in rows if isinstance(l, str) and l and EDGE_SEP not in l}
+        # one socle per row: equal lists also mean no label is repeated or refused
+        if (labels.issuperset(entries) and all(len(strands) == 2 for _, strands, _ in rows)
+                and sorted(socle for _, _, socle in rows) == sorted(labels)):
+            return cls(tuple(sorted((LoewyRow(*row) for row in rows), key=lambda r: r.label)))
+        return None
 
 
 def loewy_labels(graph: RibbonGraph) -> dict:
@@ -126,31 +137,30 @@ def reconstruct_afbg(data: LoewyData) -> Reconstruction:
     rows = data.rows
     if len(rows) == 1:
         l = rows[0].label
-        if tuple(map(tuple, rows[0].strands)) == ((l,), (l,)) and rows[0].socle == l:
+        if rows[0].strands == (l, l) and rows[0].socle == l:
             raise Exceptional(
                 "table fits both 4-dimensional local algebras (a loop of "
                 "degree 2 and an edge of degrees 2,2); they cannot be told apart")
 
     # A key is (label, text of a strand).  The text is injective because labels
-    # are non-empty and free of EDGE_SEP, and LoewyData.build has checked that
-    # every strand label is a label before any key is built.
+    # are non-empty and free of EDGE_SEP, and LoewyData has checked that every
+    # strand entry is a label before any key is built.
     supply = {}
     demand = {}
     wants = {}  # side name -> demand key: (window[0], text of window[1:])
     strand_len = {}
     for idx, row in enumerate(rows):
-        for tag, strand in zip("ab", row.strands):
+        for tag, text in zip("ab", row.strands):
             side = f"e{idx}{tag}"  # half-edge name in the candidate graphs
-            text = EDGE_SEP.join(strand)
             supply.setdefault((row.label, text), []).append(side)
-            if strand:
-                rest = text[len(strand[0]) + 1:]
-                want = (strand[0], f"{rest}{EDGE_SEP}{row.socle}" if rest else row.socle)
+            if text:
+                first, _, rest = text.partition(EDGE_SEP)
+                want = (first, f"{rest}{EDGE_SEP}{row.socle}" if rest else row.socle)
             else:
                 want = (row.socle, "")
             wants[side] = want
             demand.setdefault(want, []).append(side)
-            strand_len[side] = len(strand)
+            strand_len[side] = text.count(EDGE_SEP) + 1 if text else 0
     if {k: len(v) for k, v in supply.items()} != {k: len(v) for k, v in demand.items()}:
         raise InconsistentInput(
             "successor requirements do not match the available sides")

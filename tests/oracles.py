@@ -1,6 +1,7 @@
 """Presentation, covering, invariant and reconstruction checks that only
 the tests use."""
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import product
 from math import lcm
@@ -12,8 +13,8 @@ from fbga.fileio import PATH_CONVENTIONS
 from fbga.gentle import GentlePresentation
 from fbga.invariants import Fingerprint
 from fbga.presentation import BasisElement, arrow_name, dimension
-from fbga.reconstruct import LoewyData, LoewyRow, loewy_labels
-from fbga.ribbon import RibbonGraph, edge_id_of_pair, is_isomorphic, orbits
+from fbga.reconstruct import LoewyData, loewy_labels
+from fbga.ribbon import EDGE_SEP, RibbonGraph, edge_id_of_pair, is_isomorphic, orbits
 
 
 def product_str(seq) -> str:
@@ -392,11 +393,20 @@ def reference_root_keys(graph, degrees) -> dict:
 
 # -- Loewy tables stepped out, and reconstruction with the candidate's table rebuilt --
 
+TableRow = namedtuple("TableRow", "label strands socle")  # strands as label tuples
+
+
+def strand_labels(text: str) -> tuple:
+    """The labels of a strand text of :class:`fbga.reconstruct.LoewyRow`."""
+    return tuple(text.split(EDGE_SEP)) if text else ()
+
+
 def loewy_table(a, labels: dict | None = None) -> dict:
-    """Per edge: its label, the two radical strands (per half-edge ``h``, the
-    edges of the walk of length degree - 1 from ``rotation(h)``, stepped
-    out) and the socle edge (that of ``nakayama(h)``, the same for both
-    half-edges).  Edges are named by their ids, or by ``labels[id]``."""
+    """Per edge, a :class:`TableRow`: its label, the two radical strands (per
+    half-edge ``h``, the edges of the walk of length degree - 1 from
+    ``rotation(h)``, stepped out) and the socle edge (that of
+    ``nakayama(h)``, the same for both half-edges).  Edges are named by
+    their ids, or by ``labels[id]``."""
     g = a.graph
     name = {h: edge_id_of_pair(h, p) for h, p in g.pairing.items()}
     if labels is not None:
@@ -408,17 +418,16 @@ def loewy_table(a, labels: dict | None = None) -> dict:
         socle = name[a.nakayama[x]]
         if socle != name[a.nakayama[y]]:  # forced by admissibility (a)
             raise InvariantError(f"the two full walks of edge {name[x]!r} end on different edges")
-        table[name[x]] = LoewyRow(name[x], strands, socle)
+        table[name[x]] = TableRow(name[x], strands, socle)
     return table
 
 
 def loewy_data_of(a):
     """The Loewy data of ``a``, edges labelled by
-    :func:`fbga.reconstruct.loewy_labels`, strands as tuples (so the data
-    hashes), and that labelling: (data, edge id -> label)."""
+    :func:`fbga.reconstruct.loewy_labels`, and that labelling: (data, edge id
+    -> label)."""
     name = loewy_labels(a.graph)
-    table = loewy_table(a, name)
-    return LoewyData.build((r.label, r.strands, r.socle) for r in table.values()), name
+    return LoewyData.build(loewy_table(a, name).values()), name
 
 
 def table_matches(a, data, edge_labels) -> bool:
@@ -430,6 +439,6 @@ def table_matches(a, data, edge_labels) -> bool:
     for row in data.rows:
         got = table[row.label]
         # equal strands give an equal uniserial bit
-        if sorted(got.strands) != sorted(map(tuple, row.strands)) or got.socle != row.socle:
+        if sorted(got.strands) != sorted(map(strand_labels, row.strands)) or got.socle != row.socle:
             return False
     return True

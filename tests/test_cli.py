@@ -436,6 +436,23 @@ def test_text_with_a_lone_surrogate_ends_without_the_encoding_hint(tmp_path, env
     assert [v["id"] for v in json.loads(written)["vertices"]] == ["v", "\ud800"]
 
 
+def test_a_failed_write_keeps_the_old_out_file(tmp_path):
+    """The text is encoded before ``--out`` is opened, so a lone surrogate
+    that UTF-8 refuses leaves the file that was there."""
+    graph = tmp_path / "surrogate.rg"
+    graph.write_text(json.dumps({
+        "vertices": [{"id": "\ud800", "rotation": ["a"]}, {"id": "v", "rotation": ["b"]}],
+        "edges": [["a", "b"]]}))
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"keep\n")
+    proc = subprocess.run([sys.executable, "-m", "fbga.cli", "export", str(graph), "--out", str(out)],
+                          capture_output=True)
+    assert proc.returncode == 1 and proc.stdout == b""
+    (line,) = proc.stderr.decode("ascii").splitlines()
+    assert line.startswith(f"error: cannot write {out}:")
+    assert out.read_bytes() == b"keep\n"
+
+
 def test_a_refusal_names_the_count_and_the_first_three_violations(tmp_path, capsys):
     """3,000 leaves of degree 2 around a hub of degree 1 fail admissibility
     6,000 times: the refusal stays one short line, and ``validate`` still

@@ -6,15 +6,26 @@ from random import Random
 import pytest
 
 from fbga import fileio
-from fbga.afbg import Afbg
-from fbga.covering import cover_finite
-from fbga.errors import InconsistentInput, InputError, InvariantError, NotAdmissible, ParseError
+import tracemalloc
+
+from fbga.afbg import Afbg, reduced_form
+from fbga.covering import cover_finite, smallest_cut
+from fbga.errors import (
+    FbgaError,
+    InconsistentInput,
+    InputError,
+    InvariantError,
+    MathPreconditionError,
+    NotAdmissible,
+    ParseError,
+)
 from fbga.fileio import (
     afbg_to_dict,
     bordered_to_dict,
     dot_of_graph,
     dot_of_presentation,
     dumps,
+    graph_json,
     loewy_json,
     loewy_to_list,
     parse_cut,
@@ -27,7 +38,7 @@ from fbga.fileio import (
 )
 from fbga.gentle import repetitive_window, GentlePresentation
 from fbga.presentation import build_presentation
-from fbga.reconstruct import reconstruct_afbg
+from fbga.reconstruct import LoewyData, reconstruct_afbg
 from fbga.ribbon import RibbonGraph, is_isomorphic
 from generators import (
     cover_compatible_degrees,
@@ -36,7 +47,7 @@ from generators import (
     random_cut,
     random_ribbon_graph,
 )
-from oracles import loewy_data_of, reference_presentation_dict
+from oracles import loewy_data_of, reference_presentation_dict, strand_labels
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -126,6 +137,91 @@ def test_parse_loewy_rejects_uniserial_contradiction():
             parse_loewy(json.dumps(rows))
 
 
+def row(label, strands=((), ()), socle=None) -> dict:
+    return {"id": label, "strands": [list(s) for s in strands], "socle": socle or label}
+
+
+NESTED = {"id": "a", "strands": [["a"]], "socle": "a"}
+MALFORMED_LOEWY = {  # name: (table, error, message), the messages as first released
+    "empty-entry": ([row("a"), row("b", (("a", ""), ()))],
+                    InputError, "strand of 'b' mentions unknown label ''"),
+    "entry-with-separator": ([row("a"), row("b"), row("c", (("a~b",), ()))],
+                             InputError, "strand of 'c' mentions unknown label 'a~b'"),
+    "entry-not-a-string": ([row("a"), {"id": "b", "strands": [["a", 3], []], "socle": "b"}],
+                           ParseError, "loewy row 'b' strand: expected a list of strings, "
+                                       "got ['a', 3]"),
+    "object-in-a-strand": ([row("a"), {"id": "b", "strands": [[NESTED]], "socle": "b"}],
+                           ParseError, "loewy row 'b' strand: expected a list of strings, "
+                                       "got [{'id': 'a', 'strands': [['a']], 'socle': 'a'}]"),
+    "unknown-strand-label": ([row("a"), row("b", (("a", "zz"), ("a",)))],
+                             InputError, "strand of 'b' mentions unknown label 'zz'"),
+    "unknown-socle": ([row("a"), row("b", (("a",), ()), "zz")],
+                      InputError, "socle of 'b' is unknown label 'zz'"),
+    "unknown-socle-before-strand": ([row("a", socle="zz"), row("b", (("yy",), ()))],
+                                    InputError, "socle of 'a' is unknown label 'zz'"),
+    "duplicate-label": ([row("a"), row("b"), row("a")],
+                        InputError, "duplicate simple label 'a'"),
+    "three-strands": ([row("a"), row("b", (("a",), ("a",), ()))],
+                      InputError, "simple 'b' lists 3 strands (max 2)"),
+    "socles-not-a-permutation": ([row("a", socle="b"), row("b")], InconsistentInput,
+                                 "socles must permute the simples (each label exactly once)"),
+    "uniserial-contradiction": ([row("a"), {**row("b", (("a",), ("a",))), "uniserial": True}],
+                                InconsistentInput,
+                                "simple 'b': uniserial flag contradicts the strands"),
+    "empty-label": ([row("a"), row("", socle="a")], InputError, "bad simple label ''"),
+    "label-with-separator": ([row("a~b")], InputError, "bad simple label 'a~b'"),
+    "label-a-list": ([{**row("a"), "id": ["a"]}], InputError, "bad simple label ['a']"),
+    "strands-a-string": ([{**row("a"), "strands": "a"}],
+                         ParseError, "loewy row 'a' strands: expected a list, got 'a'"),
+    "strand-a-string": ([{**row("a"), "strands": ["a"]}],
+                        ParseError, "loewy row 'a' strand: expected a list of strings, got 'a'"),
+    "not-a-list": (NESTED, ParseError, "loewy file: expected a list of rows"),
+}
+
+
+@pytest.mark.parametrize("table,error,message", MALFORMED_LOEWY.values(),
+                         ids=MALFORMED_LOEWY.keys())
+def test_malformed_loewy_tables_keep_their_messages(table, error, message):
+    with pytest.raises(error) as caught:
+        parse_loewy(json.dumps(table))
+    assert (type(caught.value), str(caught.value)) == (error, message)
+
+
+def test_invalid_json_is_reported_before_any_row():
+    for text, message in (
+            ('[{"id": "a", "strands": 5, "socle": "a"}, {"id": ',
+             "invalid JSON: Expecting value: line 1 column 50 (char 49)"),
+            ('[{"id": "a", "strands": [["zz"]], "socle": "a"}] x',
+             "invalid JSON: Extra data: line 1 column 50 (char 49)")):
+        with pytest.raises(ParseError) as caught:
+            parse_loewy(text)
+        assert str(caught.value) == message
+
+
+def test_parsed_strands_are_texts():
+    rows = [row("a", (("b", "a"), ())), row("b", (("a",), ("a",)))]
+    data = parse_loewy(json.dumps(rows))
+    assert [r.strands for r in data.rows] == [("b~a", ""), ("a", "a")]
+    assert data == LoewyData.build((r["id"], r["strands"], r["socle"]) for r in rows)
+
+
+def test_reconstruct_peaks_below_three_times_the_table():
+    """Strand entries are joined row by row as the file is decoded, so
+    parsing and reconstructing a 200-edge table (1.3 MB) allocates less
+    than three times the text at any moment."""
+    a = random_afbg(Random(1), 200)
+    text = loewy_json(a)
+    assert len(text) > 10**6
+    tracemalloc.start()
+    try:
+        rec = reconstruct_afbg(parse_loewy(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.afbg.graph.num_edges() == 200
+    assert peak <= 3 * len(text), peak
+
+
 def loewy_json_cases():
     """Algebras whose Loewy JSON is rendered both ways: the data/ samples,
     random Brauer graphs, r-sheeted covers, a star with 12 edges (so s10
@@ -159,7 +255,7 @@ def loewy_json_cases():
 def oracle_rows(a) -> list:
     """The rows of the stepped-out reference table, as a Loewy file lists
     them: a row is uniserial unless both of its strands are non-empty."""
-    return [{"id": r.label, "strands": r.strands,
+    return [{"id": r.label, "strands": [strand_labels(s) for s in r.strands],
              "uniserial": not (r.strands[0] and r.strands[1]), "socle": r.socle}
             for r in loewy_data_of(a)[0].rows]
 
@@ -244,3 +340,59 @@ def test_afbg_dict_keeps_degrees():
     g, deg = parse_ribbon(LAMBDA_TEXT)
     d = afbg_to_dict(Afbg.build(g, deg))
     assert all("degree" in row for row in d["vertices"])
+
+
+# -- graph JSON ------------------------------------------------------------------
+
+def graph_json_cases() -> list:
+    """(graph, degrees, extra) as ``export``, ``reduce``, ``cover`` and
+    ``reconstruct`` hand them to ``graph_json``: every data/ graph and
+    every data/ Loewy table that each command accepts."""
+    cases = []
+    for path in sorted(DATA.glob("*.rg")):
+        graph, degrees = parse_ribbon(path.read_text())
+        cases.append((graph, degrees, None))
+        try:
+            a = Afbg.build(graph, degrees)
+        except NotAdmissible:
+            continue
+        red = reduced_form(a)
+        cases.append((red.graph, red.degrees, None))
+        for r in (2, 3):
+            try:
+                res = cover_finite(a, smallest_cut(graph), r)
+            except MathPreconditionError:
+                continue
+            cases.append((res.cover.graph, res.cover.degrees, {"sheets": res.sheets}))
+    for path in sorted(DATA.glob("*.loewy")):
+        try:
+            rec = reconstruct_afbg(parse_loewy(path.read_text()))
+        except FbgaError:
+            continue
+        labels = {eid: rec.edge_labels[eid] for eid in sorted(rec.edge_labels)}
+        cases.append((rec.afbg.graph, rec.afbg.degrees,
+                      {"edge_labels": labels, "wirings_tried": rec.wirings_tried}))
+    return cases
+
+
+ESCAPED = RibbonGraph.build({'q"v': ['h"', "h\\"], "w\\": ["ω", "\ud800"]},
+                            [['h"', "ω"], ["h\\", "\ud800"]])
+
+
+@pytest.mark.parametrize("graph,degrees,extra", [
+    *graph_json_cases(),
+    (RibbonGraph.build({}, []), {}, None),
+    (RibbonGraph.build({}, []), None, {"edge_labels": {}, "wirings_tried": 1}),
+    (parse_ribbon(LAMBDA_TEXT)[0], None, None),
+    (ESCAPED, {'q"v': 2, "w\\": 10**30}, {"edge_labels": {"(h\\,\ud800)": "ω\n"}}),
+    (ESCAPED, None, {"sheets": 2, "edge_labels": {}}),
+])
+def test_graph_json_equals_dumps_of_its_dict(graph, degrees, extra):
+    want = dumps({**ribbon_to_dict(graph, degrees), **(extra or {})})
+    assert graph_json(graph, degrees, extra) == want
+
+
+def test_graph_json_cases_cover_every_command():
+    kinds = [tuple(extra or ()) for _, _, extra in graph_json_cases()]
+    assert kinds.count(()) > len(list(DATA.glob("*.rg")))  # exports and reductions
+    assert ("sheets",) in kinds and ("edge_labels", "wirings_tried") in kinds

@@ -22,7 +22,7 @@ from fbga.reconstruct import (
 )
 from fbga.ribbon import RibbonGraph, canonical_code, edge_id_of_pair, is_isomorphic
 from generators import lambda_afbg, loop_afbg, random_afbg, random_fractional_afbg
-from oracles import loewy_data_of, table_matches
+from oracles import loewy_data_of, strand_labels, table_matches
 
 
 def roundtrip_check(a: Afbg) -> bool:
@@ -75,7 +75,7 @@ def test_build_rejects_non_permutation_socles():
 
 def test_build_pads_missing_strand():
     data = LoewyData.build([("a", (("a",),), "a")])
-    assert data.rows[0].strands == (("a",), ())
+    assert data.rows[0].strands == ("a", "")
 
 
 # ------------------------------------------------------------ reconstruction
@@ -150,7 +150,7 @@ def reconstruct_all_wirings(data: LoewyData):
     rows = data.rows
     if len(rows) == 1:
         l = rows[0].label
-        if rows[0].strands == ((l,), (l,)) and rows[0].socle == l:
+        if rows[0].strands == (l, l) and rows[0].socle == l:
             raise Exceptional(
                 "table fits both 4-dimensional local algebras (a loop of "
                 "degree 2 and an edge of degrees 2,2); they cannot be told apart")
@@ -159,7 +159,7 @@ def reconstruct_all_wirings(data: LoewyData):
     demand = {}
     strand_len = {}
     for idx, row in enumerate(rows):
-        for tag, strand in zip("ab", row.strands):
+        for tag, strand in zip("ab", map(strand_labels, row.strands)):
             side = f"e{idx}{tag}"
             supply.setdefault((row.label, strand), []).append(side)
             window = strand + (row.socle,)
@@ -254,7 +254,7 @@ def disjoint_union(*tables):
     raw = []
     for i, data in enumerate(tables):
         p = f"t{i}"
-        raw += [(p + r.label, tuple(tuple(p + x for x in s) for s in r.strands),
+        raw += [(p + r.label, tuple(tuple(p + x for x in strand_labels(s)) for s in r.strands),
                  p + r.socle) for r in data.rows]
     return LoewyData.build(raw)
 
@@ -400,7 +400,7 @@ def mutated(rng, data: LoewyData) -> list:
     two random changes: a socle changed, a strand label changed, dropped
     or appended, the two strands of a row swapped, or strands or socles
     swapped between two rows.  Every label written is a label."""
-    rows = [[r.label, [list(s) for s in r.strands], r.socle] for r in data.rows]
+    rows = [[r.label, [list(strand_labels(s)) for s in r.strands], r.socle] for r in data.rows]
     labels = [r[0] for r in rows]
     for _ in range(rng.randint(1, 2)):
         (i, a), (j, b) = ((rng.randrange(len(rows)), rng.randrange(2)) for _ in "ij")
@@ -451,11 +451,12 @@ def test_a_label_holding_the_separator_is_never_a_key():
     """The text of the strand ["x~y"] is that of ["x", "y"]; the label
     check refuses it before reconstruction builds any key."""
     data, _ = loewy_data_of(star_afbg(3))
-    row = next(r for r in data.rows if len(r.strands[0]) == 2)
-    x, y = row.strands[0]
-    raw = [(r.label, ((f"{x}~{y}",), r.strands[1]) if r is row else r.strands, r.socle)
-           for r in data.rows]
-    with pytest.raises(InputError, match=f"strand of {row.label!r} mentions unknown label "
+    raw = [(r.label, tuple(map(strand_labels, r.strands)), r.socle) for r in data.rows]
+    i, (label, (strand, other), socle) = next(
+        (i, r) for i, r in enumerate(raw) if len(r[1][0]) == 2)
+    x, y = strand
+    raw[i] = (label, ((f"{x}~{y}",), other), socle)
+    with pytest.raises(InputError, match=f"strand of {label!r} mentions unknown label "
                                          f"'{x}~{y}'"):
         LoewyData.build(raw)
     text = json.dumps([{"id": l, "strands": s, "socle": so} for l, s, so in raw])

@@ -215,14 +215,16 @@ def test_presentation_output_has_one_form():
 
 
 def test_files_are_read_and_written_as_utf8():
-    """Every ``open``, ``read_text`` and ``write_text`` call in the package
-    names its encoding, so no file's text depends on the locale."""
+    """Every ``open``, ``read_text``, ``write_text`` and ``encode`` call in
+    the package names its encoding, so no file's text depends on the locale
+    (``--out`` is written as bytes encoded before the file is opened)."""
     found, calls = [], 0
     for name, tree in parsed(SRC).items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and (
                     getattr(node.func, "id", None) == "open"
-                    or getattr(node.func, "attr", None) in ("open", "read_text", "write_text")):
+                    or getattr(node.func, "attr", None) in ("open", "read_text", "write_text",
+                                                            "encode")):
                 calls += 1
                 if "encoding" not in {k.arg for k in node.keywords}:
                     found.append(f"{name}.py:{node.lineno}")
