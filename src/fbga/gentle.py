@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .afbg import Afbg
 from .covering import CoverResult, cover_finite, cover_window
 from .errors import InputError, InvariantError, UnboundedPath
-from .presentation import Presentation, _present, build_presentation
+from .presentation import Presentation, build_presentation
 from .ribbon import EDGE_SEP, RibbonGraph
 
 
@@ -240,4 +240,4 @@ def repetitive_window(p: GentlePresentation, lo: int, hi: int) -> Presentation:
     their source but dangle; relations are listed only when entirely
     inside the window."""
     res = ribbon_graph_of_gentle(p)
-    return _present(res.afbg, cover_window(res.afbg, res.cut, lo, hi))
+    return build_presentation(res.afbg, cover_window(res.afbg, res.cut, lo, hi))

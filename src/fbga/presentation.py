@@ -148,11 +148,7 @@ def _check_budget(steps: int, what: str, half_edges: int = 0) -> None:
         raise SizeLimitExceeded(f"{what} {shown} is above the walk budget of {WALK_BUDGET}")
 
 
-def build_presentation(a: Afbg) -> Presentation:
-    return _present(a)
-
-
-def _present(a: Afbg, window: BorderedRibbonGraph | None = None) -> Presentation:
+def build_presentation(a: Afbg, window: BorderedRibbonGraph | None = None) -> Presentation:
     """The presentation over ``a.graph``, or over a window of a cover of
     it, with the degrees of ``a``.  A window's rotation is partial: an
     arrow without a rotation successor dangles, and a commutation is kept

@@ -216,12 +216,6 @@ def _root_keys(graph, degrees) -> dict:
             for h, p in pair.items()}
 
 
-def _rarest_key(sizes: Counter):
-    """The key of the smallest class, ties broken by the key itself, so
-    the choice does not depend on half-edge names."""
-    return min(sizes, key=lambda k: (sizes[k], k))
-
-
 def _rooted_word(graph, root, rinv, degrees, bound=None):
     """(word, order) of the BFS from ``root`` over the moves (pairing,
     rotation, rotation^-1), or ``None`` as soon as a prefix of the word
@@ -257,33 +251,55 @@ def _rooted_word(graph, root, rinv, degrees, bound=None):
     return tuple(word), order
 
 
+def _canonical(graph, keys, degrees) -> tuple:
+    """(code, BFS order) of :func:`canonical_code`.  Two roots with equal
+    words zip into an automorphism, which keeps the key classes; its cycles
+    through the roots are merged in a union-find whose representatives are
+    the least roots.  An automorphism commutes with pairing and rotation,
+    so a root whose orbit holds a root tried before it gives an equal word
+    and is skipped (McKay, "Practical graph isomorphism", 1981)."""
+    if not keys:
+        return (), []
+    sizes = Counter(keys.values())
+    rarest = min(sizes, key=lambda k: (sizes[k], k))  # ties by key, not by names
+    roots = sorted(h for h, k in keys.items() if k == rarest)
+    rinv = graph.rotation_inverse()
+    parent = dict(zip(roots, roots))
+
+    def find(h):
+        while parent[h] != h:
+            parent[h] = h = parent[parent[h]]
+        return h
+
+    best = order = None
+    for root in roots:
+        if find(root) != root:  # a smaller root of its orbit was tried or skipped
+            continue
+        found = _rooted_word(graph, root, rinv, degrees, best)
+        if found is not None and found[0] == best:
+            image = dict(zip(order, found[1]))
+            for h in roots:
+                a, b = sorted((find(h), find(image[h])))
+                parent[b] = a
+        elif found is not None:
+            best, order = found
+    return best, order
+
+
 def canonical_code(graph: RibbonGraph, degrees: dict | None = None) -> tuple:
     """Lexicographically minimal rooted word over the roots of the rarest
-    key class.
-
-    Every half-edge gets an isomorphism-invariant key (valency and face
-    length at it and at its partner, and both degrees when ``degrees`` is
-    given); only the half-edges of the smallest key class are tried as
-    roots, and each word stops at its first entry above the best so far.
-    Equal codes characterise isomorphism (degree-aware when ``degrees`` is
-    given).  A code is only meant to be compared with codes of the same
-    version of this module and is never written to output.  Mirror images
-    are *not* identified: the word uses rotation and its inverse in fixed
-    slots, so reversing all rotations produces a different code in general.
-    """
+    key class: every half-edge is keyed by the valency and face length at
+    it and at its partner (and both degrees when ``degrees`` is given), and
+    one root is tried per orbit of the automorphisms found so far, each
+    word stopping at its first entry above the best.  A map whose
+    half-edges share one key and that has no automorphism costs one word
+    per root.  Equal codes characterise isomorphism (degree-aware when
+    ``degrees`` is given); codes are compared only within one version of
+    this module and never written to output.  Mirror images are *not*
+    identified: rotation and its inverse fill fixed slots of the word."""
     if not graph.connected:
         raise DisconnectedInput("canonical_code requires a connected graph")
-    keys = _root_keys(graph, degrees)
-    if not keys:
-        return ()
-    rarest = _rarest_key(Counter(keys.values()))
-    rinv = graph.rotation_inverse()
-    best = None
-    for root in (h for h, k in keys.items() if k == rarest):
-        found = _rooted_word(graph, root, rinv, degrees, best)
-        if found is not None:
-            best = found[0]
-    return best
+    return _canonical(graph, _root_keys(graph, degrees), degrees)[0]
 
 
 def is_isomorphic(g1: RibbonGraph, g2: RibbonGraph,
@@ -292,11 +308,9 @@ def is_isomorphic(g1: RibbonGraph, g2: RibbonGraph,
 
     Degrees are compared iff both ``d1`` and ``d2`` are given.  Graphs whose
     half-edge keys (see :func:`canonical_code`) differ as multisets are
-    rejected at once.  Otherwise the word of g1 from one root of its rarest
-    key class is matched against the words of g2 from the roots of the same
-    class, each stopping at its first larger entry; an isomorphism sends
-    that root into that class, so one of them matches iff the graphs are
-    isomorphic.  The returned dict is checked to commute with pairing and
+    rejected at once.  Otherwise the graphs are isomorphic iff their codes
+    are equal, and then position i of one BFS order maps to position i of
+    the other.  The returned dict is checked to commute with pairing and
     rotation (and to preserve degrees), so it induces a vertex bijection.
     """
     if not (g1.connected and g2.connected):
@@ -304,23 +318,13 @@ def is_isomorphic(g1: RibbonGraph, g2: RibbonGraph,
     if d1 is None or d2 is None:
         d1 = d2 = None
     keys1, keys2 = _root_keys(g1, d1), _root_keys(g2, d2)
-    sizes = Counter(keys1.values())
-    if sizes != Counter(keys2.values()):
+    if Counter(keys1.values()) != Counter(keys2.values()):
         return None
-    if not keys1:
-        return {}
-
-    rarest = _rarest_key(sizes)
-    root1 = next(h for h, k in keys1.items() if k == rarest)
-    word1, order1 = _rooted_word(g1, root1, g1.rotation_inverse(), d1)
-    rinv2 = g2.rotation_inverse()
-    for root in (h for h, k in keys2.items() if k == rarest):
-        found = _rooted_word(g2, root, rinv2, d2, word1)
-        if found is not None and found[0] == word1:
-            mapping = dict(zip(order1, found[1]))
-            break
-    else:
+    word1, order1 = _canonical(g1, keys1, d1)
+    word2, order2 = _canonical(g2, keys2, d2)
+    if word1 != word2:
         return None
+    mapping = dict(zip(order1, order2))
 
     # verify the claimed isomorphism explicitly
     for h, h2 in mapping.items():
@@ -329,4 +333,3 @@ def is_isomorphic(g1: RibbonGraph, g2: RibbonGraph,
                 or d1 is not None and d1[g1.attach[h]] != d2[g2.attach[h2]]):
             raise InvariantError(f"equal words but the induced map fails at {h!r}")
     return mapping
-

@@ -171,6 +171,21 @@ def connected_graphs_up_to(max_edges: int) -> list:
     return out
 
 
+def torus_grid(k: int, shift: int = 0) -> RibbonGraph:
+    """The k×k square grid on the torus: 2k² edges, every vertex 4-valent
+    and every face a square, so every half-edge has the same key.  The wrap
+    from the top row back to the bottom one moves ``shift`` columns; for
+    k ≥ 2, shift 1 gives a map that is not isomorphic to the plain grid:
+    its lattice of periods, spanned by (k, 0) and (1, k), is not kZ², and
+    every rotation of the plane's square grid keeps kZ²."""
+    rotations = {f"v{i}.{j}": [f"{d}{i}.{j}" for d in "ENWS"]
+                 for i in range(k) for j in range(k)}
+    edges = [[f"E{i}.{j}", f"W{(i + 1) % k}.{j}"] for i in range(k) for j in range(k)]
+    edges += [[f"N{i}.{j}", f"S{(i + (shift if j == k - 1 else 0)) % k}.{(j + 1) % k}"]
+              for i in range(k) for j in range(k)]
+    return RibbonGraph.build(rotations, edges)
+
+
 def small_degree_pairs(max_edges: int = 3, max_degree: int = 4) -> list:
     """Every (graph, degrees) on the connected graphs with at most
     ``max_edges`` edges and degrees 1..``max_degree``, admissible or not."""

@@ -1,7 +1,7 @@
 """Presentation, covering, invariant and reconstruction checks that only
 the tests use."""
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from itertools import product
 from math import lcm
@@ -389,6 +389,58 @@ def reference_root_keys(graph, degrees) -> dict:
         return {h: (valency[h], valency[p], face[h], face[p]) for h, p in pair.items()}
     return {h: (valency[h], valency[p], face[h], face[p], degrees[attach[h]], degrees[attach[p]])
             for h, p in pair.items()}
+
+
+# -- the isomorphism searches without automorphism pruning --------------------------
+
+def reference_rooted_word(graph, root, degrees=None) -> tuple:
+    """The rooted word of :func:`fbga.ribbon.canonical_code` built in two
+    passes: label the half-edges by BFS from ``root`` over (pairing,
+    rotation, rotation^-1), then emit per half-edge in label order the
+    labels of those three neighbours, and its degree when given."""
+    rinv = graph.rotation_inverse()
+    label = {root: 0}
+    order = [root]
+    for h in order:
+        for m in (graph.pairing[h], graph.rotation[h], rinv[h]):
+            if m not in label:
+                label[m] = len(order)
+                order.append(m)
+    return tuple((label[graph.pairing[h]], label[graph.rotation[h]], label[rinv[h]])
+                 + (() if degrees is None else (degrees[graph.attach[h]],)) for h in order)
+
+
+def _rarest_roots(keys: dict) -> list:
+    """The half-edges of the smallest key class, ties broken by the key."""
+    sizes = Counter(keys.values())
+    rarest = min(sizes, key=lambda k: (sizes[k], k))
+    return [h for h, k in keys.items() if k == rarest]
+
+
+def reference_canonical_code(graph, degrees=None) -> tuple:
+    """:func:`fbga.ribbon.canonical_code` with the whole word walked from
+    every root of the rarest key class: Θ(H²) when every half-edge has one
+    key."""
+    keys = reference_root_keys(graph, degrees)
+    if not keys:
+        return ()
+    return min(reference_rooted_word(graph, root, degrees) for root in _rarest_roots(keys))
+
+
+def reference_is_isomorphic(g1, g2, d1=None, d2=None) -> bool:
+    """Whether some word of ``g2`` from a root of the rarest key class
+    equals the word of ``g1`` from its first root of that class: an
+    isomorphism sends that root into the class.  Degrees are compared iff
+    both are given."""
+    if d1 is None or d2 is None:
+        d1 = d2 = None
+    keys1, keys2 = reference_root_keys(g1, d1), reference_root_keys(g2, d2)
+    if Counter(keys1.values()) != Counter(keys2.values()):
+        return False
+    if not keys1:
+        return True
+    word1 = reference_rooted_word(g1, _rarest_roots(keys1)[0], d1)
+    return any(reference_rooted_word(g2, root, d2) == word1 for root in _rarest_roots(keys2))
 
 
 # -- Loewy tables stepped out, and reconstruction with the candidate's table rebuilt --

@@ -9,6 +9,8 @@ import pytest
 
 import fbga.cli
 from fbga.cli import main
+from fbga.fileio import graph_json
+from generators import torus_grid
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 LAMBDA = str(DATA / "lambda.rg")
@@ -255,6 +257,17 @@ def test_iso_positive_negative(tmp_path, capsys):
         "edges": [["a", "b"]],
     }))
     assert run(capsys, "iso", DATA / "lambda.rg", other)[0] == 3
+
+
+def test_iso_of_an_800_edge_torus_pair(tmp_path, capsys):
+    """Every half-edge of the grid and of its shifted twin has one key; the
+    two codes are found in well under a second."""
+    paths = [tmp_path / "grid.rg", tmp_path / "twin.rg"]
+    for path, shift in zip(paths, (0, 1)):
+        path.write_text(graph_json(torus_grid(20, shift)))
+    t0 = time.monotonic()
+    assert run(capsys, "iso", *paths) == (3, "not isomorphic\n")
+    assert time.monotonic() - t0 <= 0.5
 
 
 def test_reconstruct_roundtrip(capsys):

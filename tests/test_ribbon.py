@@ -1,3 +1,4 @@
+import time
 from itertools import permutations, product
 from random import Random
 
@@ -32,13 +33,17 @@ from generators import (
     random_ribbon_graph,
     shuffled_copy,
     small_degree_pairs,
+    torus_grid,
 )
 from oracles import (
     reference_bipartite,
+    reference_canonical_code,
     reference_connected,
     reference_faces,
+    reference_is_isomorphic,
     reference_orbits,
     reference_root_keys,
+    reference_rooted_word,
 )
 
 
@@ -322,28 +327,96 @@ def test_symmetric_graphs_with_large_root_classes(graph, degrees):
     assert is_isomorphic(graph, graph, degrees, changed) is None
 
 
-def two_phase_word(graph, root):
-    """The rooted word built in two passes: label by BFS, then emit."""
-    rinv = graph.rotation_inverse()
-    label = {root: 0}
-    order = [root]
-    for h in order:
-        for m in (graph.pairing[h], graph.rotation[h], rinv[h]):
-            if m not in label:
-                label[m] = len(order)
-                order.append(m)
-    return tuple((label[graph.pairing[h]], label[graph.rotation[h]], label[rinv[h]])
-                 for h in order)
+@pytest.fixture(scope="module")
+def graphs_up_to_4():
+    return connected_graphs_up_to(4)
+
+
+def test_classes_up_to_four_edges(graphs_up_to_4):
+    """There are 2, 5, 20 and 107 connected ribbon graphs with 1 to 4
+    edges.  ``connected_graphs_up_to`` keeps one graph per canonical code,
+    so a code that is not invariant, or two classes with one code, moves
+    these counts."""
+    counts = [sum(g.num_edges() == n for g in graphs_up_to_4) for n in range(1, 5)]
+    assert counts == [2, 5, 20, 107]
+
+
+def pruning_cases(graphs) -> list:
+    """(graph, degrees) pairs: the given graphs with degrees 1 or 2 at each
+    vertex, seeded covers (r = 2, 3, 6), whose deck transformations are
+    automorphisms, and dipoles, bouquets and torus grids, whose roots all
+    share one key."""
+    rng = Random(47)
+    out = [(g, {v: rng.randint(1, 2) for v in g.vertices}) for g in graphs]
+    for r in (2, 3, 6):
+        for _ in range(4):
+            base = random_ribbon_graph(rng, rng.randint(2, 5))
+            a = Afbg.build(base, cover_compatible_degrees(rng, base, r))
+            cover = cover_finite(a, random_cut(rng, base), r).cover
+            out.append((cover.graph, dict(cover.degrees)))
+    out += [(dipole(n), {"u": n, "w": n}) for n in range(2, 9)]
+    out += [(bouquet(n), {"v": 2 * n}) for n in range(1, 7)]
+    grids = [torus_grid(k, shift) for k in (3, 4, 5) for shift in (0, 1)]
+    out += [(g, dict.fromkeys(g.vertices, 4)) for g in grids]
+    return out
+
+
+def test_pruned_code_equals_the_unpruned_code(graphs_up_to_4):
+    """Skipping the roots in the orbit of a tried root leaves the least
+    word unchanged, with and without degrees."""
+    for g, d in pruning_cases(graphs_up_to_4):
+        assert canonical_code(g, d) == reference_canonical_code(g, d)
+        assert canonical_code(g) == reference_canonical_code(g)
+
+
+def test_is_isomorphic_agrees_with_the_root_matching_search(graphs_up_to_4):
+    """The verdict of comparing two codes equals that of matching one word
+    of g1 against the words of g2, on relabelled copies, mirrors and copies
+    with one degree changed; the map returned is checked."""
+    rng = Random(53)
+    verdicts = set()
+    for g, d in pruning_cases(graphs_up_to_4):
+        v = rng.choice(g.vertices)
+        copy, copy_degrees = shuffled_copy(rng, g, d)
+        for other, od in ((copy, copy_degrees), (mirror(g), d), (g, {**d, v: d[v] + 1})):
+            for d1, d2 in ((d, od), (None, None)):
+                verdict = reference_is_isomorphic(g, other, d1, d2)
+                assert (is_isomorphic(g, other, d1, d2) is not None) == verdict
+                if verdict:
+                    assert_checked_isomorphism(g, other, d1, d2)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_uniform_key_torus_pair():
+    """Every half-edge of an 800-edge torus grid and of its shifted twin has
+    one key.  The grid has 1,600 automorphisms and its twin 800, so the
+    search tries a few roots, not all 1,600."""
+    grid, twin = torus_grid(20), torus_grid(20, shift=1)
+    assert grid.num_edges() == twin.num_edges() == 800
+    assert len(set(_root_keys(grid, None).values()) | set(_root_keys(twin, None).values())) == 1
+    t0 = time.monotonic()
+    assert is_isomorphic(grid, twin) is None
+    assert time.monotonic() - t0 <= 0.5
+    assert_checked_isomorphism(grid, shuffled_copy(Random(59), grid)[0])
+
+
+@pytest.mark.parametrize("graph", [dipole, bouquet])
+def test_code_of_an_800_edge_map_with_one_key(graph):
+    g = graph(800)
+    t0 = time.monotonic()
+    assert canonical_code(g) == canonical_code(shuffled_copy(Random(61), g)[0])
+    assert time.monotonic() - t0 <= 0.5
 
 
 def test_rooted_word_stops_exactly_when_it_exceeds_the_bound():
     for g in connected_graphs_up_to(3):
         rinv = g.rotation_inverse()
         for root in sorted(g.attach):
-            word = two_phase_word(g, root)
+            word = reference_rooted_word(g, root)
             assert _rooted_word(g, root, rinv, None)[0] == word
             for other in sorted(g.attach):
-                bound = two_phase_word(g, other)
+                bound = reference_rooted_word(g, other)
                 found = _rooted_word(g, root, rinv, None, bound)
                 assert (found is None) == (word > bound)
                 assert found is None or found[0] == word
