@@ -78,8 +78,8 @@ def _parse_window(arg: str):
 
 
 # -- subcommands -----------------------------------------------------------------
-# Each ``cmd_*`` computes its result once and returns (exit code, renderers):
-# a zero-argument callable per format; ``main`` calls the requested one or "text".
+# Each ``cmd_*`` computes its result once and returns (exit code, renderers): one
+# zero-argument callable per format it has.  ``main`` refuses any other format.
 
 def _validation(graph, degrees) -> dict:
     res = {"ribbon_ok": True, "connected": graph.connected,
@@ -197,9 +197,7 @@ def cmd_gentle_trivext(args):
 def cmd_repetitive_window(args):
     p = fileio.parse_gentle(_read(args.gentle))
     win = repetitive_window(p, *_parse_window(args.window))
-    return 0, {"text": lambda: _window_text(win),
-               "json": lambda: fileio.presentation_json(win),
-               "dot": lambda: fileio.dot_of_presentation(win)}
+    return 0, {**_presentation_output(win), "text": lambda: _window_text(win)}
 
 
 def cmd_invariants(args):
@@ -243,7 +241,7 @@ def cmd_export(args):
     if degrees is None:
         raise MissingDegree("--loewy needs vertex degrees")
     a = Afbg.build(graph, degrees)
-    return 0, {"text": lambda: fileio.loewy_json(a)}
+    return 0, dict.fromkeys(("text", "json"), lambda: fileio.loewy_json(a))
 
 
 # -- wiring ----------------------------------------------------------------------
@@ -310,7 +308,10 @@ def main(argv=None) -> int:
     try:
         args = PARSER.parse_args(argv)
         code, renderers = args.func(args)
-        text = renderers.get(args.format, renderers["text"])()
+        if args.format not in renderers:
+            raise InputError(f"{args.command} has no {args.format} output; "
+                             f"it has {', '.join(renderers)}")
+        text = renderers[args.format]()
         try:
             if args.out:  # encoded before the file is opened, so a failure keeps it
                 Path(args.out).write_bytes(text.encode(encoding="utf-8"))

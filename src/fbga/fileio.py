@@ -270,21 +270,20 @@ bordered_to_dict = presentation_to_dict
 def presentation_json(p: Presentation) -> str:
     """The presentation JSON of ``p``, in the bytes ``dumps`` writes for its
     dict tree, without building the tree.  A window adds its bounds and its
-    dangling arrows and leaves out the dimension.  Arrows are written as
-    they are listed, and each commutation walk is cut from its orbit's text
-    of arrow-name literals (``presentation.walk_texts``); the other fields
-    go through ``json.dumps``, indented one level."""
+    dangling arrows (those with no target) and leaves out the dimension.
+    Arrows are written as they are listed, and each commutation walk is cut
+    from its orbit's text of arrow-name literals (``presentation.walk_texts``);
+    the other fields go through ``json.dumps``, indented one level."""
     literal = json.encoder.encode_basestring_ascii
     walk = walk_texts(p, lambda h: literal(arrow_name(h)), ",\n        ")
-    w = p.window
+    w, arrows = p.window, p.arrows()
     fields = {"conventions": PATH_CONVENTIONS,
               **({} if w is None else {"window": [w.lo, w.hi]}),
               "vertices": p.quiver_vertices(),
               "arrows": [f'{{\n      "id": {literal(name)},\n      "from": {literal(source)},'
                          f'\n      "to": {"null" if target is None else literal(target)}'
-                         "\n    }" for name, source, target in p.arrows()],
-              **({} if w is None else  # a window's dangling arrows end its columns
-                 {"dangling": sorted(arrow_name(c[-1]) for c in w.stars.values())}),
+                         "\n    }" for name, source, target in arrows],
+              **({} if w is None else {"dangling": [a for a, _, t in arrows if t is None]}),
               "commutation_relations": [f"[\n      [\n        {walk[x]}\n      ],\n      "
                                         f"[\n        {walk[y]}\n      ]\n    ]"
                                         for (x, _), (y, _) in p.commutations],

@@ -11,6 +11,7 @@ fractional whenever r ≥ 2.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations, product
 from pathlib import Path
 from random import Random
@@ -155,20 +156,25 @@ def random_brauer_tree(rng: Random, num_edges: int):
 
 def connected_graphs_up_to(max_edges: int) -> list:
     """All connected ribbon graphs with 1..max_edges edges, one
-    representative per isomorphism class.  Exhaustive over rotations
-    with the pairing fixed, deduplicated by canonical code."""
-    out = []
-    for n in range(1, max_edges + 1):
-        seen = set()
-        for perm in permutations(range(2 * n)):
-            graph = _graph_from_perm(perm)
-            if not graph.connected:
-                continue
-            code = canonical_code(graph)
-            if code not in seen:
-                seen.add(code)
-                out.append(graph)
-    return out
+    representative per isomorphism class, as a new list (callers extend
+    it); each edge count is enumerated once per process."""
+    return [graph for n in range(1, max_edges + 1) for graph in _connected_graphs_with(n)]
+
+
+@cache
+def _connected_graphs_with(n: int) -> tuple:
+    """Exhaustive over rotations with the pairing fixed, deduplicated by
+    canonical code."""
+    out, seen = [], set()
+    for perm in permutations(range(2 * n)):
+        graph = _graph_from_perm(perm)
+        if not graph.connected:
+            continue
+        code = canonical_code(graph)
+        if code not in seen:
+            seen.add(code)
+            out.append(graph)
+    return tuple(out)
 
 
 def torus_grid(k: int, shift: int = 0) -> RibbonGraph:

@@ -142,6 +142,46 @@ def test_usage_error_is_a_one_line_input_error(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+ALL_FORMATS = ("text", "json", "dot")
+# every subcommand, on an input it answers with exit 0, and the formats it renders
+FORMS = {
+    "validate": (["validate", LAMBDA], ("text", "json")),
+    "present": (["present", LAMBDA], ALL_FORMATS),
+    "reduce": (["reduce", LAMBDA], ALL_FORMATS),
+    "cover": (["cover", LAMBDA, "--r", "2", "--auto-cut"], ALL_FORMATS),
+    "gentle-trivext": (["gentle-trivext", KRONECKER], ALL_FORMATS),
+    "repetitive-window": (["repetitive-window", KRONECKER, "--window", "0:2"], ALL_FORMATS),
+    "invariants": (["invariants", LAMBDA], ("text", "json")),
+    "compare": (["compare", LAMBDA, LAMBDA], ("text", "json")),
+    "reconstruct": (["reconstruct", str(DATA / "lambda.loewy")], ALL_FORMATS),
+    "iso": (["iso", LAMBDA, LAMBDA], ("text", "json")),
+    "export": (["export", LAMBDA], ALL_FORMATS),
+    "export-loewy": (["export", LAMBDA, "--loewy"], ("text", "json")),
+}
+
+
+@pytest.mark.parametrize("fmt", ALL_FORMATS)
+@pytest.mark.parametrize("argv, formats", FORMS.values(), ids=FORMS.keys())
+def test_a_command_answers_only_the_formats_it_renders(tmp_path, capsys, argv, formats, fmt):
+    """A format the command has no renderer for is refused in one line,
+    exit 1, with nothing written: stdout stays empty and ``--out`` keeps
+    its bytes.  A format it has is written, and json parses."""
+    out = tmp_path / "out"
+    out.write_bytes(b"keep\n")
+    code = main([*argv, "--format", fmt, "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    if fmt in formats:
+        assert (code, err) == (0, "") and out.read_bytes() != b"keep\n"
+        if fmt == "json":
+            json.loads(out.read_text(encoding="utf-8"))
+        return
+    refusal = f"error: {argv[0]} has no {fmt} output; it has {', '.join(formats)}\n"
+    assert (code, err) == (1, refusal) and out.read_bytes() == b"keep\n"
+    assert main([*argv, "--format", fmt]) == 1
+    assert capsys.readouterr() == ("", refusal)
+
+
 def test_parser_is_built_once_and_keeps_no_state(monkeypatch, tmp_path, capsys):
     def rebuilt():
         raise AssertionError("main rebuilt the parser")
