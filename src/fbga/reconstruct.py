@@ -8,10 +8,10 @@ content of the data is therefore rigid, and the only freedom left is
 which of a row's two sides realizes which continuation — a genuine
 choice exactly when both sides carry identical strands (a *tie*).  Each
 tie has one bit: which of the tied row's two sides follows which of the
-two sides that demand it.  Reconstruction builds candidate graphs from
-wirings, keeps the ones that are connected and admissible, and
-deduplicates up to isomorphism.  One survivor is the answer; several
-raise ``Ambiguous``; none raise ``InconsistentInput``.
+two sides that demand it.  Reconstruction builds at most two candidate
+graphs.  The first is the answer if it is connected and admissible, else
+``InconsistentInput``; the second, one vertex against the first's two,
+raises ``Ambiguous`` if it is admissible too.
 
 Every candidate reproduces the input table, so none is checked against
 it.  A side supplies the key (its row, its strand S) and demands the key
@@ -45,9 +45,11 @@ first, so the labelled graph returned is the one an enumeration of all
 demand list holds the two sides of one tied row, so it follows every
 a side by an a side and every b side by a b side.  That gives two
 vertices joined by every edge, on which ν turns both stars alike, so
-(a) holds, (b) holds and the graph is connected.  The second wiring only
-decides between a unique and an ambiguous verdict, and its labels are
-never returned.
+(a) holds, (b) holds and the graph is connected.  The second wiring
+exchanges the successors of the last tie's demand list, whose two sides
+lie on different vertices, so it joins both rotation cycles into one: a
+one-vertex twin, never isomorphic to the first, whose labels are never
+returned.  So the table is ambiguous exactly when the twin is admissible.
 
 The one-row table with strands ((l,), (l,)) and socle l is realized by
 both 4-dimensional local algebras (loop of degree 2; edge of degrees
@@ -66,7 +68,7 @@ from .errors import (
     InputError,
     NotAdmissible,
 )
-from .ribbon import EDGE_SEP, RibbonGraph, cycles, edge_id_of_pair, is_isomorphic, orbits
+from .ribbon import EDGE_SEP, RibbonGraph, cycles, edge_id_of_pair, orbits
 
 
 @dataclass(frozen=True)
@@ -181,41 +183,30 @@ def reconstruct_afbg(data: LoewyData) -> Reconstruction:
     # tied) the sides [e{i}a, e{i}b] of one row, so each is already sorted
     successor = {d: s for key, dlist in demand.items()
                  for d, s in zip(dlist, supply[key])}
-    wirings = [successor]
+    afbg = _build_candidate(successor, strand_len, edges)
+    if afbg is None:
+        raise InconsistentInput(
+            "no connected admissible graph realizes this table")
     if ties:
         # the other parity class: the last tie's two sides exchanged
         d1, d2 = demand[ties[-1]]
-        wirings.append({**successor, d1: successor[d2], d2: successor[d1]})
-
-    survivors = []
-    for successor in wirings:
-        graph, degrees = _build_candidate(successor, strand_len, edges)
-        if not graph.connected:
-            continue
-        try:
-            survivors.append(Afbg.build(graph, degrees))
-        except NotAdmissible:
-            continue
-
-    if len(survivors) == 2 and is_isomorphic(
-            survivors[0].graph, survivors[1].graph,
-            survivors[0].degrees, survivors[1].degrees) is not None:
-        survivors.pop()
-    if not survivors:
-        raise InconsistentInput(
-            "no connected admissible graph realizes this table")
-    if len(survivors) > 1:
-        raise Ambiguous(
-            f"{len(survivors)} non-isomorphic graphs realize this table",
-            tie_classes=sorted({label for label, _ in ties}))
-    return Reconstruction(survivors[0], edge_labels, len(wirings))
+        twin = {**successor, d1: successor[d2], d2: successor[d1]}
+        if _build_candidate(twin, strand_len, edges) is not None:
+            raise Ambiguous("2 non-isomorphic graphs realize this table",
+                            tie_classes=[label for label, _ in ties])
+    return Reconstruction(afbg, edge_labels, 2 if ties else 1)
 
 
 def _build_candidate(successor, strand_len, edges):
-    """The graph whose rotation is ``successor``, vertices v0, v1, ... in
-    anchor order, and its degrees.  A side is followed by a side whose
-    strand has the same length, so the sides of a vertex share one length
-    L, and its degree is L + 1."""
+    """The graph whose rotation is ``successor`` (vertices v0, v1, ... in
+    anchor order) with its degrees, if connected and admissible, else None.
+    A side is followed by a side whose strand has the same length, so the
+    sides of a vertex share one length L, and its degree is L + 1."""
     rotations = {f"v{i}": cycle for i, cycle in enumerate(orbits(successor))}
-    degrees = {v: strand_len[cycle[0]] + 1 for v, cycle in rotations.items()}
-    return RibbonGraph.build(rotations, edges), degrees
+    graph = RibbonGraph.build(rotations, edges)
+    if not graph.connected:
+        return None
+    try:
+        return Afbg.build(graph, {v: strand_len[cycle[0]] + 1 for v, cycle in rotations.items()})
+    except NotAdmissible:
+        return None

@@ -13,7 +13,7 @@ from fbga.afbg import (
     reduced_form,
     rep_finite_report,
 )
-from fbga.errors import MissingDegree, NotAdmissible
+from fbga.errors import DisconnectedInput, FbgaError, MissingDegree, NotAdmissible
 from fbga.ribbon import RibbonGraph, is_isomorphic
 from fbga.fileio import parse_ribbon
 from generators import (
@@ -188,3 +188,19 @@ def test_violations_equal_the_sorted_walk_in_order():
     assert len(cases) == 1104 + 2 + 60
     assert conditions >= {frozenset(), frozenset({"pairing_compat", "orbit_meets_pairing"}),
                           frozenset({"pairing_compat"}), frozenset({"orbit_meets_pairing"})}
+
+
+TWO_EDGES = RibbonGraph.build({v: [v] for v in "xyzw"}, [["x", "y"], ["z", "w"]])
+# input checks that no other test reaches, each with its one-line message
+REFUSALS = {
+    "rep-finite-of-a-disconnected-graph": (
+        lambda: rep_finite_report(Afbg.build(TWO_EDGES, dict.fromkeys("xyzw", 1))),
+        DisconnectedInput, "rep_finite_report requires a connected graph"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_a_refusal_names_what_it_refuses(call, error, message):
+    with pytest.raises(FbgaError) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (error, message)

@@ -142,6 +142,41 @@ def test_usage_error_is_a_one_line_input_error(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+# answers and refusals that no other test reaches: exit code and the one line
+# of stdout (exit 0) or stderr (any other exit) that names them
+PLAIN = {"vertices": [{"id": v, "rotation": r} for v, r in (("u", ["h", "hp"]),
+                                                            ("w", ["ih", "ihp"]))],
+         "edges": [["h", "ih"], ["hp", "ihp"]]}
+NOT_GENTLE = {"vertices": ["1", "2", "3"],
+              "arrows": [{"id": a, "from": s, "to": t} for a, s, t in (("a", "1", "2"),
+                                                                       ("b", "2", "3"))],
+              "zero_relations": [["b", "a"], ["b", "a"]]}
+ANSWERS = {
+    "validate-without-degrees": (["validate", "{plain}"], 0,
+                                 "degrees: absent (structure check only)"),
+    "iso-with-degrees-on-one-side": (["iso", LAMBDA, "{plain}"], 1,
+                                     "error: either both graphs carry degrees or neither"),
+    "export-loewy-without-degrees": (["export", "{plain}", "--loewy"], 1,
+                                     "error: --loewy needs vertex degrees"),
+    "gentle-trivext-of-a-non-gentle-file": (
+        ["gentle-trivext", "{not_gentle}"], 1,
+        "error: not a gentle presentation: relation b*a listed twice"),
+}
+
+
+@pytest.mark.parametrize("argv, code, line", ANSWERS.values(), ids=ANSWERS.keys())
+def test_a_checked_input_gets_its_one_line(tmp_path, capsys, argv, code, line):
+    files = {"plain": PLAIN, "not_gentle": NOT_GENTLE}
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    assert main([a.format(**{n: tmp_path / n for n in files}) for a in argv]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert (out, err) == ("", line + "\n")
+    else:
+        assert err == "" and line in out.splitlines()
+
+
 ALL_FORMATS = ("text", "json", "dot")
 # every subcommand, on an input it answers with exit 0, and the formats it renders
 FORMS = {

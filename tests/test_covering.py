@@ -13,6 +13,7 @@ from fbga.covering import (
 )
 from fbga.errors import (
     CoverNotAdmissible,
+    FbgaError,
     InvalidCut,
     NonDivisorPower,
     NotABrauerGraph,
@@ -236,3 +237,19 @@ def test_quotients_match_the_stepped_out_orbits():
                     == afbg_to_dict(reference_quotient(a, k)))
             quotients += 1
     assert quotients > len(algebras)
+
+
+HALF = Afbg.build(RibbonGraph.build({"u": ["h", "hp"], "w": ["ih", "ihp"]},
+                                    [["h", "ih"], ["hp", "ihp"]]), {"u": 1, "w": 1})
+# input checks that no other test reaches, each with its one-line message
+REFUSALS = {
+    "window-of-a-fractional-base": (lambda: cover_window(HALF, {"u": "h", "w": "ih"}, 0, 1),
+                                    NotABrauerGraph, "window base needs integral multiplicities"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_a_refusal_names_what_it_refuses(call, error, message):
+    with pytest.raises(FbgaError) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (error, message)

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from fbga.covering import cover_finite
-from fbga.errors import InputError, UnboundedPath
+from fbga.errors import FbgaError, InputError, UnboundedPath
 from fbga.gentle import (
     GentlePresentation,
     augmented_vertex_set,
@@ -308,3 +308,29 @@ def test_cut_algebras_of_graphs_with_up_to_3_edges_come_back():
                 assert is_isomorphic(got.graph, want.graph, got.degrees, want.degrees) is not None
             pairs += 1
     assert pairs == 143
+
+
+CHAIN = (["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+# input checks that no other test reaches, each with its one-line message
+REFUSALS = {
+    "bad-vertex-id": (lambda: GentlePresentation.build([""], [], []),
+                      InputError, "bad quiver vertex id ''"),
+    "bad-arrow-id": (lambda: GentlePresentation.build(["1"], [("", "1", "1")], []),
+                     InputError, "bad arrow id ''"),
+    "duplicate-arrow": (lambda: GentlePresentation.build(["1", "2"], [("a", "1", "2")] * 2, []),
+                        InputError, "duplicate arrow 'a'"),
+    "relation-listed-twice": (
+        lambda: maximal_paths(GentlePresentation.build(*CHAIN, [("b", "a")] * 2)),
+        InputError, "not a gentle presentation: relation b*a listed twice"),
+    "two-nonzero-predecessors": (
+        lambda: maximal_paths(GentlePresentation.build(
+            ["1", "2", "3", "4"], [("a", "1", "2"), ("b", "4", "2"), ("c", "2", "3")], [])),
+        InputError, "not a gentle presentation: arrow c: several nonzero predecessors ['a', 'b']"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_a_refusal_names_what_it_refuses(call, error, message):
+    with pytest.raises(FbgaError) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (error, message)

@@ -396,3 +396,17 @@ def test_graph_json_cases_cover_every_command():
     kinds = [tuple(extra or ()) for _, _, extra in graph_json_cases()]
     assert kinds.count(()) > len(list(DATA.glob("*.rg")))  # exports and reductions
     assert ("sheets",) in kinds and ("edge_labels", "wirings_tried") in kinds
+
+
+# input checks that no other test reaches, each with its one-line message
+REFUSALS = {
+    "cut-not-a-list": (lambda: parse_cut('{"vertex": "u", "half_edge": "h"}'),
+                       ParseError, "cut file: expected a list of {vertex, half_edge}"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_a_refusal_names_what_it_refuses(call, error, message):
+    with pytest.raises(FbgaError) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (error, message)

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from fbga import reconstruct
 from fbga.afbg import Afbg
 from fbga.errors import (
     Ambiguous,
@@ -15,12 +16,8 @@ from fbga.errors import (
     NotAdmissible,
 )
 from fbga.fileio import parse_loewy
-from fbga.reconstruct import (
-    LoewyData,
-    _build_candidate,
-    reconstruct_afbg,
-)
-from fbga.ribbon import RibbonGraph, canonical_code, edge_id_of_pair, is_isomorphic
+from fbga.reconstruct import LoewyData, reconstruct_afbg
+from fbga.ribbon import RibbonGraph, canonical_code, edge_id_of_pair, is_isomorphic, orbits
 from generators import lambda_afbg, loop_afbg, random_afbg, random_fractional_afbg
 from oracles import loewy_data_of, strand_labels, table_matches
 
@@ -146,7 +143,9 @@ def test_roundtrip_check_true_on_star():
 
 def reconstruct_all_wirings(data: LoewyData):
     """Every one of the 2^t side swaps, as reconstruction did before it
-    built one wiring per side-renaming class.  Small inputs only."""
+    built one wiring per side-renaming class, each candidate built here,
+    kept when its table is the input and deduplicated by canonical code.
+    Small inputs only."""
     rows = data.rows
     if len(rows) == 1:
         l = rows[0].label
@@ -188,7 +187,9 @@ def reconstruct_all_wirings(data: LoewyData):
                 successor[d1] = slist[b]
                 successor[d2] = slist[1 - b]
 
-        graph, degrees = _build_candidate(successor, strand_len, edges)
+        rotations = {f"v{i}": cycle for i, cycle in enumerate(orbits(successor))}
+        graph = RibbonGraph.build(rotations, edges)
+        degrees = {v: strand_len[cycle[0]] + 1 for v, cycle in rotations.items()}
         if not graph.connected:
             continue
         try:
@@ -280,7 +281,8 @@ def test_split_ties_are_proved_inconsistent(n, monkeypatch):
 
 def mixed_tables():
     """Disjoint unions: tied and untied rows together, which the table of
-    no connected algebra has, and tied tables whose ties form two cycles."""
+    no connected algebra has, tied tables whose ties form two cycles, and
+    untied tables, whose one candidate is disconnected."""
     tied = [loewy_data_of(a)[0] for a in
             (lambda_afbg(), dipole(3, 3, 3), dipole(3, 2, 2), dipole(4, 2, 2), loop_afbg(4))]
     untied = [loewy_data_of(star_afbg(k))[0] for k in (2, 3)]
@@ -296,6 +298,7 @@ def mixed_tables():
     tables |= {disjoint_union(self_feeding(1, length), u)
                for length in (1, 2) for u in untied[:3]}
     tables |= {disjoint_union(tied[0], tied[1]), disjoint_union(tied[0], tied[0])}
+    tables |= {disjoint_union(u, v) for u in untied[:2] for v in untied[1:4]}
     return tables
 
 
@@ -357,30 +360,34 @@ def test_eleven_row_tables_agree_with_all_wirings():
 def test_the_first_wiring_of_a_tied_table_is_a_connected_admissible_dipole(monkeypatch):
     """With ties, the first wiring follows each a side by an a side and each
     b side by a b side: two vertices joined by every edge, on which ν turns
-    both stars alike.  So it always survives, the second wiring is kept only
-    for the verdict, and neither the order of the demand lists nor which tie
-    the second wiring exchanges can change an outcome."""
+    both stars alike.  So it always survives, and a tied table builds either
+    no candidate or both.  The twin exchanges two sides that lie on the two
+    vertices, so it has one vertex whether or not it is admissible, and no
+    isomorphism test is needed to tell the two apart."""
+    build = reconstruct._build_candidate
     built = []
 
     def spy(successor, strand_len, edges):
-        built.append((successor, _build_candidate(successor, strand_len, edges)))
+        built.append((successor, build(successor, strand_len, edges)))
         return built[-1][1]
 
-    monkeypatch.setattr("fbga.reconstruct._build_candidate", spy)
-    checked = 0
+    monkeypatch.setattr(reconstruct, "_build_candidate", spy)
+    twins = {True: 0, False: 0}  # admissible twin -> tables
     for data in oracle_tables() + eleven_row_tables():
         built.clear()
         try:
             reconstruct_afbg(data)
         except FbgaError:
             pass
-        if len(built) == 2:
-            successor, (graph, degrees) = built[0]
-            assert all(d[-1] == s[-1] for d, s in successor.items())
-            assert len(graph.vertices) == 2 and graph.connected
-            Afbg.build(graph, degrees)
-            checked += 1
-    assert checked > 30
+        if len(built) < 2:
+            assert not (built and num_ties(data)), data
+            continue
+        (first, a), (twin, b) = built
+        assert all(d[-1] == s[-1] for d, s in first.items())
+        assert len(orbits(first)) == len(a.graph.vertices) == 2 and a.graph.connected
+        assert len(orbits(twin)) == 1
+        twins[b is not None] += 1
+    assert min(twins.values()) > 10 and sum(twins.values()) > 30, twins
 
 
 @pytest.mark.parametrize("k", [13, 20, 30, 40])

@@ -9,6 +9,7 @@ from fbga.covering import cover_finite
 from fbga.errors import (
     DisconnectedInput,
     DuplicateHalfEdge,
+    FbgaError,
     FixedPointPairing,
     OrbitMismatch,
     RibbonStructureError,
@@ -421,3 +422,28 @@ def test_rooted_word_stops_exactly_when_it_exceeds_the_bound():
                 assert (found is None) == (word > bound)
                 assert found is None or found[0] == word
 
+
+TWO_LOOPS = ({"v": ["a", "b"], "w": ["c", "d"]}, [["a", "b"], ["c", "d"]])
+# input checks that no other test reaches, each with its one-line message
+REFUSALS = {
+    "vertex-without-half-edges": (lambda: RibbonGraph.build({"v": []}, []),
+                                  OrbitMismatch, "vertex 'v' has no half-edges"),
+    "empty-half-edge-id": (lambda: RibbonGraph.build({"v": [""]}, []),
+                           RibbonStructureError, "bad half-edge id ''"),
+    "three-element-edge": (lambda: RibbonGraph.build({"v": ["a", "b", "c"]}, [["a", "b", "c"]]),
+                           RibbonStructureError, "edge ['a', 'b', 'c'] is not a pair"),
+    "iso-of-a-disconnected-graph": (
+        lambda: is_isomorphic(RibbonGraph.build(*TWO_LOOPS), lambda_afbg().graph),
+        DisconnectedInput, "isomorphism testing requires connected graphs"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_a_refusal_names_what_it_refuses(call, error, message):
+    with pytest.raises(FbgaError) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+def test_the_empty_graph_has_the_empty_code():
+    assert canonical_code(RibbonGraph.build({}, [])) == ()
