@@ -234,9 +234,7 @@ def loewy_json(a: Afbg) -> str:
     label = {h: name[edge_id_of_pair(h, p)] for h, p in a.graph.pairing.items()}
     strands = {}  # half-edge -> the JSON of its strand's labels
     for v, star in a.graph.stars.items():
-        lits = [lit.get(label[h]) for h in star]
-        if None in lits:
-            raise InputError(f"a strand at {v!r} mentions an unknown label")
+        lits = [lit[label[h]] for h in star]
         val, d = len(star), a.degrees[v]  # the walk of length d - 1 from rotation(h)
         walks = [((i + 1) % val, d - 1) for i in range(val)]
         strands.update(zip(star, cut_walks(lits, ",\n        ", walks)))

@@ -195,12 +195,14 @@ FORMS = {
 }
 
 
-@pytest.mark.parametrize("fmt", ALL_FORMATS)
+@pytest.mark.parametrize("fmt", (*ALL_FORMATS, "xml"))
 @pytest.mark.parametrize("argv, formats", FORMS.values(), ids=FORMS.keys())
 def test_a_command_answers_only_the_formats_it_renders(tmp_path, capsys, argv, formats, fmt):
     """A format the command has no renderer for is refused in one line,
     exit 1, with nothing written: stdout stays empty and ``--out`` keeps
-    its bytes.  A format it has is written, and json parses."""
+    its bytes.  The refusal comes before any input is read, so an input
+    the command would refuse (not admissible, or missing) gets it too.
+    A format it has is written, and json parses."""
     out = tmp_path / "out"
     out.write_bytes(b"keep\n")
     code = main([*argv, "--format", fmt, "--out", str(out)])
@@ -213,8 +215,9 @@ def test_a_command_answers_only_the_formats_it_renders(tmp_path, capsys, argv, f
         return
     refusal = f"error: {argv[0]} has no {fmt} output; it has {', '.join(formats)}\n"
     assert (code, err) == (1, refusal) and out.read_bytes() == b"keep\n"
-    assert main([*argv, "--format", fmt]) == 1
-    assert capsys.readouterr() == ("", refusal)
+    for first in (argv[1], DATA / "inadmissible.rg", tmp_path / "missing"):
+        assert main([argv[0], str(first), *argv[2:], "--format", fmt]) == 1
+        assert capsys.readouterr() == ("", refusal)
 
 
 def test_parser_is_built_once_and_keeps_no_state(monkeypatch, tmp_path, capsys):

@@ -71,7 +71,7 @@ def test_invariants_do_not_build_the_reduced_form(capsys, monkeypatch):
     monkeypatch.setattr(fbga.afbg, "_quotient", refuse)
     monkeypatch.setattr(fbga.covering, "_quotient", refuse)
     cases = [c for c in CASES if c[1] in ("validate", "invariants", "compare")]
-    assert len(cases) == 7
+    assert len(cases) == 8
     assert not mismatches(cases, capsys)
     for graph in ("data/lambda.rg", "data/halfmult.rg"):
         with pytest.raises(QuotientBuilt):
