@@ -26,14 +26,14 @@ is cut from its orbit's text, rendered once (``presentation.cut_walks``).
 from __future__ import annotations
 
 import json
-from contextlib import suppress
+from itertools import chain
 
 from .afbg import Afbg
 from .errors import InconsistentInput, InputError, InvariantError, ParseError
 from .gentle import GentlePresentation
 from .presentation import Presentation, _check_budget, arrow_name, cut_walks, dimension, walk_texts
-from .reconstruct import LoewyData, loewy_labels
-from .ribbon import EDGE_SEP, RibbonGraph, edge_id_of_pair
+from .reconstruct import LoewyData, LoewyRow, loewy_labels
+from .ribbon import EDGE_SEP, RibbonGraph
 
 PATH_CONVENTIONS = {
     "paths": "arrow lists are in application order (first arrow first)",
@@ -78,10 +78,29 @@ def _strings(value, where: str) -> list:
 # -- ribbon graphs -------------------------------------------------------------
 
 def parse_ribbon(text: str):
-    """Returns (RibbonGraph, degrees-or-None)."""
+    """Returns (RibbonGraph, degrees-or-None).  Each check covers all rows at
+    once; when one fails, :func:`_refuse_ribbon` names the first fault."""
     obj = _load(text)
     vrows = _typed(_need(obj, "vertices", "graph file"), list, "graph vertices")
     erows = _typed(_need(obj, "edges", "graph file"), list, "graph edges")
+    try:
+        rotations = {row["id"]: row["rotation"] for row in vrows}
+        degrees = {row["id"]: row["degree"] for row in vrows if "degree" in row}
+        "".join(chain(rotations, *rotations.values(), *erows))  # fails on an item that is no str
+        ok = (len(rotations) == len(vrows) and len(degrees) in (0, len(vrows))
+              and {list}.issuperset(map(type, chain(rotations.values(), erows)))
+              and {int}.issuperset(map(type, degrees.values()))  # an int, never a bool
+              and min(degrees.values(), default=1) >= 1)
+    except (KeyError, TypeError):  # a row that is no object, or a key it lacks
+        ok = False
+    if not ok:
+        _refuse_ribbon(vrows, erows)
+    return RibbonGraph.build(rotations, erows), (degrees or None)
+
+
+def _refuse_ribbon(vrows: list, erows: list):
+    """Raise the error of the first fault in a graph file's rows, stepping
+    through them one at a time."""
     rotations = {}
     degrees = {}
     for row in vrows:
@@ -98,8 +117,8 @@ def parse_ribbon(text: str):
     if degrees and set(degrees) != set(rotations):
         missing = sorted(set(rotations) - set(degrees))
         raise ParseError(f"degrees given for some vertices but not {missing}")
-    graph = RibbonGraph.build(rotations, [_strings(e, "edge") for e in erows])
-    return graph, (degrees or None)
+    [_strings(e, "edge") for e in erows]
+    raise InvariantError("the bulk checks refused a valid graph file")
 
 
 def ribbon_to_dict(graph: RibbonGraph, degrees=None) -> dict:
@@ -176,19 +195,27 @@ def parse_gentle(text: str) -> GentlePresentation:
 # -- Loewy data ----------------------------------------------------------------
 
 def parse_loewy(text: str) -> LoewyData:
-    """The Loewy table in ``text``; strands are joined into texts as each row is decoded."""
+    """The Loewy table in ``text``: each well-formed row becomes a LoewyRow as it
+    is decoded; a table with any other row is decoded again, for the message."""
     entries = set()  # every entry of a joined strand
 
-    def join_strands(obj: dict) -> dict:
-        s = obj.get("strands")
-        if type(s) is list and len(s) <= 2 and all(type(x) is list for x in s):
-            with suppress(TypeError):  # an entry that is not a string: left as a list
-                obj["strands"] = tuple(map(EDGE_SEP.join, s)) + ("",) * (2 - len(s))
+    def read_row(obj: dict):
+        label, s, socle = obj.get("id"), obj.get("strands"), obj.get("socle")
+        if (type(label) is str and type(socle) is str and type(s) is list and len(s) <= 2
+                and {list}.issuperset(map(type, s))):
+            try:
+                strands = (*map(EDGE_SEP.join, s), "", "")[:2]
+            except TypeError:  # an entry that is not a string: left as an object
+                return obj
+            uniserial = not all(strands)
+            if obj.get("uniserial", uniserial) is uniserial:  # absent, or the same bool
                 entries.update(*s)
+                return LoewyRow(label, strands, socle)
         return obj
 
-    with suppress(InputError):  # a refused table is decoded again as lists, for the message
-        data = LoewyData._of_texts(_loewy_rows(_load(text, join_strands)), entries)
+    rows = _load(text, read_row)
+    if type(rows) is list and {LoewyRow}.issuperset(map(type, rows)):
+        data = LoewyData._of_texts(rows, entries)
         if data is not None:
             return data
     return LoewyData.build(_loewy_rows(_load(text)))
@@ -201,10 +228,8 @@ def _loewy_rows(obj) -> list:
     for row in obj:
         label = _need(row, "id", "loewy row")
         where = f"loewy row {label!r}"
-        strands = _need(row, "strands", where)
-        if type(strands) is not tuple:  # not joined while decoding
-            strands = [_strings(s, f"{where} strand")
-                       for s in _typed(strands, list, f"{where} strands")]
+        strands = [_strings(s, f"{where} strand")
+                   for s in _typed(_need(row, "strands", where), list, f"{where} strands")]
         socle = _typed(_need(row, "socle", where), str, f"{where} socle")
         uniserial = sum(1 for s in strands if s) <= 1
         if _typed(row.get("uniserial", uniserial), bool, f"{where} uniserial") != uniserial:
@@ -231,24 +256,27 @@ def loewy_json(a: Afbg) -> str:
            if isinstance(l, str) and l and EDGE_SEP not in l}
     if len(lit) < len(name):
         raise InputError("simple labels must be distinct, non-empty and free of '~'")
-    label = {h: name[edge_id_of_pair(h, p)] for h, p in a.graph.pairing.items()}
+    # one row per edge, by label; every half-edge labelled in one pass over the pairs
+    rows = sorted((name[x + EDGE_SEP + y], x, y) for x, y in a.graph.pairing.items() if x < y)
+    label = {h: l for l, x, y in rows for h in (x, y)}
     strands = {}  # half-edge -> the JSON of its strand's labels
     for v, star in a.graph.stars.items():
         lits = [lit[label[h]] for h in star]
         val, d = len(star), a.degrees[v]  # the walk of length d - 1 from rotation(h)
         walks = [((i + 1) % val, d - 1) for i in range(val)]
         strands.update(zip(star, cut_walks(lits, ",\n        ", walks)))
-    out = []
-    for n, (l, x, y) in enumerate(sorted((label[x], x, y) for x, y in a.graph.edge_pairs())):
+    out, socles = [], set()
+    for n, (l, x, y) in enumerate(rows):
         socle = label[a.nakayama[x]]
         if socle != label[a.nakayama[y]]:  # forced by admissibility (a)
             raise InvariantError(f"the two full walks of edge {l!r} end on different edges")
+        socles.add(socle)
         sx, sy = strands[x], strands[y]
         out += (",\n  " if n else "[\n  ", '{\n    "id": ', lit[l], ',\n    "strands": [\n      ')
         for strand, after in ((sx, ",\n      "), (sy, '\n    ],\n    "uniserial": ')):
             out += ("[\n        ", strand, "\n      ]", after) if strand else ("[]", after)
         out += ("false" if sx and sy else "true", ',\n    "socle": ', lit[socle], "\n  }")
-    if {label[a.nakayama[h]] for h in label} != lit.keys():
+    if socles != lit.keys():
         raise InconsistentInput("socles must permute the simples (each label exactly once)")
     return "".join([*out, "\n]\n"]) if out else "[]\n"
 

@@ -59,6 +59,7 @@ both 4-dimensional local algebras (loop of degree 2; edge of degrees
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .afbg import Afbg
 from .errors import (
@@ -68,11 +69,10 @@ from .errors import (
     InputError,
     NotAdmissible,
 )
-from .ribbon import EDGE_SEP, RibbonGraph, cycles, edge_id_of_pair, orbits
+from .ribbon import EDGE_SEP, RibbonGraph, cycles, orbits
 
 
-@dataclass(frozen=True)
-class LoewyRow:
+class LoewyRow(NamedTuple):
     label: str
     strands: tuple   # two texts, labels joined by EDGE_SEP, in half-edge pair order
     socle: str
@@ -108,24 +108,25 @@ class LoewyData:
         if sorted(socle for _, _, socle in rows) != sorted(labels):
             raise InconsistentInput(
                 "socles must permute the simples (each label exactly once)")
-        return cls._of_texts([(label, tuple(map(EDGE_SEP.join, strands)), socle)
+        return cls._of_texts([LoewyRow(label, tuple(map(EDGE_SEP.join, strands)), socle)
                               for label, strands, socle in rows], labels)
 
     @classmethod
     def _of_texts(cls, rows, entries):
-        """From (label, two strand texts, socle) rows whose strand entries lie
-        in ``entries``, or None where ``build`` refuses them (it names why)."""
-        labels = {l for l, _, _ in rows if isinstance(l, str) and l and EDGE_SEP not in l}
-        # one socle per row: equal lists also mean no label is repeated or refused
-        if (labels.issuperset(entries) and all(len(strands) == 2 for _, strands, _ in rows)
-                and sorted(socle for _, _, socle in rows) == sorted(labels)):
-            return cls(tuple(sorted((LoewyRow(*row) for row in rows), key=lambda r: r.label)))
+        """From LoewyRows with string labels and socles and strand entries in
+        ``entries``, or None where ``build`` refuses them (it names why)."""
+        labels = {row.label for row in rows}
+        # one socle per row: equal sets also mean the socles permute the labels
+        if (len(labels) == len(rows) and "" not in labels and EDGE_SEP not in "".join(labels)
+                and labels.issuperset(entries) and labels == {row.socle for row in rows}):
+            return cls(tuple(sorted(rows)))  # by label, as labels are unique
         return None
 
 
 def loewy_labels(graph: RibbonGraph) -> dict:
     """Edge id -> row label of a Loewy table: s0, s1, ... in edge-id order."""
-    return {e: f"s{i}" for i, e in enumerate(sorted(graph.edge_ids()))}
+    ids = sorted(a + EDGE_SEP + b for a, b in graph.pairing.items() if a < b)
+    return {e: f"s{i}" for i, e in enumerate(ids)}
 
 
 @dataclass(frozen=True)
@@ -144,69 +145,61 @@ def reconstruct_afbg(data: LoewyData) -> Reconstruction:
                 "table fits both 4-dimensional local algebras (a loop of "
                 "degree 2 and an edge of degrees 2,2); they cannot be told apart")
 
-    # A key is (label, text of a strand).  The text is injective because labels
-    # are non-empty and free of EDGE_SEP, and LoewyData has checked that every
-    # strand entry is a label before any key is built.
-    supply = {}
-    demand = {}
-    wants = {}  # side name -> demand key: (window[0], text of window[1:])
-    strand_len = {}
-    for idx, row in enumerate(rows):
-        for tag, text in zip("ab", row.strands):
-            side = f"e{idx}{tag}"  # half-edge name in the candidate graphs
-            supply.setdefault((row.label, text), []).append(side)
-            if text:
-                first, _, rest = text.partition(EDGE_SEP)
-                want = (first, f"{rest}{EDGE_SEP}{row.socle}" if rest else row.socle)
-            else:
-                want = (row.socle, "")
-            wants[side] = want
-            demand.setdefault(want, []).append(side)
-            strand_len[side] = text.count(EDGE_SEP) + 1 if text else 0
-    if {k: len(v) for k, v in supply.items()} != {k: len(v) for k, v in demand.items()}:
+    # A side supplies the key label~strand and demands its window strand~socle
+    # (label and socle for an empty strand).  Labels are non-empty and free of
+    # EDGE_SEP, and LoewyData has checked every strand entry is a label, so equal
+    # keys are equal (label, strand) pairs.  Sorted by key, equal keys in side
+    # order, the k-th demanding side is followed by the k-th supplying side.
+    names = [f"e{idx}{tag}" for idx in range(len(rows)) for tag in "ab"]  # half-edges
+    sides = [*zip(names[::2], names[1::2])]
+    supply = [f"{label}{EDGE_SEP}{text}" if text else label
+              for label, strands, _ in rows for text in strands]
+    demand = [f"{text}{EDGE_SEP}{socle}" if text else socle
+              for _, strands, socle in rows for text in strands]
+    by_supply = sorted(range(len(names)), key=supply.__getitem__)
+    by_demand = sorted(range(len(names)), key=demand.__getitem__)
+    if [*map(supply.__getitem__, by_supply)] != [*map(demand.__getitem__, by_demand)]:
         raise InconsistentInput(
             "successor requirements do not match the available sides")
 
-    # supply was filled row by row, rows are sorted by label and a row supplies
-    # at most one tie key, so the ties come in label order
-    ties = [k for k, v in supply.items() if len(v) == 2]
+    # a key supplied twice is a tied row's; rows are sorted by label, so the
+    # ties come in label order
+    tied = [idx for idx, row in enumerate(rows) if row.strands[0] == row.strands[1]]
     # both sides of a tied row demand the same key, so that key is a tie too
-    feeds = {key: wants[supply[key][0]] for key in ties}
-    if ties and (len(ties) < len(rows) or len(cycles(feeds)) > 1):
+    feeds = {supply[2 * idx]: demand[2 * idx] for idx in tied}
+    if tied and (len(tied) < len(rows) or len(cycles(feeds)) > 1):
         raise InconsistentInput(
             "no connected admissible graph realizes this table")
 
-    edges = [[f"e{idx}a", f"e{idx}b"] for idx in range(len(rows))]
-    edge_labels = {edge_id_of_pair(f"e{idx}a", f"e{idx}b"): row.label
-                   for idx, row in enumerate(rows)}
-    # a demand list is one side, or (past the check above, where every row is
-    # tied) the sides [e{i}a, e{i}b] of one row, so each is already sorted
-    successor = {d: s for key, dlist in demand.items()
-                 for d, s in zip(dlist, supply[key])}
-    afbg = _build_candidate(successor, strand_len, edges)
+    edge_labels = {a + EDGE_SEP + b: row.label for (a, b), row in zip(sides, rows)}
+    successor = dict(zip(map(names.__getitem__, by_demand), map(names.__getitem__, by_supply)))
+    windows = dict(zip(names, demand))
+    afbg = _build_candidate(successor, windows, sides)
     if afbg is None:
         raise InconsistentInput(
             "no connected admissible graph realizes this table")
-    if ties:
-        # the other parity class: the last tie's two sides exchanged
-        d1, d2 = demand[ties[-1]]
+    if tied:
+        # the other parity class: the last tie's two demanding sides exchanged
+        d1, d2 = sides[demand.index(supply[2 * tied[-1]]) // 2]
         twin = {**successor, d1: successor[d2], d2: successor[d1]}
-        if _build_candidate(twin, strand_len, edges) is not None:
+        if _build_candidate(twin, windows, sides) is not None:
             raise Ambiguous("2 non-isomorphic graphs realize this table",
-                            tie_classes=[label for label, _ in ties])
-    return Reconstruction(afbg, edge_labels, 2 if ties else 1)
+                            tie_classes=[rows[idx].label for idx in tied])
+    return Reconstruction(afbg, edge_labels, 2 if tied else 1)
 
 
-def _build_candidate(successor, strand_len, edges):
+def _build_candidate(successor, windows, edges):
     """The graph whose rotation is ``successor`` (vertices v0, v1, ... in
     anchor order) with its degrees, if connected and admissible, else None.
     A side is followed by a side whose strand has the same length, so the
-    sides of a vertex share one length L, and its degree is L + 1."""
+    sides of a vertex share one length L, and its degree is L + 1: the
+    number of labels in the window of its first side, counted once."""
     rotations = {f"v{i}": cycle for i, cycle in enumerate(orbits(successor))}
     graph = RibbonGraph.build(rotations, edges)
     if not graph.connected:
         return None
     try:
-        return Afbg.build(graph, {v: strand_len[cycle[0]] + 1 for v, cycle in rotations.items()})
+        return Afbg.build(graph, {v: windows[cycle[0]].count(EDGE_SEP) + 1
+                                  for v, cycle in rotations.items()})
     except NotAdmissible:
         return None

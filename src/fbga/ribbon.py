@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     DisconnectedInput,
@@ -88,49 +89,28 @@ class RibbonGraph:
 
         ``rotations`` maps each vertex id to the cyclically ordered list of
         its half-edges; ``edges`` is a list of 2-element half-edge lists.
+        Each check covers all half-edges; :func:`_refuse` names a fault.
         """
-        attach = {}
-        rotation = {}
+        try:  # one join: every id is a string, and none holds EDGE_SEP
+            attach = {h: v for v, cycle in rotations.items() for h in cycle}
+            ends = [*chain.from_iterable(edges)]
+            partner = ends[:]
+            partner[::2], partner[1::2] = ends[1::2], ends[::2]
+            pairing = dict(zip(ends, partner))
+            # equal sizes: no half-edge is listed twice, paired twice or with itself
+            ok = (EDGE_SEP not in "".join(attach) and "" not in attach and all(rotations.values())
+                  and len(attach) == sum(map(len, rotations.values()))
+                  and {2}.issuperset(map(len, edges))
+                  and len(pairing) == len(ends) and pairing.keys() == attach.keys())
+        except (TypeError, ValueError):  # a value that is no id, or an odd number of ends
+            ok = False
+        if not ok:
+            _refuse(rotations, edges)
+        rotation = dict(zip(attach, chain.from_iterable(c[1:] + c[:1] for c in rotations.values())))
         stars = {}
-        for v in rotations:
-            cycle = list(rotations[v])
-            if not cycle:
-                raise OrbitMismatch(f"vertex {v!r} has no half-edges")
-            for h in cycle:
-                if not isinstance(h, str) or not h:
-                    raise RibbonStructureError(f"bad half-edge id {h!r}")
-                if EDGE_SEP in h:
-                    raise RibbonStructureError(
-                        f"half-edge id {h!r} contains reserved {EDGE_SEP!r}"
-                    )
-                if h in attach:
-                    raise DuplicateHalfEdge(f"half-edge {h!r} listed twice")
-                attach[h] = v
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                rotation[a] = b
-            anchor = min(cycle)
-            i = cycle.index(anchor)
+        for v, cycle in rotations.items():
+            i = cycle.index(min(cycle))
             stars[v] = tuple(cycle[i:] + cycle[:i])
-
-        pairing = {}
-        for pair in edges:
-            if len(pair) != 2:
-                raise RibbonStructureError(f"edge {pair!r} is not a pair")
-            a, b = pair
-            if a == b:
-                raise FixedPointPairing(f"edge pairs half-edge {a!r} with itself")
-            for h in (a, b):
-                if h in pairing:
-                    raise DuplicateHalfEdge(f"half-edge {h!r} paired twice")
-                if h not in attach:
-                    raise OrbitMismatch(f"edge uses unattached half-edge {h!r}")
-            pairing[a] = b
-            pairing[b] = a
-
-        unpaired = set(attach) - set(pairing)
-        if unpaired:
-            raise OrbitMismatch(f"unpaired half-edges: {sorted(unpaired)}")
-
         vertices = tuple(sorted(rotations))
         connected = _is_connected(stars, attach, pairing)
         return cls(vertices, attach, pairing, rotation, stars, connected)
@@ -200,6 +180,42 @@ def _is_connected(stars, attach, pairing) -> bool:
         seen |= new
         stack.extend(new)
     return len(seen) == len(stars)
+
+
+def _refuse(rotations, edges):
+    """Raise the error of the first fault :meth:`RibbonGraph.build` finds,
+    stepping through the half-edges one at a time."""
+    attach = {}
+    for v in rotations:
+        cycle = list(rotations[v])
+        if not cycle:
+            raise OrbitMismatch(f"vertex {v!r} has no half-edges")
+        for h in cycle:
+            if not isinstance(h, str) or not h:
+                raise RibbonStructureError(f"bad half-edge id {h!r}")
+            if EDGE_SEP in h:
+                raise RibbonStructureError(f"half-edge id {h!r} contains reserved {EDGE_SEP!r}")
+            if h in attach:
+                raise DuplicateHalfEdge(f"half-edge {h!r} listed twice")
+            attach[h] = v
+    pairing = {}
+    for pair in edges:
+        if len(pair) != 2:
+            raise RibbonStructureError(f"edge {pair!r} is not a pair")
+        a, b = pair
+        if a == b:
+            raise FixedPointPairing(f"edge pairs half-edge {a!r} with itself")
+        for h in (a, b):
+            if h in pairing:
+                raise DuplicateHalfEdge(f"half-edge {h!r} paired twice")
+            if h not in attach:
+                raise OrbitMismatch(f"edge uses unattached half-edge {h!r}")
+        pairing[a] = b
+        pairing[b] = a
+    unpaired = set(attach) - set(pairing)
+    if unpaired:
+        raise OrbitMismatch(f"unpaired half-edges: {sorted(unpaired)}")
+    raise InvariantError("the bulk checks refused a valid ribbon graph")
 
 
 # -- canonical form and isomorphism ------------------------------------------

@@ -1,19 +1,30 @@
 """Presentation, covering, invariant and reconstruction checks that only
 the tests use."""
 
+import json
 from collections import Counter, namedtuple
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, replace
 from itertools import product
 from math import lcm
 
 from fbga.afbg import Afbg, RepFiniteReport, Violation, reduced_form
 from fbga.covering import SHEET_SEP
-from fbga.errors import InvariantError
+from fbga.errors import (
+    DuplicateHalfEdge,
+    FixedPointPairing,
+    InconsistentInput,
+    InputError,
+    InvariantError,
+    OrbitMismatch,
+    ParseError,
+    RibbonStructureError,
+)
 from fbga.fileio import PATH_CONVENTIONS
 from fbga.gentle import GentlePresentation
 from fbga.invariants import Fingerprint
 from fbga.presentation import BasisElement, arrow_name, dimension
-from fbga.reconstruct import LoewyData, loewy_labels
+from fbga.reconstruct import LoewyData, LoewyRow, loewy_labels
 from fbga.ribbon import EDGE_SEP, RibbonGraph, edge_id_of_pair, is_isomorphic, orbits
 
 
@@ -494,3 +505,164 @@ def table_matches(a, data, edge_labels) -> bool:
         if sorted(got.strands) != sorted(map(strand_labels, row.strands)) or got.socle != row.socle:
             return False
     return True
+
+
+# -- input checks one item at a time, as first written: the references of the bulk checks --
+
+def _load(text: str, object_hook=None):
+    try:
+        return json.loads(text, object_hook=object_hook)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int over the digit limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+          bool: "true or false"}
+
+
+def _typed(value, kind, where: str):
+    """``value`` if it is a ``kind`` (an int is never a bool), else a ParseError."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"{where}: expected {_KINDS[kind]}, got {value!r:.60}")
+    return value
+
+
+def _need(obj: dict, key: str, where: str):
+    if key not in _typed(obj, dict, where):
+        raise ParseError(f"{where}: missing key {key!r}")
+    return obj[key]
+
+
+def _strings(value, where: str) -> list:
+    if isinstance(value, list):
+        try:
+            "".join(value)  # json yields no str subclasses: fails iff an item is not a str
+            return value
+        except TypeError:
+            pass
+    raise ParseError(f"{where}: expected a list of strings, got {value!r:.60}")
+
+
+def reference_build(rotations, edges) -> RibbonGraph:
+    """:meth:`fbga.ribbon.RibbonGraph.build`, every check made per half-edge."""
+    attach = {}
+    rotation = {}
+    stars = {}
+    for v in rotations:
+        cycle = list(rotations[v])
+        if not cycle:
+            raise OrbitMismatch(f"vertex {v!r} has no half-edges")
+        for h in cycle:
+            if not isinstance(h, str) or not h:
+                raise RibbonStructureError(f"bad half-edge id {h!r}")
+            if EDGE_SEP in h:
+                raise RibbonStructureError(
+                    f"half-edge id {h!r} contains reserved {EDGE_SEP!r}"
+                )
+            if h in attach:
+                raise DuplicateHalfEdge(f"half-edge {h!r} listed twice")
+            attach[h] = v
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            rotation[a] = b
+        anchor = min(cycle)
+        i = cycle.index(anchor)
+        stars[v] = tuple(cycle[i:] + cycle[:i])
+
+    pairing = {}
+    for pair in edges:
+        if len(pair) != 2:
+            raise RibbonStructureError(f"edge {pair!r} is not a pair")
+        a, b = pair
+        if a == b:
+            raise FixedPointPairing(f"edge pairs half-edge {a!r} with itself")
+        for h in (a, b):
+            if h in pairing:
+                raise DuplicateHalfEdge(f"half-edge {h!r} paired twice")
+            if h not in attach:
+                raise OrbitMismatch(f"edge uses unattached half-edge {h!r}")
+        pairing[a] = b
+        pairing[b] = a
+
+    unpaired = set(attach) - set(pairing)
+    if unpaired:
+        raise OrbitMismatch(f"unpaired half-edges: {sorted(unpaired)}")
+
+    graph = RibbonGraph(tuple(sorted(rotations)), attach, pairing, rotation, stars, False)
+    return replace(graph, connected=reference_connected(graph))
+
+
+def reference_parse_ribbon(text: str):
+    """:func:`fbga.fileio.parse_ribbon`, every row checked on its own, then
+    :func:`reference_build`."""
+    obj = _load(text)
+    vrows = _typed(_need(obj, "vertices", "graph file"), list, "graph vertices")
+    erows = _typed(_need(obj, "edges", "graph file"), list, "graph edges")
+    rotations = {}
+    degrees = {}
+    for row in vrows:
+        vid = _typed(_need(row, "id", "vertex entry"), str, "vertex id")
+        if vid in rotations:
+            raise ParseError(f"graph file: vertex {vid!r} listed twice")
+        rotations[vid] = _strings(_need(row, "rotation", f"vertex {vid!r}"),
+                                  f"rotation of {vid!r}")
+        if "degree" in row:
+            degrees[vid] = _typed(row["degree"], int, f"degree of {vid!r}")
+            if degrees[vid] < 1:
+                raise ParseError(f"degree of {vid!r}: expected a positive integer, "
+                                 f"got {degrees[vid]}")
+    if degrees and set(degrees) != set(rotations):
+        missing = sorted(set(rotations) - set(degrees))
+        raise ParseError(f"degrees given for some vertices but not {missing}")
+    graph = reference_build(rotations, [_strings(e, "edge") for e in erows])
+    return graph, (degrees or None)
+
+
+def reference_parse_loewy(text: str) -> LoewyData:
+    """:func:`fbga.fileio.parse_loewy`, every row checked on its own; a
+    refused table goes to :meth:`fbga.reconstruct.LoewyData.build`, as there."""
+    entries = set()  # every entry of a joined strand
+
+    def join_strands(obj: dict) -> dict:
+        s = obj.get("strands")
+        if type(s) is list and len(s) <= 2 and all(type(x) is list for x in s):
+            with suppress(TypeError):  # an entry that is not a string: left as a list
+                obj["strands"] = tuple(map(EDGE_SEP.join, s)) + ("",) * (2 - len(s))
+                entries.update(*s)
+        return obj
+
+    with suppress(InputError):  # a refused table is decoded again as lists, for the message
+        data = _reference_of_texts(_reference_loewy_rows(_load(text, join_strands)), entries)
+        if data is not None:
+            return data
+    return LoewyData.build(_reference_loewy_rows(_load(text)))
+
+
+def _reference_loewy_rows(obj) -> list:
+    if not isinstance(obj, list):
+        raise ParseError("loewy file: expected a list of rows")
+    raw = []
+    for row in obj:
+        label = _need(row, "id", "loewy row")
+        where = f"loewy row {label!r}"
+        strands = _need(row, "strands", where)
+        if type(strands) is not tuple:  # not joined while decoding
+            strands = [_strings(s, f"{where} strand")
+                       for s in _typed(strands, list, f"{where} strands")]
+        socle = _typed(_need(row, "socle", where), str, f"{where} socle")
+        uniserial = sum(1 for s in strands if s) <= 1
+        if _typed(row.get("uniserial", uniserial), bool, f"{where} uniserial") != uniserial:
+            raise InconsistentInput(
+                f"simple {label!r}: uniserial flag contradicts the strands")
+        raw.append((label, strands, socle))
+    return raw
+
+
+def _reference_of_texts(rows, entries):
+    """From (label, two strand texts, socle) rows whose strand entries lie
+    in ``entries``, or None where ``build`` refuses them (it names why)."""
+    labels = {l for l, _, _ in rows if isinstance(l, str) and l and EDGE_SEP not in l}
+    # one socle per row: equal lists also mean no label is repeated or refused
+    if (labels.issuperset(entries) and all(len(strands) == 2 for _, strands, _ in rows)
+            and sorted(socle for _, _, socle in rows) == sorted(labels)):
+        return LoewyData(tuple(sorted((LoewyRow(*row) for row in rows), key=lambda r: r.label)))
+    return None

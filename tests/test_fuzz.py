@@ -8,6 +8,12 @@ random output format.  Whatever the input, ``main`` must return an exit
 code from 0 to 4 without an exception escaping: 0 and 3 with nothing on
 stderr, 1, 2 and 4 with exactly one ``error:`` or ``ambiguous:`` line.
 ``validate`` reports an inadmissible graph (exit 2) on stdout instead.
+
+The same mutants, and more that give a flag or a degree an odd value or
+rename an id everywhere, are read by the bulk-checking readers and by
+their one-item-at-a-time references in ``tests/oracles.py``: both must
+accept the same files with the same result, and refuse the rest with the
+same error and message.
 """
 
 import contextlib
@@ -18,6 +24,10 @@ import time
 from pathlib import Path
 
 from fbga.cli import main
+from fbga.fileio import parse_loewy, parse_ribbon
+from fbga.reconstruct import LoewyData
+from fbga.ribbon import RibbonGraph
+from oracles import reference_build, reference_parse_loewy, reference_parse_ribbon
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 LAMBDA = str(DATA / "lambda.rg")
@@ -132,3 +142,97 @@ def test_mutated_inputs_end_in_an_exit_code_with_one_line(tmp_path):
     assert len(cases) > 400
     assert not failures, "\n".join(failures[:5])
     assert time.perf_counter() - start < 3.0
+
+
+FLAG_VALUES = (None, True, False, 0, "x")  # for "uniserial" and "degree"
+ODD_NAMES = ("", "~", "a~b")  # an id renamed to one of these everywhere it is used
+READERS = {".rg": (parse_ribbon, reference_parse_ribbon),
+           ".loewy": (parse_loewy, reference_parse_loewy)}
+BUILD_INPUTS = [  # (rotations, edges) that no file decodes to
+    ({"v": ("a", "b")}, [("a", "b")]),
+    ({"v": "ab"}, ["ab"]),
+    ({"v": ["b", "a"], "u": ["d", "c"]}, [["d", "a"], ["c", "b"]]),
+    ({"v": []}, []),
+    ({"v": ["a", 3]}, [["a", 3]]),
+    ({"v": ["a", ["x"]]}, [["a", ["x"]]]),
+    ({"v": ["a", "b"]}, [["a", ["x"]]]),
+    ({"v": ["a", "b"]}, [["c", ["x"]]]),
+    ({"v": ["a", "b", "c"]}, [["a", "b"], ["c"]]),
+    ({"v": ["a", "b"]}, [5]),
+    ({"v": ["a", "b"]}, [["a", "b"], ["a", "b"]]),
+    ({"v": ["a", "b"]}, [["a", "a"]]),
+    ({"u": ["a"], "v": ["a"]}, [["a", "a"]]),
+]
+
+
+def rows_of(obj) -> list:
+    return obj["vertices"] if isinstance(obj, dict) else obj
+
+
+def renamed(obj, old: str, new: str):
+    """``obj`` with every string value equal to ``old`` (not a key) made ``new``."""
+    if isinstance(obj, dict):
+        return {k: renamed(v, old, new) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [renamed(v, old, new) for v in obj]
+    return new if obj == old else obj
+
+
+def reader_mutants(rng, path) -> list:
+    """The file, its ``mutants``, each row with its "uniserial" or "degree"
+    set to each of FLAG_VALUES, and each id renamed to each of ODD_NAMES."""
+    text = path.read_text()
+    key = "uniserial" if path.suffix == ".loewy" else "degree"
+    out = [text, *mutants(rng, path)]
+    for i in range(len(rows_of(json.loads(text)))):
+        for value in FLAG_VALUES:
+            obj = json.loads(text)
+            rows_of(obj)[i][key] = value
+            out.append(json.dumps(obj))
+    ids = {s for row in rows_of(json.loads(text)) for s in strings(list(row.values()))}
+    out += [json.dumps(renamed(json.loads(text), old, new))
+            for old in sorted(ids) for new in ODD_NAMES]
+    return out
+
+
+def normal(value):
+    """``value`` with each dict, also inside a graph or table, as its list of
+    items, and each sequence tagged with its type: equal only when every
+    key is listed in the same order."""
+    if isinstance(value, (RibbonGraph, LoewyData)):
+        return type(value).__name__, normal(vars(value))
+    if isinstance(value, dict):
+        return [(k, normal(v)) for k, v in value.items()]
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, [normal(v) for v in value]
+    return value
+
+
+def outcome(read, *args):
+    """("ok", what ``read`` returns, in ``normal`` form) or (error type, message)."""
+    try:
+        return "ok", normal(read(*args))
+    except Exception as exc:  # whatever either side raises is compared
+        return type(exc), str(exc)
+
+
+def test_bulk_readers_accept_and_refuse_as_their_references():
+    """Every graph file, Loewy table and ``RibbonGraph.build`` input gives the
+    reader and its reference equal results, or the same error and message."""
+    rng = random.Random(SEED)
+    texts = {suffix: [] for suffix in READERS}
+    for path in sorted(DATA.iterdir()):
+        if path.suffix in READERS:
+            texts[path.suffix] += reader_mutants(rng, path)
+    verdicts = set()
+    for suffix, (read, reference) in READERS.items():
+        for text in texts[suffix]:
+            got = outcome(read, text)
+            assert got == outcome(reference, text), text
+            verdicts.add((suffix, got[0] == "ok"))
+    for rotations, edges in BUILD_INPUTS:
+        got = outcome(RibbonGraph.build, rotations, edges)
+        assert got == outcome(reference_build, rotations, edges), (rotations, edges)
+        verdicts.add(("build", got[0] == "ok"))
+    assert min(map(len, texts.values())) >= 100
+    assert verdicts == {(kind, ok) for kind in (*READERS, "build") for ok in (True, False)}

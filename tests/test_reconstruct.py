@@ -2,6 +2,7 @@ import json
 import random
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +16,8 @@ from fbga.errors import (
     InputError,
     NotAdmissible,
 )
-from fbga.fileio import parse_loewy
-from fbga.reconstruct import LoewyData, reconstruct_afbg
+from fbga.fileio import parse_loewy, parse_ribbon
+from fbga.reconstruct import LoewyData, loewy_labels, reconstruct_afbg
 from fbga.ribbon import RibbonGraph, canonical_code, edge_id_of_pair, is_isomorphic, orbits
 from generators import lambda_afbg, loop_afbg, random_afbg, random_fractional_afbg
 from oracles import loewy_data_of, strand_labels, table_matches
@@ -30,6 +31,17 @@ def roundtrip_check(a: Afbg) -> bool:
     res = reconstruct_afbg(data)
     return (is_isomorphic(res.afbg.graph, a.graph, res.afbg.degrees, a.degrees) is not None
             and table_matches(res.afbg, data, res.edge_labels))
+
+
+def test_loewy_labels_number_the_edge_ids_in_sorted_order():
+    """Labels s0, s1, ... follow the sorted edge ids, each id the sorted ends
+    of an edge of the file joined by "~".  In data/lambda.rg the pair
+    ("h", "ih") sorts before ("hp", "ihp"), but "hp~ihp" before "h~ih", so
+    numbering the edges in pair order would fail."""
+    text = (Path(__file__).resolve().parent.parent / "data" / "lambda.rg").read_text()
+    ids = sorted("~".join(sorted(edge)) for edge in json.loads(text)["edges"])
+    assert ids == ["hp~ihp", "h~ih"]
+    assert loewy_labels(parse_ribbon(text)[0]) == {e: f"s{i}" for i, e in enumerate(ids)}
 
 
 def star_afbg(k):
