@@ -195,9 +195,8 @@ def parse_gentle(text: str) -> GentlePresentation:
 # -- Loewy data ----------------------------------------------------------------
 
 def parse_loewy(text: str) -> LoewyData:
-    """The Loewy table in ``text``: each well-formed row becomes a LoewyRow as it
-    is decoded; a table with any other row is decoded again, for the message."""
-    entries = set()  # every entry of a joined strand
+    """The Loewy table in ``text``: rows become LoewyRows as they are decoded,
+    taken if the sides match; any other table is decoded again, for the message."""
 
     def read_row(obj: dict):
         label, s, socle = obj.get("id"), obj.get("strands"), obj.get("socle")
@@ -208,15 +207,16 @@ def parse_loewy(text: str) -> LoewyData:
             except TypeError:  # an entry that is not a string: left as an object
                 return obj
             uniserial = not all(strands)
-            if obj.get("uniserial", uniserial) is uniserial:  # absent, or the same bool
-                entries.update(*s)
+            # a flag absent or the same bool, and each text splits back into its list
+            if obj.get("uniserial", uniserial) is uniserial and all(
+                    t.count(EDGE_SEP) + 1 == len(x) if t else not x for t, x in zip(strands, s)):
                 return LoewyRow(label, strands, socle)
         return obj
 
     rows = _load(text, read_row)
     if type(rows) is list and {LoewyRow}.issuperset(map(type, rows)):
-        data = LoewyData._of_texts(rows, entries)
-        if data is not None:
+        data = LoewyData(tuple(sorted(rows)))  # by label, where labels are unique
+        if data.follow is not None:
             return data
     return LoewyData.build(_loewy_rows(_load(text)))
 

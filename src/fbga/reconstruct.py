@@ -25,6 +25,8 @@ S, so the sides of one rotation cycle share one L, and
 candidate's edges are its rows, so the rotation walk from s lists S,
 and ν(s) = ρ^(L+1)(s) lies on edge σ: every side of the
 candidate carries the strand and the socle that the input gives it.
+A key match also makes every strand entry a label: S[0] is the row of the
+side that follows s, and S[k] is entry k - 1 of that side's strand.
 
 At most two wirings need building, so there is no search bound.  Both
 sides of a tied row demand the same key, and only the two sides of one
@@ -58,7 +60,7 @@ both 4-dimensional local algebras (loop of degree 2; edge of degrees
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .afbg import Afbg
@@ -81,6 +83,28 @@ class LoewyRow(NamedTuple):
 @dataclass(frozen=True)
 class LoewyData:
     rows: tuple  # LoewyRow, sorted by label; strands kept as given; "" is a valid strand
+    follow: tuple | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """``follow[s]``: the side that follows side s (side 2i + j is strand j
+        of row i), or None unless labels are distinct, non-empty and free of
+        EDGE_SEP, the socles permute them and the keys match.  A side supplies
+        label~strand and demands strand~socle, keyed as (all but the last
+        label, the last label); sorted by key, equal keys in side order, the
+        k-th side to demand a key is followed by the k-th side to supply it."""
+        rows, follow = self.rows, None
+        labels = {row.label for row in rows}
+        # one socle per row: equal sets also mean the socles permute the labels
+        if (len(labels) == len(rows) and "" not in labels and EDGE_SEP not in "".join(labels)
+                and labels == {row.socle for row in rows}):
+            supply = [(l + sep + head, last) if t else ("", l) for l, strands, _ in rows
+                      for t in strands for head, sep, last in [t.rpartition(EDGE_SEP)]]
+            demand = [(t, s) for _, strands, s in rows for t in strands]  # no text copied
+            by_supply = sorted(range(len(supply)), key=supply.__getitem__)
+            by_demand = sorted(range(len(demand)), key=demand.__getitem__)
+            if [*map(supply.__getitem__, by_supply)] == [*map(demand.__getitem__, by_demand)]:
+                follow = tuple(map(dict(zip(by_demand, by_supply)).__getitem__, range(len(supply))))
+        object.__setattr__(self, "follow", follow)
 
     @classmethod
     def build(cls, raw_rows) -> "LoewyData":
@@ -108,19 +132,8 @@ class LoewyData:
         if sorted(socle for _, _, socle in rows) != sorted(labels):
             raise InconsistentInput(
                 "socles must permute the simples (each label exactly once)")
-        return cls._of_texts([LoewyRow(label, tuple(map(EDGE_SEP.join, strands)), socle)
-                              for label, strands, socle in rows], labels)
-
-    @classmethod
-    def _of_texts(cls, rows, entries):
-        """From LoewyRows with string labels and socles and strand entries in
-        ``entries``, or None where ``build`` refuses them (it names why)."""
-        labels = {row.label for row in rows}
-        # one socle per row: equal sets also mean the socles permute the labels
-        if (len(labels) == len(rows) and "" not in labels and EDGE_SEP not in "".join(labels)
-                and labels.issuperset(entries) and labels == {row.socle for row in rows}):
-            return cls(tuple(sorted(rows)))  # by label, as labels are unique
-        return None
+        return cls(tuple(sorted(LoewyRow(label, tuple(map(EDGE_SEP.join, strands)), socle)
+                                for label, strands, socle in rows)))  # by label: it is unique
 
 
 def loewy_labels(graph: RibbonGraph) -> dict:
@@ -137,69 +150,51 @@ class Reconstruction:
 
 
 def reconstruct_afbg(data: LoewyData) -> Reconstruction:
-    rows = data.rows
-    if len(rows) == 1:
-        l = rows[0].label
-        if rows[0].strands == (l, l) and rows[0].socle == l:
-            raise Exceptional(
-                "table fits both 4-dimensional local algebras (a loop of "
-                "degree 2 and an edge of degrees 2,2); they cannot be told apart")
-
-    # A side supplies the key label~strand and demands its window strand~socle
-    # (label and socle for an empty strand).  Labels are non-empty and free of
-    # EDGE_SEP, and LoewyData has checked every strand entry is a label, so equal
-    # keys are equal (label, strand) pairs.  Sorted by key, equal keys in side
-    # order, the k-th demanding side is followed by the k-th supplying side.
-    names = [f"e{idx}{tag}" for idx in range(len(rows)) for tag in "ab"]  # half-edges
-    sides = [*zip(names[::2], names[1::2])]
-    supply = [f"{label}{EDGE_SEP}{text}" if text else label
-              for label, strands, _ in rows for text in strands]
-    demand = [f"{text}{EDGE_SEP}{socle}" if text else socle
-              for _, strands, socle in rows for text in strands]
-    by_supply = sorted(range(len(names)), key=supply.__getitem__)
-    by_demand = sorted(range(len(names)), key=demand.__getitem__)
-    if [*map(supply.__getitem__, by_supply)] != [*map(demand.__getitem__, by_demand)]:
+    rows, follow = data.rows, data.follow
+    if len(rows) == 1 and rows[0] == (l := rows[0].label, (l, l), l):
+        raise Exceptional(
+            "table fits both 4-dimensional local algebras (a loop of "
+            "degree 2 and an edge of degrees 2,2); they cannot be told apart")
+    if follow is None:
         raise InconsistentInput(
             "successor requirements do not match the available sides")
 
-    # a key supplied twice is a tied row's; rows are sorted by label, so the
-    # ties come in label order
+    # a tied row's two sides supply one key; rows are sorted, so ties are too
     tied = [idx for idx, row in enumerate(rows) if row.strands[0] == row.strands[1]]
-    # both sides of a tied row demand the same key, so that key is a tie too
-    feeds = {supply[2 * idx]: demand[2 * idx] for idx in tied}
+    # both sides of a tied row demand the same key, so the row they follow is tied too
+    feeds = {idx: follow[2 * idx] // 2 for idx in tied}
     if tied and (len(tied) < len(rows) or len(cycles(feeds)) > 1):
         raise InconsistentInput(
             "no connected admissible graph realizes this table")
 
+    names = [f"e{idx}{tag}" for idx in range(len(rows)) for tag in "ab"]  # half-edges
+    sides = [*zip(names[::2], names[1::2])]
     edge_labels = {a + EDGE_SEP + b: row.label for (a, b), row in zip(sides, rows)}
-    successor = dict(zip(map(names.__getitem__, by_demand), map(names.__getitem__, by_supply)))
-    windows = dict(zip(names, demand))
-    afbg = _build_candidate(successor, windows, sides)
+    successor = dict(zip(names, map(names.__getitem__, follow)))
+    # the number of labels in a side's window, L + 1 for its strand's length L
+    window = dict(zip(names, (t.count(EDGE_SEP) + 2 if t else 1 for r in rows for t in r.strands)))
+    afbg = _build_candidate(successor, window, sides)
     if afbg is None:
         raise InconsistentInput(
             "no connected admissible graph realizes this table")
     if tied:
         # the other parity class: the last tie's two demanding sides exchanged
-        d1, d2 = sides[demand.index(supply[2 * tied[-1]]) // 2]
+        d1, d2 = sides[follow.index(2 * tied[-1]) // 2]
         twin = {**successor, d1: successor[d2], d2: successor[d1]}
-        if _build_candidate(twin, windows, sides) is not None:
+        if _build_candidate(twin, window, sides) is not None:
             raise Ambiguous("2 non-isomorphic graphs realize this table",
                             tie_classes=[rows[idx].label for idx in tied])
     return Reconstruction(afbg, edge_labels, 2 if tied else 1)
 
 
-def _build_candidate(successor, windows, edges):
-    """The graph whose rotation is ``successor`` (vertices v0, v1, ... in
-    anchor order) with its degrees, if connected and admissible, else None.
-    A side is followed by a side whose strand has the same length, so the
-    sides of a vertex share one length L, and its degree is L + 1: the
-    number of labels in the window of its first side, counted once."""
+def _build_candidate(successor, window, edges):
+    """The graph with rotation ``successor`` (vertices v0, v1, ... in anchor
+    order) and ``window`` degrees, if connected and admissible, else None."""
     rotations = {f"v{i}": cycle for i, cycle in enumerate(orbits(successor))}
     graph = RibbonGraph.build(rotations, edges)
     if not graph.connected:
         return None
     try:
-        return Afbg.build(graph, {v: windows[cycle[0]].count(EDGE_SEP) + 1
-                                  for v, cycle in rotations.items()})
+        return Afbg.build(graph, {v: window[cycle[0]] for v, cycle in rotations.items()})
     except NotAdmissible:
         return None

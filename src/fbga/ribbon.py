@@ -267,13 +267,14 @@ def _rooted_word(graph, root, rinv, degrees, bound=None):
     return tuple(word), order
 
 
-def _canonical(graph, keys, degrees) -> tuple:
+def _canonical(graph, keys, degrees, stop=None) -> tuple:
     """(code, BFS order) of :func:`canonical_code`.  Two roots with equal
     words zip into an automorphism, which keeps the key classes; its cycles
     through the roots are merged in a union-find whose representatives are
     the least roots.  An automorphism commutes with pairing and rotation,
     so a root whose orbit holds a root tried before it gives an equal word
-    and is skipped (McKay, "Practical graph isomorphism", 1981)."""
+    and is skipped (McKay, "Practical graph isomorphism", 1981).  It stops
+    at its first best word ≤ ``stop``, if given."""
     if not keys:
         return (), []
     sizes = Counter(keys.values())
@@ -299,6 +300,8 @@ def _canonical(graph, keys, degrees) -> tuple:
                 parent[b] = a
         elif found is not None:
             best, order = found
+            if stop is not None and best <= stop:
+                break
     return best, order
 
 
@@ -324,10 +327,11 @@ def is_isomorphic(g1: RibbonGraph, g2: RibbonGraph,
 
     Degrees are compared iff both ``d1`` and ``d2`` are given.  Graphs whose
     half-edge keys (see :func:`canonical_code`) differ as multisets are
-    rejected at once.  Otherwise the graphs are isomorphic iff their codes
-    are equal, and then position i of one BFS order maps to position i of
-    the other.  The returned dict is checked to commute with pairing and
-    rotation (and to preserve degrees), so it induces a vertex bijection.
+    rejected at once.  Otherwise they are isomorphic iff the code of ``g1``
+    equals the first best word ≤ it that the search on ``g2`` finds, and
+    then position i of one BFS order maps to position i of the other.  The
+    returned dict is checked to commute with pairing and rotation (and to
+    preserve degrees), so it induces a vertex bijection.
     """
     if not (g1.connected and g2.connected):
         raise DisconnectedInput("isomorphism testing requires connected graphs")
@@ -337,7 +341,7 @@ def is_isomorphic(g1: RibbonGraph, g2: RibbonGraph,
     if Counter(keys1.values()) != Counter(keys2.values()):
         return None
     word1, order1 = _canonical(g1, keys1, d1)
-    word2, order2 = _canonical(g2, keys2, d2)
+    word2, order2 = _canonical(g2, keys2, d2, stop=word1)
     if word1 != word2:
         return None
     mapping = dict(zip(order1, order2))

@@ -619,7 +619,9 @@ def reference_parse_ribbon(text: str):
 
 def reference_parse_loewy(text: str) -> LoewyData:
     """:func:`fbga.fileio.parse_loewy`, every row checked on its own; a
-    refused table goes to :meth:`fbga.reconstruct.LoewyData.build`, as there."""
+    refused table goes to :meth:`fbga.reconstruct.LoewyData.build`, as there.
+    Strand entries are checked against a set of every entry, never through
+    ``LoewyData.follow``, which the reader accepts a table by."""
     entries = set()  # every entry of a joined strand
 
     def join_strands(obj: dict) -> dict:

@@ -147,6 +147,9 @@ def test_usage_error_is_a_one_line_input_error(capsys, argv):
 PLAIN = {"vertices": [{"id": v, "rotation": r} for v, r in (("u", ["h", "hp"]),
                                                             ("w", ["ih", "ihp"]))],
          "edges": [["h", "ih"], ["hp", "ihp"]]}
+TWO_LOOPS = {"vertices": [{"id": v, "rotation": r} for v, r in (("u", ["a", "b"]),
+                                                                ("w", ["c", "d"]))],
+             "edges": [["a", "b"], ["c", "d"]]}
 NOT_GENTLE = {"vertices": ["1", "2", "3"],
               "arrows": [{"id": a, "from": s, "to": t} for a, s, t in (("a", "1", "2"),
                                                                        ("b", "2", "3"))],
@@ -156,6 +159,8 @@ ANSWERS = {
                                  "degrees: absent (structure check only)"),
     "iso-with-degrees-on-one-side": (["iso", LAMBDA, "{plain}"], 1,
                                      "error: either both graphs carry degrees or neither"),
+    "iso-of-a-disconnected-graph": (["iso", "{two_loops}", "{plain}"], 1,
+                                    "error: canonical_code requires a connected graph"),
     "export-loewy-without-degrees": (["export", "{plain}", "--loewy"], 1,
                                      "error: --loewy needs vertex degrees"),
     "gentle-trivext-of-a-non-gentle-file": (
@@ -166,7 +171,7 @@ ANSWERS = {
 
 @pytest.mark.parametrize("argv, code, line", ANSWERS.values(), ids=ANSWERS.keys())
 def test_a_checked_input_gets_its_one_line(tmp_path, capsys, argv, code, line):
-    files = {"plain": PLAIN, "not_gentle": NOT_GENTLE}
+    files = {"plain": PLAIN, "two_loops": TWO_LOOPS, "not_gentle": NOT_GENTLE}
     for name, content in files.items():
         (tmp_path / name).write_text(json.dumps(content))
     assert main([a.format(**{n: tmp_path / n for n in files}) for a in argv]) == code

@@ -168,6 +168,12 @@ MALFORMED_LOEWY = {  # name: (table, error, message), the messages as first rele
     "uniserial-contradiction": ([row("a"), {**row("b", (("a",), ("a",))), "uniserial": True}],
                                 InconsistentInput,
                                 "simple 'b': uniserial flag contradicts the strands"),
+    # a strand [""] joins to the text of the strand [], in a table whose sides match
+    "empty-entry-alone-flagged": ([{**row("s0", (("",), ("s1",))), "uniserial": True},
+                                   row("s1", (("s0",), ()))], InconsistentInput,
+                                  "simple 's0': uniserial flag contradicts the strands"),
+    "empty-entry-alone": ([row("s0", (("",), ("s1",))), row("s1", (("s0",), ()))],
+                          InputError, "strand of 's0' mentions unknown label ''"),
     "empty-label": ([row("a"), row("", socle="a")], InputError, "bad simple label ''"),
     "label-with-separator": ([row("a~b")], InputError, "bad simple label 'a~b'"),
     "label-a-list": ([{**row("a"), "id": ["a"]}], InputError, "bad simple label ['a']"),
@@ -220,6 +226,26 @@ def test_reconstruct_peaks_below_three_times_the_table():
         tracemalloc.stop()
     assert rec.afbg.graph.num_edges() == 200
     assert peak <= 3 * len(text), peak
+
+
+def test_a_star_table_is_matched_within_its_own_size():
+    """The 200 strands of a star wrap its hub once each (0.6 MB).  Only the
+    supply keys of the side match copy strand text, so parsing and
+    reconstructing allocate less than the text at any moment."""
+    n = 200
+    star = RibbonGraph.build({"c": [f"h{i}" for i in range(n)],
+                              **{f"l{i}": [f"t{i}"] for i in range(n)}},
+                             [[f"h{i}", f"t{i}"] for i in range(n)])
+    text = loewy_json(Afbg.build(star, {"c": n, **{f"l{i}": 1 for i in range(n)}}))
+    assert len(text) > 5 * 10**5
+    tracemalloc.start()
+    try:
+        rec = reconstruct_afbg(parse_loewy(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.afbg.graph.num_edges() == n
+    assert peak <= len(text), peak
 
 
 def loewy_json_cases():

@@ -468,7 +468,8 @@ def test_mutated_tables_agree_with_all_wirings():
 
 def test_a_label_holding_the_separator_is_never_a_key():
     """The text of the strand ["x~y"] is that of ["x", "y"]; the label
-    check refuses it before reconstruction builds any key."""
+    check refuses it, and ``parse_loewy`` sends it there, as the text does
+    not split back into its one entry."""
     data, _ = loewy_data_of(star_afbg(3))
     raw = [(r.label, tuple(map(strand_labels, r.strands)), r.socle) for r in data.rows]
     i, (label, (strand, other), socle) = next(

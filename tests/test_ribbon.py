@@ -402,6 +402,33 @@ def test_uniform_key_torus_pair():
     assert_checked_isomorphism(grid, shuffled_copy(Random(59), grid)[0])
 
 
+def test_the_search_on_the_second_graph_ends_at_the_first_code(monkeypatch):
+    """A relabelled 800-edge torus grid gives one word from every root, so
+    once the code of the grid is known, the copy builds a single word."""
+    built = []
+
+    def counted(graph, *args):
+        built.append(graph)
+        return _rooted_word(graph, *args)
+
+    monkeypatch.setattr("fbga.ribbon._rooted_word", counted)
+    grid = torus_grid(20)
+    copy = shuffled_copy(Random(67), grid)[0]
+    assert is_isomorphic(grid, copy) is not None
+    assert sum(g is copy for g in built) == 1
+    assert sum(g is grid for g in built) == len(built) - 1 > 1
+
+
+def test_graphs_whose_keys_differ_build_no_word(monkeypatch):
+    """A loop and an edge differ in valency, so ``is_isomorphic`` rejects
+    the pair on its half-edge keys before any search."""
+    def no_word(*args):
+        raise AssertionError("a rooted word was built")
+
+    monkeypatch.setattr("fbga.ribbon._rooted_word", no_word)
+    assert is_isomorphic(bouquet(1), dipole(1)) is None
+
+
 @pytest.mark.parametrize("graph", [dipole, bouquet])
 def test_code_of_an_800_edge_map_with_one_key(graph):
     g = graph(800)
