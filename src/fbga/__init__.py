@@ -17,7 +17,6 @@ from .afbg import (
 )
 from .covering import (
     BorderedRibbonGraph,
-    CoverResult,
     cover_finite,
     cover_window,
     ordering_from_cut,

@@ -181,8 +181,8 @@ def cmd_reduce(args):
 
 def cmd_cover(args):
     a = _load_afbg(args.graph)
-    res = cover_finite(a, _pick_cut(args, a.graph), args.r)
-    return 0, (res.cover.graph, res.cover.degrees, {"sheets": res.sheets})
+    cover = cover_finite(a, _pick_cut(args, a.graph), args.r)
+    return 0, (cover.graph, cover.degrees, {"sheets": args.r})
 
 
 def cmd_gentle_trivext(args):

@@ -44,7 +44,9 @@ def sheet_name(half_edge: str, j: int) -> str:
     return f"{half_edge}{SHEET_SEP}{j}"
 
 
-def validate_cut(graph: RibbonGraph, cut: dict) -> None:
+def ordering_from_cut(graph: RibbonGraph, cut: dict) -> dict:
+    """Star ordering (h_1, ..., h_n) per vertex with h_n = cut(v) and
+    h_1 = rotation(cut(v))."""
     if set(cut) != set(graph.vertices):
         missing = set(graph.vertices) - set(cut)
         extra = set(cut) - set(graph.vertices)
@@ -53,12 +55,6 @@ def validate_cut(graph: RibbonGraph, cut: dict) -> None:
     for v, h in cut.items():
         if graph.attach.get(h) != v:
             raise InvalidCut(f"cut half-edge {h!r} is not attached at {v!r}")
-
-
-def ordering_from_cut(graph: RibbonGraph, cut: dict) -> dict:
-    """Star ordering (h_1, ..., h_n) per vertex with h_n = cut(v) and
-    h_1 = rotation(cut(v))."""
-    validate_cut(graph, cut)
     out = {}
     for v in graph.vertices:
         star = graph.stars[v]
@@ -85,19 +81,11 @@ def _sheets(base: Afbg, cut: dict, lo: int, hi: int):
     return columns, edges
 
 
-@dataclass(frozen=True)
-class CoverResult:
-    cover: Afbg
-    base: Afbg
-    sheets: int
-
-
-def cover_finite(base: Afbg, cut: dict, r: int) -> CoverResult:
-    if not isinstance(r, int) or r < 1:
+def cover_finite(base: Afbg, cut: dict, r: int) -> Afbg:
+    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise InvalidCut(f"sheet count must be a positive integer, got {r!r}")
-    if not base.is_brauer_graph():
-        bad = sorted(v for v in base.graph.vertices
-                     if base.multiplicity(v).denominator != 1)
+    if bad := sorted(v for v, star in base.graph.stars.items()
+                     if base.degrees[v] % len(star)):
         raise NotABrauerGraph(
             f"covering base needs integral multiplicities; fractional at {bad}")
     n = len(base.graph.attach)
@@ -109,7 +97,7 @@ def cover_finite(base: Afbg, cut: dict, r: int) -> CoverResult:
         raise CoverNotAdmissible(
             f"{r}-sheeted cover is not admissible; base multiplicities must "
             f"be congruent mod {r} ({exc})") from exc
-    return CoverResult(cover, base, r)
+    return cover
 
 
 # -- window into the infinite cyclic cover -------------------------------------
@@ -160,7 +148,7 @@ def quotient_by_nakayama_power(a: Afbg, k: int) -> Afbg:
     ``k`` must divide the permutation's order.  k = 1 recovers the
     reduced form; k = order gives the graph back (up to renaming)."""
     order = a.nakayama_order()
-    if not isinstance(k, int) or k < 1 or order % k != 0:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1 or order % k != 0:
         raise NonDivisorPower(
             f"power {k!r} must be a positive divisor of the nakayama order {order}")
     return _quotient(a, k)

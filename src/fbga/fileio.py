@@ -29,7 +29,7 @@ import json
 from itertools import chain
 
 from .afbg import Afbg
-from .errors import InconsistentInput, InputError, InvariantError, ParseError
+from .errors import InconsistentInput, InvariantError, ParseError
 from .gentle import GentlePresentation
 from .presentation import Presentation, _check_budget, arrow_name, cut_walks, dimension, walk_texts
 from .reconstruct import LoewyData, LoewyRow, loewy_labels
@@ -251,11 +251,8 @@ def loewy_json(a: Afbg) -> str:
     of length d - 1 after a half-edge) is a slice of its star's label literals,
     joined once and repeated until all fit (``presentation.cut_walks``)."""
     _check_budget(dimension(a), "algebra of dimension")
-    name = loewy_labels(a.graph)  # the checks of LoewyData.build, per label, star and edge
-    lit = {l: json.encoder.encode_basestring_ascii(l) for l in name.values()
-           if isinstance(l, str) and l and EDGE_SEP not in l}
-    if len(lit) < len(name):
-        raise InputError("simple labels must be distinct, non-empty and free of '~'")
+    name = loewy_labels(a.graph)  # s0, s1, ...: distinct, non-empty and free of '~'
+    lit = {l: json.encoder.encode_basestring_ascii(l) for l in name.values()}
     # one row per edge, by label; every half-edge labelled in one pass over the pairs
     rows = sorted((name[x + EDGE_SEP + y], x, y) for x, y in a.graph.pairing.items() if x < y)
     label = {h: l for l, x, y in rows for h in (x, y)}

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .afbg import Afbg
-from .covering import CoverResult, cover_finite, cover_window
+from .covering import cover_finite, cover_window
 from .errors import InputError, InvariantError, UnboundedPath
 from .presentation import Presentation, build_presentation
 from .ribbon import EDGE_SEP, RibbonGraph
@@ -220,7 +220,7 @@ def trivial_extension(p: GentlePresentation) -> Presentation:
     return build_presentation(ribbon_graph_of_gentle(p).afbg)
 
 
-def gentle_cover(p: GentlePresentation, r: int) -> CoverResult:
+def gentle_cover(p: GentlePresentation, r: int) -> Afbg:
     res = ribbon_graph_of_gentle(p)
     return cover_finite(res.afbg, res.cut, r)
 
@@ -228,7 +228,7 @@ def gentle_cover(p: GentlePresentation, r: int) -> CoverResult:
 def r_fold_trivial_extension(p: GentlePresentation, r: int) -> Presentation:
     """Presentation of the r-fold trivial extension: the algebra of the
     r-sheeted cover of the induced Brauer graph along the induced cut."""
-    return build_presentation(gentle_cover(p, r).cover)
+    return build_presentation(gentle_cover(p, r))
 
 
 # -- repetitive-algebra windows --------------------------------------------------

@@ -111,7 +111,7 @@ def random_fractional_afbg(rng: Random, num_edges: int) -> Afbg:
     base = random_ribbon_graph(rng, num_edges)
     r = rng.randint(2, MAX_SHEETS)
     a = Afbg.build(base, cover_compatible_degrees(rng, base, r))
-    return cover_finite(a, random_cut(rng, base), r).cover
+    return cover_finite(a, random_cut(rng, base), r)
 
 
 def random_cut(rng: Random, graph: RibbonGraph) -> dict:
@@ -229,7 +229,7 @@ def presentation_cases() -> list:
         for _ in range(3):
             base = random_ribbon_graph(rng, rng.randint(1, 4))
             a = Afbg.build(base, cover_compatible_degrees(rng, base, r))
-            algebras.append(cover_finite(a, random_cut(rng, base), r).cover)
+            algebras.append(cover_finite(a, random_cut(rng, base), r))
     star = RibbonGraph.build({"c": [f"h{i}" for i in range(12)],
                               **{f"l{i}": [f"t{i}"] for i in range(12)}},
                              [[f"h{i}", f"t{i}"] for i in range(12)])

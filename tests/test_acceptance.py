@@ -53,7 +53,7 @@ def report(n, detail):
 
 @pytest.fixture(scope="module")
 def corpus():
-    """(base, cut, r, cover_result) for 200 random Brauer graphs with
+    """(base, cut, r, cover) for 200 random Brauer graphs with
     cover-compatible multiplicities, |H| <= 40, r in 1..5."""
     rng = random.Random(42)
     entries = []
@@ -154,14 +154,14 @@ def test_criterion_03_two_sheet_quivers():
 
 def test_criterion_04_covering_round_trip(corpus):
     t0 = time.monotonic()
-    for base, cut, r, res in corpus:
-        ok, why = verify_covering(res.cover, base)
+    for base, cut, r, cover in corpus:
+        ok, why = verify_covering(cover, base)
         assert ok, why
-        a, violations = is_admissible(res.cover.graph, res.cover.degrees)
+        a, violations = is_admissible(cover.graph, cover.degrees)
         assert a is not None, violations
-        assert len(res.cover.graph.attach) == r * len(base.graph.attach)
-        assert dimension(res.cover) == r * dimension(base)
-        red = reduced_form(res.cover)
+        assert len(cover.graph.attach) == r * len(base.graph.attach)
+        assert dimension(cover) == r * dimension(base)
+        red = reduced_form(cover)
         assert is_isomorphic(red.graph, base.graph,
                              red.degrees, base.degrees) is not None
     elapsed = time.monotonic() - t0
@@ -187,7 +187,7 @@ def test_criterion_05_dimension_oracle():
         g = random_ribbon_graph(rng, rng.randint(1, 3))
         r = rng.randint(1, 4)
         base = Afbg.build(g, cover_compatible_degrees(rng, g, r, max_k=1))
-        cov = cover_finite(base, random_cut(rng, g), r).cover
+        cov = cover_finite(base, random_cut(rng, g), r)
         assert dimension(cov) == oracle_dimension(build_presentation(cov))
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
@@ -236,17 +236,17 @@ def test_criterion_08_rep_finiteness():
 
 def test_criterion_09_bipartiteness_lifts(corpus):
     odd = 0
-    for base, _cut, _r, res in corpus:
+    for base, _cut, _r, cover in corpus:
         if not base.graph.is_bipartite():
             odd += 1
-            assert not res.cover.graph.is_bipartite()
+            assert not cover.graph.is_bipartite()
     assert odd > 0, "corpus never produced a non-bipartite base"
     report(9, f"{odd} non-bipartite bases, every cover non-bipartite")
 
 
 def test_criterion_10_reconstruction_round_trip(corpus):
     unique = ambiguous = exceptional = 0
-    for base, _cut, _r, _res in corpus:
+    for base, _cut, _r, _cover in corpus:
         data, _name = loewy_data_of(base)
         try:
             rec = reconstruct_afbg(data)
@@ -270,9 +270,9 @@ def test_criterion_10_reconstruction_round_trip(corpus):
 
 
 def test_criterion_11_nakayama_orbits_on_covers(corpus):
-    for _base, _cut, r, res in corpus:
-        aut = nakayama_on_presentation(res.cover)
-        quiver_vertices = set(build_presentation(res.cover).quiver_vertices())
+    for _base, _cut, r, cover in corpus:
+        aut = nakayama_on_presentation(cover)
+        quiver_vertices = set(build_presentation(cover).quiver_vertices())
         assert set(aut.vertex_map) == quiver_vertices
         sizes = {len(c) for c in orbits(aut.vertex_map)}
         assert sizes == {r}

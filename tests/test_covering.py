@@ -9,7 +9,6 @@ from fbga.covering import (
     ordering_from_cut,
     quotient_by_nakayama_power,
     smallest_cut,
-    validate_cut,
 )
 from fbga.errors import (
     CoverNotAdmissible,
@@ -41,10 +40,10 @@ D2 = {"u": "hp", "w": "ih"}
 def test_validate_cut_errors():
     g = lambda_afbg().graph
     with pytest.raises(InvalidCut):
-        validate_cut(g, {"u": "hp"})
+        ordering_from_cut(g, {"u": "hp"})
     with pytest.raises(InvalidCut):
-        validate_cut(g, {"u": "hp", "w": "h"})  # h is attached at u
-    validate_cut(g, D1)
+        ordering_from_cut(g, {"u": "hp", "w": "h"})  # h is attached at u
+    ordering_from_cut(g, D1)
 
 
 def test_ordering_puts_cut_last():
@@ -63,23 +62,21 @@ def test_smallest_cut():
 
 def test_double_edge_two_sheets_golden():
     a = lambda_afbg()
-    res = cover_finite(a, D1, 2)
-    assert res.sheets == 2
-    g = res.cover.graph
+    cover = cover_finite(a, D1, 2)
+    g = cover.graph
     assert g.stars["u"] == ("h@0", "hp@0", "h@1", "hp@1")
     assert g.num_edges() == 4
-    ok, reason = verify_covering(res.cover, res.base)
+    ok, reason = verify_covering(cover, a)
     assert ok, reason
-    assert nakayama_orbit_sizes(res.cover) == [2, 2, 2, 2]
-    red = reduced_form(res.cover)
+    assert nakayama_orbit_sizes(cover) == [2, 2, 2, 2]
+    red = reduced_form(cover)
     assert is_isomorphic(red.graph, a.graph, red.degrees, a.degrees) is not None
 
 
 def test_one_sheet_cover_is_the_base():
     a = lambda_afbg()
-    res = cover_finite(a, D1, 1)
-    assert is_isomorphic(res.cover.graph, a.graph,
-                         res.cover.degrees, a.degrees) is not None
+    cover = cover_finite(a, D1, 1)
+    assert is_isomorphic(cover.graph, a.graph, cover.degrees, a.degrees) is not None
 
 
 def test_cover_needs_brauer_base():
@@ -90,8 +87,9 @@ def test_cover_needs_brauer_base():
 
 
 def test_cover_rejects_bad_sheet_count():
-    with pytest.raises(InvalidCut):
-        cover_finite(lambda_afbg(), D1, 0)
+    for r in (0, True, False):
+        with pytest.raises(InvalidCut, match=f"sheet count must be a positive integer, got {r!r}"):
+            cover_finite(lambda_afbg(), D1, r)
 
 
 def test_incongruent_multiplicities_fail():
@@ -112,13 +110,13 @@ def test_cover_roundtrip_properties(seed, r):
     g = random_ribbon_graph(rng, rng.randint(1, 6))
     base = Afbg.build(g, cover_compatible_degrees(rng, g, r))
     cut = random_cut(rng, g)
-    res = cover_finite(base, cut, r)
-    ok, reason = verify_covering(res.cover, res.base)
+    cover = cover_finite(base, cut, r)
+    ok, reason = verify_covering(cover, base)
     assert ok, reason
-    assert len(res.cover.graph.attach) == r * len(g.attach)
-    assert dimension(res.cover) == r * dimension(base)
-    assert set(nakayama_orbit_sizes(res.cover)) == {r}
-    red = reduced_form(res.cover)
+    assert len(cover.graph.attach) == r * len(g.attach)
+    assert dimension(cover) == r * dimension(base)
+    assert set(nakayama_orbit_sizes(cover)) == {r}
+    red = reduced_form(cover)
     assert is_isomorphic(red.graph, g, red.degrees, base.degrees) is not None
 
 
@@ -126,8 +124,7 @@ def test_window_matches_cover_away_from_border():
     a = lambda_afbg()
     r = 3
     win = cover_window(a, D1, 0, r - 1)
-    res = cover_finite(a, D1, r)
-    cov = res.cover.graph
+    cov = cover_finite(a, D1, r).graph
     assert win.attach == cov.attach
     assert win.pairing == dict(cov.pairing)
     for h in win.rotation:
@@ -189,8 +186,9 @@ def test_quotient_by_full_order_is_identity():
 
 def test_quotient_rejects_non_divisor():
     a = lambda_afbg()  # nakayama order 1
-    with pytest.raises(NonDivisorPower):
-        quotient_by_nakayama_power(a, 2)
+    for k in (2, True, False):
+        with pytest.raises(NonDivisorPower, match=f"power {k!r} must be a positive divisor"):
+            quotient_by_nakayama_power(a, k)
 
 
 def test_quotient_tower_on_cover():
@@ -199,12 +197,11 @@ def test_quotient_tower_on_cover():
     rng = Random(77)
     g = random_ribbon_graph(rng, 3)
     base = Afbg.build(g, cover_compatible_degrees(rng, g, 4))
-    res = cover_finite(base, random_cut(rng, g), 4)
-    q1 = quotient_by_nakayama_power(res.cover, 1)
+    cover = cover_finite(base, random_cut(rng, g), 4)
+    q1 = quotient_by_nakayama_power(cover, 1)
     assert is_isomorphic(q1.graph, g, q1.degrees, base.degrees) is not None
-    q4 = quotient_by_nakayama_power(res.cover, 4)
-    assert is_isomorphic(q4.graph, res.cover.graph,
-                         q4.degrees, res.cover.degrees) is not None
+    q4 = quotient_by_nakayama_power(cover, 4)
+    assert is_isomorphic(q4.graph, cover.graph, q4.degrees, cover.degrees) is not None
 
 
 def test_quotients_match_the_stepped_out_orbits():
@@ -221,7 +218,7 @@ def test_quotients_match_the_stepped_out_orbits():
     for r in (2, 3, 4, 6):
         g = random_ribbon_graph(rng, 3)
         base = Afbg.build(g, cover_compatible_degrees(rng, g, r))
-        algebras.append(cover_finite(base, random_cut(rng, g), r).cover)
+        algebras.append(cover_finite(base, random_cut(rng, g), r))
     for g, d in small_degree_pairs(3, 4):
         try:
             algebras.append(Afbg.build(g, d))

@@ -157,10 +157,10 @@ def test_induced_cuts_differ():
     """Same graph, different induced cut: the 2-sheet covers are the
     covers of the double edge along its two distinct cutting sets."""
     lam = lambda_afbg()
-    d1_cover = cover_finite(lam, {"u": "hp", "w": "ihp"}, 2).cover
-    d2_cover = cover_finite(lam, {"u": "hp", "w": "ih"}, 2).cover
-    k_cover = gentle_cover(kronecker(), 2).cover
-    a_cover = gentle_cover(aprime(), 2).cover
+    d1_cover = cover_finite(lam, {"u": "hp", "w": "ihp"}, 2)
+    d2_cover = cover_finite(lam, {"u": "hp", "w": "ih"}, 2)
+    k_cover = gentle_cover(kronecker(), 2)
+    a_cover = gentle_cover(aprime(), 2)
     assert is_isomorphic(k_cover.graph, d1_cover.graph,
                          k_cover.degrees, d1_cover.degrees) is not None
     assert is_isomorphic(a_cover.graph, d2_cover.graph,
@@ -303,8 +303,8 @@ def test_cut_algebras_of_graphs_with_up_to_3_edges_come_back():
             cut = dict(zip(g.vertices, chosen))
             algebra = cut_algebra(g, cut)
             for r in (1, 2, 3):
-                got = gentle_cover(algebra, r).cover
-                want = cover_finite(base, cut, r).cover
+                got = gentle_cover(algebra, r)
+                want = cover_finite(base, cut, r)
                 assert is_isomorphic(got.graph, want.graph, got.degrees, want.degrees) is not None
             pairs += 1
     assert pairs == 143

@@ -97,7 +97,7 @@ def closed_graphs():
     for r in (2, 3, 4):
         g = random_ribbon_graph(rng, rng.randint(1, 4))
         base = Afbg.build(g, brauer_degrees(rng, g, max_mult=1))
-        out.append(cover_finite(base, smallest_cut(g), r).cover)
+        out.append(cover_finite(base, smallest_cut(g), r))
     out += [dipole(n) for n in (1, 2, 5)] + [bouquet(n) for n in (1, 2, 5)]
     return out
 

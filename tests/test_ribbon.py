@@ -309,7 +309,7 @@ def symmetric_graphs():
         for i in range(3):
             base = random_ribbon_graph(rng, 3 + i)
             a = Afbg.build(base, cover_compatible_degrees(rng, base, r))
-            cover = cover_finite(a, random_cut(rng, base), r).cover
+            cover = cover_finite(a, random_cut(rng, base), r)
             out.append(pytest.param(cover.graph, dict(cover.degrees), id=f"cover{r}-{i}"))
     return out
 
@@ -353,7 +353,7 @@ def pruning_cases(graphs) -> list:
         for _ in range(4):
             base = random_ribbon_graph(rng, rng.randint(2, 5))
             a = Afbg.build(base, cover_compatible_degrees(rng, base, r))
-            cover = cover_finite(a, random_cut(rng, base), r).cover
+            cover = cover_finite(a, random_cut(rng, base), r)
             out.append((cover.graph, dict(cover.degrees)))
     out += [(dipole(n), {"u": n, "w": n}) for n in range(2, 9)]
     out += [(bouquet(n), {"v": 2 * n}) for n in range(1, 7)]
