@@ -53,7 +53,6 @@ from .gentle import (
     repetitive_window,
     ribbon_graph_of_gentle,
     trivial_extension,
-    validate_gentle,
 )
 from .invariants import Fingerprint, compare, fingerprint
 from .presentation import (

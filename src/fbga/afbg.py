@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DisconnectedInput, MissingDegree, NotAdmissible
-from .ribbon import RibbonGraph, orbits
+from .errors import DisconnectedInput, NotAdmissible
+from .ribbon import RibbonGraph, _check_degrees, orbits
 
 
 def nakayama_permutation(graph: RibbonGraph, degrees: dict) -> dict:
@@ -76,19 +76,6 @@ def _orbit_meets_pairing(graph: RibbonGraph, degrees: dict) -> bool:
             if any(pair[h] in pos and (i - pos[pair[h]]) % k == 0 for i, h in enumerate(star)):
                 return True
     return False
-
-
-def _check_degrees(graph, degrees):
-    """All degrees in one pass; one vertex at a time only to name a fault."""
-    given = [*map(degrees.get, graph.vertices)]
-    if {int}.issuperset(map(type, given)) and min(given, default=1) >= 1:
-        return
-    for v in graph.vertices:
-        d = degrees.get(v)
-        if d is None:
-            raise MissingDegree(f"vertex {v!r} has no degree")
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-            raise MissingDegree(f"degree of {v!r} must be a positive integer, got {d!r}")
 
 
 @dataclass(frozen=True)

@@ -47,13 +47,15 @@ def sheet_name(half_edge: str, j: int) -> str:
 def ordering_from_cut(graph: RibbonGraph, cut: dict) -> dict:
     """Star ordering (h_1, ..., h_n) per vertex with h_n = cut(v) and
     h_1 = rotation(cut(v))."""
+    if not isinstance(cut, dict):
+        raise InvalidCut(f"cut must map each vertex to a half-edge, got {type(cut).__name__}")
     if set(cut) != set(graph.vertices):
         missing = set(graph.vertices) - set(cut)
         extra = set(cut) - set(graph.vertices)
         raise InvalidCut(f"cut must pick one half-edge per vertex "
                          f"(missing {sorted(missing)}, extra {sorted(extra)})")
     for v, h in cut.items():
-        if graph.attach.get(h) != v:
+        if h not in graph.stars[v]:  # by ==, so an unhashable h is refused too
             raise InvalidCut(f"cut half-edge {h!r} is not attached at {v!r}")
     out = {}
     for v in graph.vertices:
@@ -122,6 +124,8 @@ class BorderedRibbonGraph:
 
 
 def cover_window(base: Afbg, cut: dict, lo: int, hi: int) -> BorderedRibbonGraph:
+    if type(lo) is not int or type(hi) is not int:  # a bool is no bound
+        raise InvalidCut(f"window bounds must be integers, got {lo!r}:{hi!r}")
     if lo > hi:
         raise InvalidCut(f"empty window {lo}:{hi}")
     if not base.is_brauer_graph():

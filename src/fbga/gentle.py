@@ -3,7 +3,9 @@
 A gentle presentation is a quiver with length-two monomial relations such
 that at every vertex composition behaves like a partial matching: each
 arrow has at most one allowed successor, at most one forbidden successor,
-and dually for predecessors.
+and dually for predecessors.  :meth:`GentlePresentation.build` refuses a
+quiver that is not gentle, so every function below takes a gentle one;
+``arrows`` maps each arrow name to its ``(source, target)``.
 
 The maximal nonzero paths visit every quiver vertex at most twice; each
 is named by its first arrow (``p:a``).  Counting those visits, every
@@ -15,7 +17,9 @@ visits in traversal order produces a ribbon graph whose edges are the
 quiver vertices; with degrees = valencies it is a Brauer graph and its
 algebra is the trivial extension.  The wrap angle of each path (between
 its last and first visit) induces the cutting set used for the r-fold
-trivial extensions and the repetitive-algebra windows.
+trivial extensions and the repetitive-algebra windows:
+``ribbon_graph_of_gentle`` returns ``(afbg, cut)``, and
+``augmented_vertex_set`` the ``(rotations, occurrences)`` it glues.
 """
 
 from __future__ import annotations
@@ -31,20 +35,14 @@ from .ribbon import EDGE_SEP, RibbonGraph
 
 
 @dataclass(frozen=True)
-class QuiverArrow:
-    name: str
-    source: str
-    target: str
-
-
-@dataclass(frozen=True)
 class GentlePresentation:
     vertices: tuple
-    arrows: dict  # name -> QuiverArrow
+    arrows: dict  # name -> (source, target)
     zero_relations: tuple  # (later, earlier): the path later*earlier vanishes
 
     @classmethod
     def build(cls, vertices, arrows, zero_relations) -> "GentlePresentation":
+        """Validate and build; refuse a quiver that is not gentle."""
         vs = {}  # a dict keeps the order and tests membership in O(1)
         for v in vertices:
             if not isinstance(v, str) or not v or EDGE_SEP in v:
@@ -53,22 +51,24 @@ class GentlePresentation:
                 raise InputError(f"duplicate quiver vertex {v!r}")
             vs[v] = None
         amap = {}
-        for a in arrows:
-            name, src, tgt = a
+        for name, src, tgt in arrows:
             if not isinstance(name, str) or not name or EDGE_SEP in name:
                 raise InputError(f"bad arrow id {name!r}")
             if name in amap:
                 raise InputError(f"duplicate arrow {name!r}")
             if src not in vs or tgt not in vs:
                 raise InputError(f"arrow {name!r} has unknown endpoint")
-            amap[name] = QuiverArrow(name, src, tgt)
+            amap[name] = (src, tgt)
         rels = []
         for later, earlier in zero_relations:
             for x in (later, earlier):
                 if x not in amap:
                     raise InputError(f"relation references unknown arrow {x!r}")
             rels.append((later, earlier))
-        return cls(tuple(vs), amap, tuple(rels))
+        p = cls(tuple(vs), amap, tuple(rels))
+        if problems := _gentle_problems(p):
+            raise InputError("not a gentle presentation: " + "; ".join(problems))
+        return p
 
 
 def _arrows_at(p: GentlePresentation):
@@ -76,21 +76,20 @@ def _arrows_at(p: GentlePresentation):
     each quiver vertex, in the order of ``p.arrows``."""
     out_at = {v: [] for v in p.vertices}
     in_at = {v: [] for v in p.vertices}
-    for a in p.arrows.values():
-        out_at[a.source].append(a.name)
-        in_at[a.target].append(a.name)
+    for name, (src, tgt) in p.arrows.items():
+        out_at[src].append(name)
+        in_at[tgt].append(name)
     return out_at, in_at
 
 
-def validate_gentle(p: GentlePresentation) -> list[str]:
+def _gentle_problems(p: GentlePresentation) -> list[str]:
     """Structural gentleness check; empty list iff the presentation is gentle."""
     problems = []
     out_at, in_at = _arrows_at(p)
     for v in p.vertices:
-        if len(out_at[v]) > 2:
-            problems.append(f"vertex {v}: {len(out_at[v])} arrows start here (max 2)")
-        if len(in_at[v]) > 2:
-            problems.append(f"vertex {v}: {len(in_at[v])} arrows end here (max 2)")
+        for at, verb in ((out_at, "start"), (in_at, "end")):
+            if len(at[v]) > 2:
+                problems.append(f"vertex {v}: {len(at[v])} arrows {verb} here (max 2)")
 
     seen = set()
     relset = set()
@@ -98,33 +97,23 @@ def validate_gentle(p: GentlePresentation) -> list[str]:
         if (later, earlier) in seen:
             problems.append(f"relation {later}*{earlier} listed twice")
         seen.add((later, earlier))
-        if p.arrows[earlier].target != p.arrows[later].source:
+        if p.arrows[earlier][1] != p.arrows[later][0]:
             problems.append(f"relation {later}*{earlier} is not composable")
         else:
             relset.add((later, earlier))
+    flipped = {(earlier, later) for later, earlier in relset}
 
-    for a in p.arrows.values():
-        followers = out_at[a.target]
-        allowed = [b for b in followers if (b, a.name) not in relset]
-        forbidden = [b for b in followers if (b, a.name) in relset]
-        if len(allowed) > 1:
-            problems.append(f"arrow {a.name}: several nonzero successors {allowed}")
-        if len(forbidden) > 1:
-            problems.append(f"arrow {a.name}: several zero successors {forbidden}")
-        leaders = in_at[a.source]
-        allowed_in = [b for b in leaders if (a.name, b) not in relset]
-        forbidden_in = [b for b in leaders if (a.name, b) in relset]
-        if len(allowed_in) > 1:
-            problems.append(f"arrow {a.name}: several nonzero predecessors {allowed_in}")
-        if len(forbidden_in) > 1:
-            problems.append(f"arrow {a.name}: several zero predecessors {forbidden_in}")
+    for a, (src, tgt) in p.arrows.items():
+        # b*a vanishes iff (b, a) is in relset, and a*b iff (b, a) is in flipped
+        for nbrs, rels, word in ((out_at[tgt], relset, "successors"),
+                                 (in_at[src], flipped, "predecessors")):
+            nonzero = [b for b in nbrs if (b, a) not in rels]
+            zero = [b for b in nbrs if (b, a) in rels]
+            if len(nonzero) > 1:
+                problems.append(f"arrow {a}: several nonzero {word} {nonzero}")
+            if len(zero) > 1:
+                problems.append(f"arrow {a}: several zero {word} {zero}")
     return problems
-
-
-def _require_gentle(p: GentlePresentation):
-    problems = validate_gentle(p)
-    if problems:
-        raise InputError("not a gentle presentation: " + "; ".join(problems))
 
 
 def maximal_paths(p: GentlePresentation) -> list[tuple]:
@@ -134,11 +123,10 @@ def maximal_paths(p: GentlePresentation) -> list[tuple]:
     its components are chains (returned, in order of their first arrows)
     or cycles (relation-free oriented cycles make the algebra
     infinite-dimensional)."""
-    _require_gentle(p)
     relset = set(p.zero_relations)
     out_at, _ = _arrows_at(p)
-    succ = {a.name: b for a in p.arrows.values()
-            for b in out_at[a.target] if (b, a.name) not in relset}
+    succ = {a: b for a, (_, tgt) in p.arrows.items()
+            for b in out_at[tgt] if (b, a) not in relset}
     paths = []
     for s in sorted(set(p.arrows) - set(succ.values())):
         chain = [s]
@@ -158,15 +146,11 @@ PATH_PREFIX = "p:"
 TRIVIAL_PREFIXES = ("u:", "t:")
 
 
-@dataclass(frozen=True)
-class AugmentedPaths:
-    rotations: dict       # graph-vertex key -> half-edges of its visits, in order
-    occurrences: dict     # quiver vertex -> the half-edges of its two visits
-
-
-def augmented_vertex_set(p: GentlePresentation) -> AugmentedPaths:
+def augmented_vertex_set(p: GentlePresentation) -> tuple[dict, dict]:
     """Maximal paths plus trivial paths, which cover every quiver vertex
-    exactly twice.
+    exactly twice: (rotations, occurrences), the half-edges of each
+    path's visits in order, by path key, and the half-edges of each quiver
+    vertex's two visits.
 
     A maximal path is named by its first arrow, which lies on no other
     one.  In a gentle quiver the maximal paths visit each vertex at most
@@ -174,7 +158,7 @@ def augmented_vertex_set(p: GentlePresentation) -> AugmentedPaths:
     with two possible continuations has exactly one nonzero one.  Each
     vertex then takes one trivial path per missing visit, so an isolated
     vertex takes two."""
-    tours = [(PATH_PREFIX + c[0], [p.arrows[c[0]].source] + [p.arrows[a].target for a in c])
+    tours = [(PATH_PREFIX + c[0], [p.arrows[c[0]][0]] + [p.arrows[a][1] for a in c])
              for c in maximal_paths(p)]
     visits = Counter(v for _, vs in tours for v in vs)
     tours += [(prefix + v, [v]) for v in sorted(p.vertices)
@@ -190,39 +174,32 @@ def augmented_vertex_set(p: GentlePresentation) -> AugmentedPaths:
     if bad:
         raise InvariantError(
             f"quiver vertices not visited exactly twice by the augmented paths: {bad}")
-    return AugmentedPaths(rotations, occurrences)
+    return rotations, occurrences
 
 
-@dataclass(frozen=True)
-class GentleGraphResult:
-    afbg: Afbg            # the Brauer graph (degrees = valencies)
-    cut: dict             # induced cutting set (last visit of each path)
-
-
-def ribbon_graph_of_gentle(p: GentlePresentation) -> GentleGraphResult:
-    """The ribbon graph of a gentle presentation, with its induced cut.
+def ribbon_graph_of_gentle(p: GentlePresentation) -> tuple[Afbg, dict]:
+    """(afbg, cut): the Brauer graph of a gentle presentation, with its
+    induced cut.
 
     Graph vertices are the augmented paths; the rotation at a path lists
     its visits in traversal order (wrapping at the end); the two visits
     of a quiver vertex are glued into an edge; degrees are valencies.
     The cut picks the half-edge of each path's last visit, so the cut
     angle sits between the last and first visit."""
-    aug = augmented_vertex_set(p)
-    rotations = aug.rotations
-    graph = RibbonGraph.build(rotations, [aug.occurrences[v] for v in sorted(p.vertices)])
+    rotations, occurrences = augmented_vertex_set(p)
+    graph = RibbonGraph.build(rotations, [occurrences[v] for v in sorted(p.vertices)])
     afbg = Afbg.build(graph, {key: len(rot) for key, rot in rotations.items()})
-    return GentleGraphResult(afbg, {key: rot[-1] for key, rot in rotations.items()})
+    return afbg, {key: rot[-1] for key, rot in rotations.items()}
 
 
 def trivial_extension(p: GentlePresentation) -> Presentation:
     """Presentation of the trivial extension: the algebra of the induced
     Brauer graph with degrees = valencies."""
-    return build_presentation(ribbon_graph_of_gentle(p).afbg)
+    return build_presentation(ribbon_graph_of_gentle(p)[0])
 
 
 def gentle_cover(p: GentlePresentation, r: int) -> Afbg:
-    res = ribbon_graph_of_gentle(p)
-    return cover_finite(res.afbg, res.cut, r)
+    return cover_finite(*ribbon_graph_of_gentle(p), r)
 
 
 def r_fold_trivial_extension(p: GentlePresentation, r: int) -> Presentation:
@@ -239,5 +216,5 @@ def repetitive_window(p: GentlePresentation, lo: int, hi: int) -> Presentation:
     rotation.  Boundary arrows whose rotation step leaves the window keep
     their source but dangle; relations are listed only when entirely
     inside the window."""
-    res = ribbon_graph_of_gentle(p)
-    return build_presentation(res.afbg, cover_window(res.afbg, res.cut, lo, hi))
+    afbg, cut = ribbon_graph_of_gentle(p)
+    return build_presentation(afbg, cover_window(afbg, cut, lo, hi))

@@ -238,7 +238,16 @@ def oracle_dimension(pres: Presentation) -> int:
     max_side = max((max(len(wx), len(wy)) for wx, wy in relations), default=1)
     cap = max_side + 2
 
-    def equivalence_class(path):
+    def contains_zero(path):
+        return any((path[i + 1], path[i]) in zero_pairs
+                   for i in range(len(path) - 1))
+
+    def live_class(path):
+        """The class of ``path`` under the commutations, or None once the
+        search meets a path with a zero pair.  Each path is tested as the
+        search finds it, so the work does not depend on set order."""
+        if contains_zero(path):
+            return None
         seen = {path}
         queue = [path]
         while queue:
@@ -249,13 +258,11 @@ def oracle_dimension(pres: Presentation) -> int:
                     if p[i:i + k] == lhs:
                         q = p[:i] + rhs + p[i + k:]
                         if q not in seen:
+                            if contains_zero(q):
+                                return None
                             seen.add(q)
                             queue.append(q)
         return frozenset(seen)
-
-    def contains_zero(path):
-        return any((path[i + 1], path[i]) in zero_pairs
-                   for i in range(len(path) - 1))
 
     arrows = pres.arrows()  # in name order
     target = {name: t for name, _, t in arrows}
@@ -266,10 +273,8 @@ def oracle_dimension(pres: Presentation) -> int:
     classes = set()
     frontier = []
     for name, _, _ in arrows:
-        cls = equivalence_class((name,))
-        if any(contains_zero(p) for p in cls):
-            continue
-        if cls not in classes:
+        cls = live_class((name,))
+        if cls is not None and cls not in classes:
             classes.add(cls)
             frontier.append((name,))
 
@@ -282,10 +287,8 @@ def oracle_dimension(pres: Presentation) -> int:
                     "the relations do not present a finite walk algebra")
             for name in by_source.get(target[path[-1]], ()):
                 q = path + (name,)
-                cls = equivalence_class(q)
-                if any(contains_zero(p) for p in cls):
-                    continue
-                if cls not in classes:
+                cls = live_class(q)
+                if cls is not None and cls not in classes:
                     classes.add(cls)
                     nxt.append(q)
         frontier = nxt

@@ -30,6 +30,7 @@ from .errors import (
     DuplicateHalfEdge,
     FixedPointPairing,
     InvariantError,
+    MissingDegree,
     OrbitMismatch,
     RibbonStructureError,
     UnknownVertex,
@@ -218,16 +219,34 @@ def _refuse(rotations, edges):
     raise InvariantError("the bulk checks refused a valid ribbon graph")
 
 
+def _check_degrees(graph, degrees):
+    """All degrees in one pass; one vertex at a time only to name a fault."""
+    if not isinstance(degrees, dict):
+        raise MissingDegree(
+            f"degrees must map each vertex to a degree, got {type(degrees).__name__}")
+    given = [*map(degrees.get, graph.vertices)]
+    if {int}.issuperset(map(type, given)) and min(given, default=1) >= 1:
+        return
+    for v in graph.vertices:
+        d = degrees.get(v)
+        if d is None:
+            raise MissingDegree(f"vertex {v!r} has no degree")
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+            raise MissingDegree(f"degree of {v!r} must be a positive integer, got {d!r}")
+
+
 # -- canonical form and isomorphism ------------------------------------------
 
 def _root_keys(graph, degrees) -> dict:
     """Isomorphism-invariant key of every half-edge: the valency and the face
-    length at it and at its partner, then both degrees when given."""
+    length at it and at its partner, then both degrees when given (and
+    checked, once per graph)."""
     pair, attach = graph.pairing, graph.attach
     valency = {h: len(star) for star in graph.stars.values() for h in star}
     face = {h: len(f) for f in graph.faces() for h in f}
     if degrees is None:
         return {h: (valency[h], valency[p], face[h], face[p]) for h, p in pair.items()}
+    _check_degrees(graph, degrees)
     return {h: (valency[h], valency[p], face[h], face[p], degrees[attach[h]], degrees[attach[p]])
             for h, p in pair.items()}
 

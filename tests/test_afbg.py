@@ -196,6 +196,11 @@ REFUSALS = {
     "rep-finite-of-a-disconnected-graph": (
         lambda: rep_finite_report(Afbg.build(TWO_EDGES, dict.fromkeys("xyzw", 1))),
         DisconnectedInput, "rep_finite_report requires a connected graph"),
+    "degrees-a-list": (lambda: Afbg.build(TWO_EDGES, [1, 1, 1, 1]),
+                       MissingDegree, "degrees must map each vertex to a degree, got list"),
+    "admissibility-of-degrees-none": (lambda: is_admissible(TWO_EDGES, None),
+                                      MissingDegree, "degrees must map each vertex to a degree, "
+                                      "got NoneType"),
 }
 
 

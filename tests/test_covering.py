@@ -242,6 +242,17 @@ HALF = Afbg.build(RibbonGraph.build({"u": ["h", "hp"], "w": ["ih", "ihp"]},
 REFUSALS = {
     "window-of-a-fractional-base": (lambda: cover_window(HALF, {"u": "h", "w": "ih"}, 0, 1),
                                     NotABrauerGraph, "window base needs integral multiplicities"),
+    **{f"window-bound-{name}": (lambda lo=lo: cover_window(lambda_afbg(), D1, lo, 2), InvalidCut,
+                                f"window bounds must be integers, got {lo!r}:2")
+       for name, lo in (("true", True), ("float", 1.5), ("none", None), ("str", "0"))},
+    "window-top-bound-true": (lambda: cover_window(lambda_afbg(), D1, 0, True), InvalidCut,
+                              "window bounds must be integers, got 0:True"),
+    "cut-value-unhashable": (lambda: cover_finite(lambda_afbg(), {"u": ["x"], "w": "ihp"}, 2),
+                             InvalidCut, "cut half-edge ['x'] is not attached at 'u'"),
+    "cut-none": (lambda: cover_finite(lambda_afbg(), None, 2), InvalidCut,
+                 "cut must map each vertex to a half-edge, got NoneType"),
+    "window-cut-a-list": (lambda: cover_window(lambda_afbg(), ["hp", "ihp"], 0, 1), InvalidCut,
+                          "cut must map each vertex to a half-edge, got list"),
 }
 
 

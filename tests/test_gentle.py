@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from fbga.covering import cover_finite
-from fbga.errors import FbgaError, InputError, UnboundedPath
+from fbga.errors import FbgaError, InputError, InvalidCut, UnboundedPath
 from fbga.gentle import (
     GentlePresentation,
     augmented_vertex_set,
@@ -14,7 +14,6 @@ from fbga.gentle import (
     ribbon_graph_of_gentle,
     r_fold_trivial_extension,
     trivial_extension,
-    validate_gentle,
 )
 from fbga.afbg import Afbg, rep_finite_report
 from fbga.presentation import build_presentation, dimension
@@ -32,44 +31,52 @@ def test_build_validation():
         GentlePresentation.build(["1"], [("a", "1", "1")], [("a", "zz")])
 
 
+def gentle_problems(vertices, arrows, zero_relations) -> list[str]:
+    """The problems that ``GentlePresentation.build`` names when it refuses
+    a quiver that is not gentle."""
+    with pytest.raises(InputError) as exc:
+        GentlePresentation.build(vertices, arrows, zero_relations)
+    prefix, _, problems = str(exc.value).partition(": ")
+    assert prefix == "not a gentle presentation"
+    return problems.split("; ")
+
+
 def test_validate_gentle_flags_overfull_vertex():
-    p = GentlePresentation.build(
+    problems = gentle_problems(
         ["1", "2"],
         [("a", "1", "2"), ("b", "1", "2"), ("c", "1", "2")], [])
-    problems = validate_gentle(p)
     assert any("3 arrows start" in s for s in problems)
 
 
 def test_validate_gentle_flags_unmatched_successors():
     # two composable successors of a, no relation choosing between them
-    p = GentlePresentation.build(
+    problems = gentle_problems(
         ["1", "2", "3", "4"],
         [("a", "1", "2"), ("b", "2", "3"), ("c", "2", "4")], [])
-    problems = validate_gentle(p)
     assert any("several nonzero successors" in s for s in problems)
 
 
 def test_validate_gentle_flags_two_zero_successors():
     # b*a and c*a both vanish: a has two forbidden successors
-    p = GentlePresentation.build(
+    problems = gentle_problems(
         ["1", "2", "3", "4"],
         [("a", "1", "2"), ("b", "2", "3"), ("c", "2", "4")], [("b", "a"), ("c", "a")])
-    assert "arrow a: several zero successors ['b', 'c']" in validate_gentle(p)
+    assert "arrow a: several zero successors ['b', 'c']" in problems
 
 
 def test_validate_gentle_flags_two_zero_predecessors():
     # c*a and c*b both vanish: c has two forbidden predecessors
-    p = GentlePresentation.build(
+    problems = gentle_problems(
         ["1", "2", "3", "4"],
         [("a", "1", "3"), ("b", "2", "3"), ("c", "3", "4")], [("c", "a"), ("c", "b")])
-    assert "arrow c: several zero predecessors ['a', 'b']" in validate_gentle(p)
+    assert "arrow c: several zero predecessors ['a', 'b']" in problems
 
 
 def test_validate_gentle_flags_noncomposable_relation():
-    p = GentlePresentation.build(
+    problems = gentle_problems(
         ["1", "2", "3"],
         [("a", "1", "2"), ("b", "1", "3")], [("b", "a")])
-    assert any("not composable" in s for s in validate_gentle(p))
+    assert any("not composable" in s for s in problems)
 
 
 def test_maximal_paths_examples():
@@ -84,8 +91,7 @@ def test_maximal_paths_chain():
 
 
 def test_relation_free_cycle_is_unbounded():
-    p = GentlePresentation.build(["1"], [("a", "1", "1")], [])
-    assert validate_gentle(p) == []
+    p = GentlePresentation.build(["1"], [("a", "1", "1")], [])  # gentle: built
     with pytest.raises(UnboundedPath):
         maximal_paths(p)
 
@@ -98,21 +104,21 @@ def test_cycle_with_relation_is_fine():
 def test_isolated_vertex_gets_two_trivial_paths():
     p = GentlePresentation.build(
         ["1", "2", "3"], [("x", "1", "2")], [])
-    aug = augmented_vertex_set(p)
-    assert aug.rotations == {"p:x": ["p:x#0", "p:x#1"], "t:1": ["t:1#0"], "t:2": ["t:2#0"],
-                             "u:3": ["u:3#0"], "t:3": ["t:3#0"]}
-    assert aug.occurrences == {"1": ["p:x#0", "t:1#0"], "2": ["p:x#1", "t:2#0"],
-                               "3": ["u:3#0", "t:3#0"]}
+    rotations, occurrences = augmented_vertex_set(p)
+    assert rotations == {"p:x": ["p:x#0", "p:x#1"], "t:1": ["t:1#0"], "t:2": ["t:2#0"],
+                         "u:3": ["u:3#0"], "t:3": ["t:3#0"]}
+    assert occurrences == {"1": ["p:x#0", "t:1#0"], "2": ["p:x#1", "t:2#0"],
+                           "3": ["u:3#0", "t:3#0"]}
 
 
 def test_the_field_gives_the_one_edge_graph_with_two_leaves():
     """k is gentle, and its trivial extension k[x]/(x^2) is the one edge
     between two leaves, both of degree 1."""
-    res = ribbon_graph_of_gentle(GentlePresentation.build(["1"], [], []))
-    g = res.afbg.graph
+    a, _ = ribbon_graph_of_gentle(GentlePresentation.build(["1"], [], []))
+    g = a.graph
     assert g.num_edges() == 1 and len(g.vertices) == 2
-    assert sorted(res.afbg.degrees.values()) == [1, 1]
-    assert dimension(res.afbg) == 2
+    assert sorted(a.degrees.values()) == [1, 1]
+    assert dimension(a) == 2
 
 
 def test_paths_are_named_by_their_first_arrow():
@@ -120,11 +126,11 @@ def test_paths_are_named_by_their_first_arrow():
     p = GentlePresentation.build(
         ["1", "2", "3", "4", "5"], [("a", "1", "2"), ("b", "2", "3"), ("a|b", "4", "5")], [])
     assert maximal_paths(p) == [("a", "b"), ("a|b",)]
-    res = ribbon_graph_of_gentle(p)
-    g = res.afbg.graph
+    a, _ = ribbon_graph_of_gentle(p)
+    g = a.graph
     assert {v: g.valency(v) for v in g.vertices if v.startswith("p:")} == {"p:a": 3, "p:a|b": 2}
     assert g.num_edges() == 5
-    assert dimension(res.afbg) == 18
+    assert dimension(a) == 18
 
 
 def test_half_edge_ids_do_not_grow_with_the_path():
@@ -133,15 +139,15 @@ def test_half_edge_ids_do_not_grow_with_the_path():
     n = 1000
     p = GentlePresentation.build(
         [str(i) for i in range(n)], [(f"a{i}", str(i), str(i + 1)) for i in range(n - 1)], [])
-    res = ribbon_graph_of_gentle(p)
-    assert dimension(res.afbg) == 1_001_000
-    assert max(map(len, res.afbg.graph.attach)) <= 8
+    a, _ = ribbon_graph_of_gentle(p)
+    assert dimension(a) == 1_001_000
+    assert max(map(len, a.graph.attach)) <= 8
 
 
 def test_every_quiver_vertex_covered_twice():
     for p in (kronecker(), aprime()):
-        aug = augmented_vertex_set(p)
-        assert all(len(occ) == 2 for occ in aug.occurrences.values())
+        _, occurrences = augmented_vertex_set(p)
+        assert all(len(occ) == 2 for occ in occurrences.values())
 
 
 def test_trivial_extensions_coincide():
@@ -198,13 +204,13 @@ def test_two_sheet_quivers_golden():
 def test_path_algebra_of_two_vertices_one_arrow():
     """Single arrow 1 -> 2: the extension is the two-edge path graph."""
     p = GentlePresentation.build(["1", "2"], [("a", "1", "2")], [])
-    res = ribbon_graph_of_gentle(p)
-    g = res.afbg.graph
+    a, _ = ribbon_graph_of_gentle(p)
+    g = a.graph
     assert len(g.vertices) == 3
     assert g.num_edges() == 2
     assert sorted(g.valency(v) for v in g.vertices) == [1, 1, 2]
-    assert dimension(res.afbg) == 6
-    rep = rep_finite_report(res.afbg)
+    assert dimension(a) == 6
+    rep = rep_finite_report(a)
     assert rep.rep_finite and rep.tree_edge_count == 2
     assert rep.exceptional_multiplicity == 1
 
@@ -212,19 +218,17 @@ def test_path_algebra_of_two_vertices_one_arrow():
 def test_linear_a3_with_and_without_relation():
     with_rel = GentlePresentation.build(
         ["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")], [("b", "a")])
-    res = ribbon_graph_of_gentle(with_rel)
-    assert res.afbg.graph.num_edges() == 3
-    assert sorted(res.afbg.graph.valency(v) for v in res.afbg.graph.vertices) \
-        == [1, 1, 2, 2]
-    assert dimension(res.afbg) == 10
+    a, _ = ribbon_graph_of_gentle(with_rel)
+    assert a.graph.num_edges() == 3
+    assert sorted(a.graph.valency(v) for v in a.graph.vertices) == [1, 1, 2, 2]
+    assert dimension(a) == 10
 
     without = GentlePresentation.build(
         ["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")], [])
-    res2 = ribbon_graph_of_gentle(without)
+    a2, _ = ribbon_graph_of_gentle(without)
     # one long path plus three trivial paths: a 3-leaf star
-    assert sorted(res2.afbg.graph.valency(v) for v in res2.afbg.graph.vertices) \
-        == [1, 1, 1, 3]
-    assert dimension(res2.afbg) == 12
+    assert sorted(a2.graph.valency(v) for v in a2.graph.vertices) == [1, 1, 1, 3]
+    assert dimension(a2) == 12
 
 
 def test_r_fold_dimension_scales():
@@ -263,7 +267,7 @@ def test_repetitive_window_is_the_cover_presentation_cut_at_the_border():
     for p in (kronecker(), aprime()):
         win = repetitive_window(p, 0, 1)
         cov = r_fold_trivial_extension(p, 2)
-        assert win.afbg == ribbon_graph_of_gentle(p).afbg
+        assert win.afbg == ribbon_graph_of_gentle(p)[0]
         assert win.window.lo == 0 and win.window.hi == 1
         assert cov.window is None and cov.graph is cov.afbg.graph and win.graph is win.window
         win_arrows, cov_arrows = win.arrows(), cov.arrows()
@@ -320,12 +324,16 @@ REFUSALS = {
     "duplicate-arrow": (lambda: GentlePresentation.build(["1", "2"], [("a", "1", "2")] * 2, []),
                         InputError, "duplicate arrow 'a'"),
     "relation-listed-twice": (
-        lambda: maximal_paths(GentlePresentation.build(*CHAIN, [("b", "a")] * 2)),
+        lambda: GentlePresentation.build(*CHAIN, [("b", "a")] * 2),
         InputError, "not a gentle presentation: relation b*a listed twice"),
     "two-nonzero-predecessors": (
-        lambda: maximal_paths(GentlePresentation.build(
-            ["1", "2", "3", "4"], [("a", "1", "2"), ("b", "4", "2"), ("c", "2", "3")], [])),
+        lambda: GentlePresentation.build(
+            ["1", "2", "3", "4"], [("a", "1", "2"), ("b", "4", "2"), ("c", "2", "3")], []),
         InputError, "not a gentle presentation: arrow c: several nonzero predecessors ['a', 'b']"),
+    "window-bound-true": (lambda: repetitive_window(kronecker(), True, 1),
+                          InvalidCut, "window bounds must be integers, got True:1"),
+    "window-bound-float": (lambda: repetitive_window(kronecker(), 0, 1.0),
+                           InvalidCut, "window bounds must be integers, got 0:1.0"),
 }
 
 

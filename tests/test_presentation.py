@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 from random import Random
 
 import pytest
 
+import fbga
 from fbga.afbg import Afbg
 from fbga.covering import cover_finite, smallest_cut
 from fbga.errors import InvariantError, SizeLimitExceeded
@@ -284,6 +288,46 @@ def test_oracle_matches_dimension_small_random():
         assert not a.is_brauer_graph()
         p = build_presentation(a)
         assert oracle_dimension(p) == dimension(a)
+
+
+# the dimension and the lines of presentation.py that one oracle call runs,
+# on the double edge at degrees 1 and 2
+ORACLE_LINE_EVENTS = """
+import sys
+from fbga.afbg import Afbg
+from fbga.presentation import build_presentation, oracle_dimension
+from fbga.ribbon import RibbonGraph
+
+g = RibbonGraph.build({"u": ["h", "hp"], "w": ["ih", "ihp"]}, [["h", "ih"], ["hp", "ihp"]])
+events = 0
+
+def line(frame, event, arg):
+    global events
+    events += event == "line"
+    return line
+
+def call(frame, event, arg):
+    return line if frame.f_code.co_filename.endswith("presentation.py") else None
+
+for d in (1, 2):
+    pres = build_presentation(Afbg.build(g, {"u": d, "w": d}))
+    events = 0
+    sys.settrace(call)
+    dim = oracle_dimension(pres)
+    sys.settrace(None)
+    print(dim, events)
+"""
+
+
+def test_oracle_work_does_not_depend_on_the_hash_seed():
+    """Each path is tested for a zero pair as the class search finds it, so
+    one oracle call runs the same lines under any string-hash seed."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fbga.__file__).parents[1]))
+    runs = [subprocess.run([sys.executable, "-c", ORACLE_LINE_EVENTS], capture_output=True,
+                           text=True, check=True, env=dict(env, PYTHONHASHSEED=seed)).stdout
+            for seed in ("0", "1")]
+    assert [line.split()[0] for line in runs[0].splitlines()] == ["4", "8"]
+    assert runs[0] == runs[1]
 
 
 def test_oracle_size_guard():

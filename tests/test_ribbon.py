@@ -11,6 +11,7 @@ from fbga.errors import (
     DuplicateHalfEdge,
     FbgaError,
     FixedPointPairing,
+    MissingDegree,
     OrbitMismatch,
     RibbonStructureError,
     UnknownVertex,
@@ -462,6 +463,13 @@ REFUSALS = {
     "iso-of-a-disconnected-graph": (
         lambda: is_isomorphic(RibbonGraph.build(*TWO_LOOPS), lambda_afbg().graph),
         DisconnectedInput, "isomorphism testing requires connected graphs"),
+    "code-with-a-missing-degree": (lambda: canonical_code(lambda_afbg().graph, {"u": 2}),
+                                   MissingDegree, "vertex 'w' has no degree"),
+    "iso-with-a-missing-degree": (
+        lambda: is_isomorphic(lambda_afbg().graph, lambda_afbg().graph, {"u": 2, "w": 2}, {"w": 2}),
+        MissingDegree, "vertex 'u' has no degree"),
+    "code-with-degrees-a-list": (lambda: canonical_code(lambda_afbg().graph, [2, 2]), MissingDegree,
+                                 "degrees must map each vertex to a degree, got list"),
 }
 
 
