@@ -54,7 +54,7 @@ from .gentle import (
     ribbon_graph_of_gentle,
     trivial_extension,
 )
-from .invariants import Fingerprint, compare, fingerprint
+from .invariants import compare, fingerprint
 from .presentation import (
     Presentation,
     basis,

@@ -160,17 +160,11 @@ def _quotient(a: Afbg, k: int) -> Afbg:
     return Afbg.build(RibbonGraph.build(rotations, [list(e) for e in edges]), dict(a.degrees))
 
 
-@dataclass(frozen=True)
-class RepFiniteReport:
-    rep_finite: bool
-    tree_edge_count: int | None      # n: edges of the reduced tree
-    exceptional_multiplicity: int | None  # m: the one multiplicity > 1, else 1
-    nakayama_order: int              # candidate covering parameter r
-    reason: str
-
-
-def rep_finite_report(a: Afbg) -> RepFiniteReport:
-    """Finite representation type test via the reduced form.
+def rep_finite_report(a: Afbg) -> dict:
+    """Finite representation type test via the reduced form, as the fields
+    that ``fbga validate`` prints: ``finite_type`` with ``tree_edges`` (n),
+    ``exceptional_multiplicity`` (m, the one multiplicity > 1, else 1) and
+    ``candidate_order`` (the covering parameter r), or ``finite_type_reason``.
 
     The algebra is representation-finite iff the reduced Brauer graph is a
     tree with at most one vertex of multiplicity > 1 (a Brauer tree).  The
@@ -182,10 +176,9 @@ def rep_finite_report(a: Afbg) -> RepFiniteReport:
     edges, mults, order = nu_orbit_data(a)
     big = sorted((v for v, m in mults.items() if m > 1), key=str)
     if edges != len(a.graph.vertices) - 1:
-        return RepFiniteReport(False, None, None, order,
-                               "reduced form is not a tree")
+        return {"finite_type": False, "finite_type_reason": "reduced form is not a tree"}
     if len(big) > 1:
-        return RepFiniteReport(False, None, None, order,
-                               f"reduced tree has {len(big)} vertices of multiplicity > 1")
-    return RepFiniteReport(True, edges, mults[big[0]] if big else 1, order,
-                           "reduced form is a Brauer tree")
+        return {"finite_type": False,
+                "finite_type_reason": f"reduced tree has {len(big)} vertices of multiplicity > 1"}
+    return {"finite_type": True, "tree_edges": edges,
+            "exceptional_multiplicity": mults[big[0]] if big else 1, "candidate_order": order}

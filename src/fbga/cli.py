@@ -21,7 +21,7 @@ from .afbg import Afbg, is_admissible, reduced_form, rep_finite_report
 from .covering import cover_finite, smallest_cut
 from .errors import AmbiguityError, InputError, InvalidCut, MathPreconditionError, MissingDegree
 from .gentle import r_fold_trivial_extension, repetitive_window, trivial_extension
-from .invariants import compare, fingerprint
+from .invariants import compare, describe, fingerprint
 from .presentation import build_presentation, dimension, render_text
 from .reconstruct import reconstruct_afbg
 from .ribbon import canonical_code
@@ -101,15 +101,7 @@ def _validation(graph, degrees) -> dict:
     res["nakayama_order"] = a.nakayama_order()
     if not graph.connected:  # two disjoint Brauer trees are rep-finite: no verdict here
         return {**res, "finite_type": None, "finite_type_reason": "graph is disconnected"}
-    rep = rep_finite_report(a)
-    res["finite_type"] = rep.rep_finite
-    if rep.rep_finite:
-        res["tree_edges"] = rep.tree_edge_count
-        res["exceptional_multiplicity"] = rep.exceptional_multiplicity
-        res["candidate_order"] = rep.nakayama_order
-    else:
-        res["finite_type_reason"] = rep.reason
-    return res
+    return {**res, **rep_finite_report(a)}
 
 
 def _validation_text(res: dict) -> str:
@@ -160,8 +152,8 @@ def _fingerprint_text(d: dict) -> str:
              f"{d['reduced']['num_edges']} edges, "
              f"multiplicities {', '.join(d['reduced']['multiplicities'])}, "
              f"bipartite {'yes' if d['reduced']['bipartite'] else 'no'}",
-             f"face perimeters: {list(d['face_perimeters'])}",
-             f"special orbits: {list(d['special_orbits'])}"]
+             f"face perimeters: {d['face_perimeters']}",
+             f"special orbits: {d['special_orbits']}"]
     return "\n".join(lines) + "\n"
 
 
@@ -196,12 +188,12 @@ def cmd_repetitive_window(args):
 
 
 def cmd_invariants(args):
-    return 0, fingerprint(_load_afbg(args.graph)).as_dict()
+    return 0, fingerprint(_load_afbg(args.graph))
 
 
 def cmd_compare(args):
     result = compare(_load_afbg(args.left), _load_afbg(args.right))
-    return 0 if result.consistent else 3, result
+    return 0 if result["consistent"] else 3, result
 
 
 def cmd_reconstruct(args):
@@ -278,11 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("invariants", cmd_invariants,
         {"text": _fingerprint_text, "json": lambda r: fileio.dumps(r)},
         "isomorphism-invariant fingerprint", "graph")
-    add("compare", cmd_compare, {
-        "text": lambda r: r.describe() + "\n",
-        "json": lambda r: fileio.dumps({"consistent": r.consistent,
-                                        "distinguished_by": r.distinguished_by,
-                                        "left": r.left.as_dict(), "right": r.right.as_dict()})},
+    add("compare", cmd_compare,
+        {"text": lambda r: describe(r) + "\n", "json": lambda r: fileio.dumps(r)},
         "compare fingerprints (exit 3 when distinguished)", "left", "right")
     add("reconstruct", cmd_reconstruct, GRAPH, "graph from Loewy data", "loewy")
     add("iso", cmd_iso, {"text": lambda same: "isomorphic\n" if same else "not isomorphic\n",

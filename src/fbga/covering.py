@@ -53,7 +53,7 @@ def ordering_from_cut(graph: RibbonGraph, cut: dict) -> dict:
         missing = set(graph.vertices) - set(cut)
         extra = set(cut) - set(graph.vertices)
         raise InvalidCut(f"cut must pick one half-edge per vertex "
-                         f"(missing {sorted(missing)}, extra {sorted(extra)})")
+                         f"(missing {sorted(missing, key=str)}, extra {sorted(extra, key=str)})")
     for v, h in cut.items():
         if h not in graph.stars[v]:  # by ==, so an unhashable h is refused too
             raise InvalidCut(f"cut half-edge {h!r} is not attached at {v!r}")

@@ -51,20 +51,22 @@ class GentlePresentation:
                 raise InputError(f"duplicate quiver vertex {v!r}")
             vs[v] = None
         amap = {}
-        for name, src, tgt in arrows:
+        for row in arrows:  # a row that is not (id, source, target) is its own bad id
+            name, src, tgt = row if type(row) in (tuple, list) and len(row) == 3 else (row, "", "")
             if not isinstance(name, str) or not name or EDGE_SEP in name:
                 raise InputError(f"bad arrow id {name!r}")
             if name in amap:
                 raise InputError(f"duplicate arrow {name!r}")
-            if src not in vs or tgt not in vs:
+            if not all(isinstance(x, str) and x in vs for x in (src, tgt)):  # ids are strings
                 raise InputError(f"arrow {name!r} has unknown endpoint")
             amap[name] = (src, tgt)
         rels = []
-        for later, earlier in zero_relations:
-            for x in (later, earlier):
-                if x not in amap:
+        for row in zero_relations:  # one not (later, earlier) is its own unknown arrow
+            pair = tuple(row) if type(row) in (tuple, list) and len(row) == 2 else (row,)
+            for x in pair:
+                if not isinstance(x, str) or x not in amap:
                     raise InputError(f"relation references unknown arrow {x!r}")
-            rels.append((later, earlier))
+            rels.append(pair)
         p = cls(tuple(vs), amap, tuple(rels))
         if problems := _gentle_problems(p):
             raise InputError("not a gentle presentation: " + "; ".join(problems))

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 from math import lcm
 
-from fbga.afbg import Afbg, RepFiniteReport, Violation, reduced_form
+from fbga.afbg import Afbg, Violation, reduced_form
 from fbga.covering import SHEET_SEP
 from fbga.errors import (
     DuplicateHalfEdge,
@@ -22,7 +22,6 @@ from fbga.errors import (
 )
 from fbga.fileio import PATH_CONVENTIONS
 from fbga.gentle import GentlePresentation
-from fbga.invariants import Fingerprint
 from fbga.presentation import BasisElement, arrow_name, dimension
 from fbga.reconstruct import LoewyData, LoewyRow, loewy_labels
 from fbga.ribbon import EDGE_SEP, RibbonGraph, edge_id_of_pair, is_isomorphic, orbits
@@ -243,7 +242,7 @@ def cut_algebra(graph, cut):
 
 # -- the invariants, with the reduced form built ----------------------------------
 
-def reference_fingerprint(a) -> Fingerprint:
+def reference_fingerprint(a) -> dict:
     """The fingerprint with the reduced form built as a quotient graph and
     the Nakayama orbits walked out: the reference for the closed forms of
     :func:`fbga.invariants.fingerprint`."""
@@ -251,32 +250,34 @@ def reference_fingerprint(a) -> Fingerprint:
     face_step = {h: g.rotation[g.pairing[h]] for h in sorted(g.attach)}
     nu_inv = {v: k for k, v in a.nakayama.items()}
     q = {h: nu_inv[face_step[face_step[h]]] for h in sorted(g.attach)}
-    return Fingerprint(
-        num_vertices=len(g.vertices),
-        num_edges=g.num_edges(),
-        multiplicities=tuple(sorted(a.multiplicities().values())),
-        bipartite=reference_bipartite(g),
-        nakayama_order=lcm(*nakayama_orbit_sizes(a)),
-        reduced=(len(red.graph.vertices), red.graph.num_edges(),
-                 tuple(sorted(red.multiplicities().values())), reference_bipartite(red.graph)),
-        face_perimeters=tuple(g.face_perimeters()),
-        special_orbits=tuple(sorted(len(c) for c in orbits(q))),
-    )
+    return {
+        "num_vertices": len(g.vertices),
+        "num_edges": g.num_edges(),
+        "multiplicities": [str(m) for m in sorted(a.multiplicities().values())],
+        "bipartite": reference_bipartite(g),
+        "nakayama_order": lcm(*nakayama_orbit_sizes(a)),
+        "reduced": {"num_vertices": len(red.graph.vertices), "num_edges": red.graph.num_edges(),
+                    "multiplicities": [str(m) for m in sorted(red.multiplicities().values())],
+                    "bipartite": reference_bipartite(red.graph)},
+        "face_perimeters": g.face_perimeters(),
+        "special_orbits": sorted(len(c) for c in orbits(q)),
+    }
 
 
-def reference_rep_finite_report(a) -> RepFiniteReport:
+def reference_rep_finite_report(a) -> dict:
     """:func:`fbga.afbg.rep_finite_report` read off the built reduced form
     of a connected ``a``."""
     red = reduced_form(a)
     g, order = red.graph, lcm(*nakayama_orbit_sizes(a))
     big = sorted((v for v, m in red.multiplicities().items() if m > 1), key=str)
     if g.num_edges() != len(g.vertices) - 1:
-        return RepFiniteReport(False, None, None, order, "reduced form is not a tree")
+        return {"finite_type": False, "finite_type_reason": "reduced form is not a tree"}
     if len(big) > 1:
-        return RepFiniteReport(False, None, None, order,
-                               f"reduced tree has {len(big)} vertices of multiplicity > 1")
+        return {"finite_type": False,
+                "finite_type_reason": f"reduced tree has {len(big)} vertices of multiplicity > 1"}
     m = int(red.multiplicity(big[0])) if big else 1
-    return RepFiniteReport(True, g.num_edges(), m, order, "reduced form is a Brauer tree")
+    return {"finite_type": True, "tree_edges": g.num_edges(), "exceptional_multiplicity": m,
+            "candidate_order": order}
 
 
 # -- Nakayama quotients, with the orbits stepped out --------------------------------

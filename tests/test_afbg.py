@@ -142,24 +142,24 @@ def test_rep_finite_star_tree():
         [["a", "ia"], ["b", "ib"], ["c", "ic"]])
     a = Afbg.build(g, {"c": 6, "x": 1, "y": 1, "z": 1})
     rep = rep_finite_report(a)
-    assert rep.rep_finite
-    assert rep.tree_edge_count == 3
-    assert rep.exceptional_multiplicity == 2
-    assert rep.reason == "reduced form is a Brauer tree"
+    assert rep["finite_type"]
+    assert rep["tree_edges"] == 3
+    assert rep["exceptional_multiplicity"] == 2
+    assert list(rep) == ["finite_type", "tree_edges", "exceptional_multiplicity", "candidate_order"]
 
 
 def test_rep_infinite_double_edge():
     a = Afbg.build(lambda_afbg().graph, {"u": 2, "w": 2})
     rep = rep_finite_report(a)
-    assert not rep.rep_finite
-    assert rep.reason == "reduced form is not a tree"
+    assert not rep["finite_type"]
+    assert rep["finite_type_reason"] == "reduced form is not a tree"
 
 
 def test_rep_infinite_two_exceptional():
     g, d = single_edge(3, 3)
     rep = rep_finite_report(Afbg.build(g, d))
-    assert not rep.rep_finite
-    assert "2 vertices of multiplicity" in rep.reason
+    assert not rep["finite_type"]
+    assert "2 vertices of multiplicity" in rep["finite_type_reason"]
 
 
 def violation_cases() -> list:

@@ -253,6 +253,9 @@ REFUSALS = {
                  "cut must map each vertex to a half-edge, got NoneType"),
     "window-cut-a-list": (lambda: cover_window(lambda_afbg(), ["hp", "ihp"], 0, 1), InvalidCut,
                           "cut must map each vertex to a half-edge, got list"),
+    "cut-keys-of-mixed-types": (
+        lambda: cover_finite(lambda_afbg(), {**D1, 5: "x", "z": "y"}, 2), InvalidCut,
+        "cut must pick one half-edge per vertex (missing [], extra [5, 'z'])"),
 }
 
 

@@ -211,8 +211,8 @@ def test_path_algebra_of_two_vertices_one_arrow():
     assert sorted(g.valency(v) for v in g.vertices) == [1, 1, 2]
     assert dimension(a) == 6
     rep = rep_finite_report(a)
-    assert rep.rep_finite and rep.tree_edge_count == 2
-    assert rep.exceptional_multiplicity == 1
+    assert rep["finite_type"] and rep["tree_edges"] == 2
+    assert rep["exceptional_multiplicity"] == 1
 
 
 def test_linear_a3_with_and_without_relation():
@@ -321,6 +321,15 @@ REFUSALS = {
                       InputError, "bad quiver vertex id ''"),
     "bad-arrow-id": (lambda: GentlePresentation.build(["1"], [("", "1", "1")], []),
                      InputError, "bad arrow id ''"),
+    "arrow-row-of-two": (lambda: GentlePresentation.build(["1"], [("a", "1")], []),
+                         InputError, "bad arrow id ('a', '1')"),
+    "arrow-endpoint-unhashable": (
+        lambda: GentlePresentation.build(["1"], [("a", ["1"], "1")], []),
+        InputError, "arrow 'a' has unknown endpoint"),
+    "relation-row-of-one": (lambda: GentlePresentation.build(*CHAIN, [("a",)]),
+                            InputError, "relation references unknown arrow ('a',)"),
+    "relation-arrow-unhashable": (lambda: GentlePresentation.build(*CHAIN, [(["a"], "a")]),
+                                  InputError, "relation references unknown arrow ['a']"),
     "duplicate-arrow": (lambda: GentlePresentation.build(["1", "2"], [("a", "1", "2")] * 2, []),
                         InputError, "duplicate arrow 'a'"),
     "relation-listed-twice": (

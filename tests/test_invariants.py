@@ -1,12 +1,13 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from fbga.afbg import Afbg, is_admissible, rep_finite_report
+from fbga.cli import main
 from fbga.covering import cover_finite
+from fbga.fileio import dumps, graph_json
 from fbga.gentle import GentlePresentation, gentle_cover
-from fbga.invariants import COMPARED_FIELDS, compare, fingerprint, special_orbit_sizes
+from fbga.invariants import COMPARED_FIELDS, compare, describe, fingerprint, special_orbit_sizes
 from fbga.ribbon import RibbonGraph, is_isomorphic
 from generators import (
     cover_compatible_degrees,
@@ -24,17 +25,36 @@ from oracles import reference_fingerprint, reference_rep_finite_report
 
 def test_fingerprint_fields_of_double_edge():
     fp = fingerprint(lambda_afbg())
-    assert fp.num_vertices == 2
-    assert fp.num_edges == 2
-    assert fp.multiplicities == (Fraction(1), Fraction(1))
-    assert fp.bipartite is True
-    assert fp.nakayama_order == 1
-    assert fp.face_perimeters == (2, 2)
+    assert fp["num_vertices"] == 2
+    assert fp["num_edges"] == 2
+    assert fp["multiplicities"] == ["1", "1"]
+    assert fp["bipartite"] is True
+    assert fp["nakayama_order"] == 1
+    assert fp["face_perimeters"] == [2, 2]
 
 
-def test_fingerprint_as_dict_round_trips_fields():
-    d = fingerprint(lambda_afbg()).as_dict()
-    assert set(COMPARED_FIELDS) <= set(d)
+def test_commands_print_what_the_functions_return(tmp_path, capsys):
+    """``fbga invariants`` and ``fbga compare`` print, as json, exactly the
+    dicts that ``fingerprint`` and ``compare`` return, for a dozen seeded
+    random algebras (every third one fractional), each compared with itself
+    and with the next; every compared field is a key of the fingerprint."""
+    rng = random.Random(37)
+    paths, algebras = [], []
+    for i in range(12):
+        a = random_fractional_afbg(rng, rng.randint(1, 3)) if i % 3 == 0 \
+            else random_afbg(rng, rng.randint(1, 6))
+        paths.append(tmp_path / f"a{i}.rg")
+        paths[-1].write_text(graph_json(a.graph, a.degrees))
+        algebras.append(a)
+    for i, a in enumerate(algebras):
+        assert set(COMPARED_FIELDS) <= set(fingerprint(a))
+        assert main(["invariants", str(paths[i]), "--format", "json"]) == 0
+        assert capsys.readouterr().out == dumps(fingerprint(a))
+        for j in (i, (i + 1) % len(algebras)):
+            expected = compare(a, algebras[j])
+            assert main(["compare", str(paths[i]), str(paths[j]), "--format", "json"]) \
+                == (0 if expected["consistent"] else 3)
+            assert capsys.readouterr().out == dumps(expected)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -44,7 +64,7 @@ def test_relabelling_invariance(seed):
     g2, deg2 = shuffled_copy(rng, a.graph, a.degrees)
     b = Afbg.build(g2, deg2)
     assert fingerprint(a) == fingerprint(b)
-    assert compare(a, b).consistent
+    assert compare(a, b)["consistent"]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -56,17 +76,36 @@ def test_relabelling_invariance_fractional(seed):
     assert fingerprint(a) == fingerprint(Afbg.build(g2, deg2))
 
 
-def test_compare_reports_first_differing_field():
-    cmp_ = compare(lambda_afbg(), loop_afbg())
-    assert not cmp_.consistent
-    assert cmp_.distinguished_by == "num_vertices"
-    assert "num_vertices" in cmp_.describe()
+EDGE = RibbonGraph.build({"u": ["h"], "w": ["ih"]}, [["h", "ih"]])
+LOOP_AND_EDGE = RibbonGraph.build({"u": ["a", "b", "h"], "w": ["ih"]}, [["a", "b"], ["h", "ih"]])
+FIRST_DIFFERENCES = {
+    "num_vertices": (lambda_afbg, loop_afbg, "2 vs 1"),
+    "num_edges": (lambda_afbg, lambda: Afbg.build(EDGE, {"u": 1, "w": 1}), "2 vs 1"),
+    "multiplicities": (lambda: lambda_afbg(1), lambda_afbg, "(1/2, 1/2) vs (1, 1)"),
+    "bipartite": (lambda: Afbg.build(LOOP_AND_EDGE, {"u": 3, "w": 1}), lambda_afbg,
+                  "False vs True"),
+}
+
+
+@pytest.mark.parametrize("field", FIRST_DIFFERENCES)
+def test_compare_reports_first_differing_field(field):
+    """Each pair first differs on ``field``, and ``describe`` renders it.
+    Two compared fields have no case.  ``nakayama_order`` can never decide:
+    it is the lcm of the multiplicities' denominators, and ``multiplicities``
+    is compared first.  ``reduced`` decided no pair among 6,000 random
+    algebras from ``generators`` (one in three fractional), whose first five
+    fields fall into 520 classes."""
+    left, right, text = FIRST_DIFFERENCES[field]
+    cmp_ = compare(left(), right())
+    assert not cmp_["consistent"]
+    assert cmp_["distinguished_by"] == field
+    assert describe(cmp_) == f"distinguished by {field}: {text}"
 
 
 def test_compare_catches_multiplicity_change():
     cmp_ = compare(lambda_afbg(2), lambda_afbg(4))
-    assert not cmp_.consistent
-    assert cmp_.distinguished_by == "multiplicities"
+    assert not cmp_["consistent"]
+    assert cmp_["distinguished_by"] == "multiplicities"
 
 
 def test_extras_do_not_decide_comparison():
@@ -80,9 +119,9 @@ def test_extras_do_not_decide_comparison():
     a = gentle_cover(k, 2)
     b = gentle_cover(ap, 2)
     fa, fb = fingerprint(a), fingerprint(b)
-    assert compare(a, b).consistent
-    assert fa.face_perimeters != fb.face_perimeters
-    assert fa.special_orbits != fb.special_orbits
+    assert compare(a, b)["consistent"]
+    assert fa["face_perimeters"] != fb["face_perimeters"]
+    assert fa["special_orbits"] != fb["special_orbits"]
     assert is_isomorphic(a.graph, b.graph, a.degrees, b.degrees) is None
 
 
@@ -125,14 +164,14 @@ def test_compare_is_consistent_under_kauer_moves():
                 continue
             moves += 1
             cmp_ = compare(a, b)
-            assert b.graph.connected and cmp_.consistent, cmp_.describe()
+            assert b.graph.connected and cmp_["consistent"], describe(cmp_)
             assert b.graph.face_perimeters() == a.graph.face_perimeters()
             changed += sorted(map(len, b.graph.stars.values())) != valencies
     assert (moves, changed) == (2074, 864)
 
 
 def test_special_orbit_sizes_loop():
-    assert special_orbit_sizes(loop_afbg(2)) == (1, 1)
+    assert special_orbit_sizes(loop_afbg(2)) == [1, 1]
 
 
 def exhaustive_pairs():
@@ -167,5 +206,5 @@ def test_closed_forms_equal_the_built_reduced_form(family):
     Nakayama orbits; building the quotient gives the same answers."""
     for a in family():
         fp, ref = fingerprint(a), reference_fingerprint(a)
-        assert fp == ref and fp.as_dict() == ref.as_dict()
+        assert fp == ref
         assert rep_finite_report(a) == reference_rep_finite_report(a)
