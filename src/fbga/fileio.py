@@ -19,8 +19,11 @@ exported zero relations are ``[later, earlier]`` pairs.  Every JSON output
 is what ``dumps`` writes: ``json.dumps(obj, indent=2)`` and a newline.
 Graphs, presentations and Loewy tables each have one writer, ``graph_json``,
 ``presentation_json`` and ``loewy_json``, which write those bytes without
-the dict tree: each list is joined once, and each strand or relation walk
-is cut from its orbit's text, rendered once (``presentation.cut_walks``).
+the dict tree: each list or dict that grows with the input is joined once
+from its items' literals, each strand or relation walk is cut from its
+orbit's text, rendered once (``presentation.cut_walks``), and ``json.dumps``
+sees only the fixed-size fields (``conventions``, ``window``, ``dimension``,
+``sheets``, ``wirings_tried``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from itertools import chain
 from .afbg import Afbg
 from .errors import InconsistentInput, InvariantError, ParseError
 from .gentle import GentlePresentation
-from .presentation import Presentation, _check_budget, arrow_name, cut_walks, dimension, walk_texts
+from .presentation import (ARROW_PREFIX, Presentation, _check_budget, cut_walks, dimension,
+                           walk_texts)
 from .reconstruct import LoewyData, LoewyRow, loewy_labels
 from .ribbon import EDGE_SEP, RibbonGraph
 
@@ -39,6 +43,7 @@ PATH_CONVENTIONS = {
     "paths": "arrow lists are in application order (first arrow first)",
     "zero_relations": "[later, earlier]: the composite later∘earlier vanishes",
 }
+_literal = json.encoder.encode_basestring_ascii  # a string's JSON, non-ASCII escaped
 
 
 def _load(text: str, object_hook=None):
@@ -138,27 +143,30 @@ def afbg_to_dict(a: Afbg) -> dict:
 
 def graph_json(graph: RibbonGraph, degrees=None, extra=None) -> str:
     """``dumps({**ribbon_to_dict(graph, degrees), **extra})``, written without
-    the dict tree: ids by their literals, each list joined once."""
-    literal = json.encoder.encode_basestring_ascii
+    the dict tree: ids and edge labels (strings) by their literals, joined once."""
     vertices = []
     for v in sorted(graph.vertices):
         degree = "" if degrees is None else f',\n      "degree": {degrees[v]}'
-        vertices.append(f'{{\n      "id": {literal(v)},\n      "rotation": [\n        '
-                        + ",\n        ".join(map(literal, graph.stars[v]))  # never empty
+        vertices.append(f'{{\n      "id": {_literal(v)},\n      "rotation": [\n        '
+                        + ",\n        ".join(map(_literal, graph.stars[v]))  # never empty
                         + f'\n      ]{degree}\n    }}')
-    edges = [f"[\n      {literal(x)},\n      {literal(y)}\n    ]" for x, y in graph.edge_pairs()]
-    return _document({"vertices": vertices, "edges": edges, **(extra or {})}, ("vertices", "edges"))
+    edges = [f"[\n      {_literal(x)},\n      {_literal(y)}\n    ]" for x, y in graph.edge_pairs()]
+    return _document({"vertices": vertices, "edges": edges, **(extra or {})},
+                     ("vertices", "edges", "edge_labels"))
 
 
 def _document(fields: dict, written: tuple) -> str:
-    """``dumps(fields)``, where each list under ``written`` holds its items' JSON."""
+    """``dumps(fields)``; under ``written``, a list holds its items' JSON and a dict str -> str."""
     parts = []
     for key, value in fields.items():
-        if key in written:
-            value = "[\n    " + ",\n    ".join(value) + "\n  ]" if value else "[]"
-        else:  # indented as a whole: JSON escapes every newline inside a string
+        if key not in written:  # indented as a whole: JSON escapes every newline inside a string
             value = json.dumps(value, indent=2).replace("\n", "\n  ")
-        parts.append(f"{json.encoder.encode_basestring_ascii(key)}: {value}")
+        elif type(value) is dict:
+            items = map(": ".join, zip(map(_literal, value), map(_literal, value.values())))
+            value = "{\n    " + ",\n    ".join(items) + "\n  }" if value else "{}"
+        else:
+            value = "[\n    " + ",\n    ".join(value) + "\n  ]" if value else "[]"
+        parts.append(f"{_literal(key)}: {value}")
     return "{\n  " + ",\n  ".join(parts) + "\n}\n"
 
 
@@ -252,7 +260,7 @@ def loewy_json(a: Afbg) -> str:
     joined once and repeated until all fit (``presentation.cut_walks``)."""
     _check_budget(dimension(a), "algebra of dimension")
     name = loewy_labels(a.graph)  # s0, s1, ...: distinct, non-empty and free of '~'
-    lit = {l: json.encoder.encode_basestring_ascii(l) for l in name.values()}
+    lit = {l: _literal(l) for l in name.values()}
     # one row per edge, by label; every half-edge labelled in one pass over the pairs
     rows = sorted((name[x + EDGE_SEP + y], x, y) for x, y in a.graph.pairing.items() if x < y)
     label = {h: l for l, x, y in rows for h in (x, y)}
@@ -294,25 +302,28 @@ def presentation_json(p: Presentation) -> str:
     """The presentation JSON of ``p``, in the bytes ``dumps`` writes for its
     dict tree, without building the tree.  A window adds its bounds and its
     dangling arrows (those with no target) and leaves out the dimension.
-    Arrows are written as they are listed, and each commutation walk is cut
-    from its orbit's text of arrow-name literals (``presentation.walk_texts``);
-    the other fields go through ``json.dumps``, indented one level."""
-    literal = json.encoder.encode_basestring_ascii
-    walk = walk_texts(p, lambda h: literal(arrow_name(h)), ",\n        ")
+    Every list is written from its items' literals, and each commutation walk
+    is cut from its orbit's text of arrow-name literals (``walk_texts``); the
+    fixed-size fields go through ``json.dumps``, indented one level."""
+    walk = walk_texts(p, {h: _literal(ARROW_PREFIX + h) for h in p.graph.pairing}.__getitem__,
+                      ",\n        ")  # each arrow name's literal made once, dropped after
     w, arrows = p.window, p.arrows()
     fields = {"conventions": PATH_CONVENTIONS,
               **({} if w is None else {"window": [w.lo, w.hi]}),
-              "vertices": p.quiver_vertices(),
-              "arrows": [f'{{\n      "id": {literal(name)},\n      "from": {literal(source)},'
-                         f'\n      "to": {"null" if target is None else literal(target)}'
+              "vertices": list(map(_literal, p.quiver_vertices())),
+              "arrows": [f'{{\n      "id": {_literal(name)},\n      "from": {_literal(source)},'
+                         f'\n      "to": {"null" if target is None else _literal(target)}'
                          "\n    }" for name, source, target in arrows],
-              **({} if w is None else {"dangling": [a for a, _, t in arrows if t is None]}),
+              **({} if w is None else
+                 {"dangling": [_literal(a) for a, _, t in arrows if t is None]}),
               "commutation_relations": [f"[\n      [\n        {walk[x]}\n      ],\n      "
                                         f"[\n        {walk[y]}\n      ]\n    ]"
                                         for (x, _), (y, _) in p.commutations],
-              "zero_relations": p.zero_relations(),
+              "zero_relations": [f"[\n      {_literal(later)},\n      {_literal(earlier)}\n    ]"
+                                 for later, earlier in p.zero_relations()],
               **({"dimension": dimension(p.afbg)} if w is None else {})}
-    return _document(fields, ("arrows", "commutation_relations"))
+    return _document(fields, ("vertices", "arrows", "dangling", "commutation_relations",
+                              "zero_relations"))
 
 
 # -- DOT rendering ---------------------------------------------------------------

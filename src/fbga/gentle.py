@@ -43,6 +43,8 @@ class GentlePresentation:
     @classmethod
     def build(cls, vertices, arrows, zero_relations) -> "GentlePresentation":
         """Validate and build; refuse a quiver that is not gentle."""
+        if not {list, tuple}.issuperset(map(type, (vertices, arrows, zero_relations))):
+            raise InputError("vertices, arrows and zero relations must be lists")
         vs = {}  # a dict keeps the order and tests membership in O(1)
         for v in vertices:
             if not isinstance(v, str) or not v or EDGE_SEP in v:

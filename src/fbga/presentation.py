@@ -39,21 +39,17 @@ cross-check the closed-form count ``sum(valency * degree)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import TYPE_CHECKING
+from itertools import accumulate, chain, repeat
+from typing import TYPE_CHECKING, NamedTuple
 
 from .afbg import Afbg
 from .errors import SizeLimitExceeded
-from .ribbon import EDGE_SEP, edge_id_of_pair
+from .ribbon import EDGE_SEP
 
 if TYPE_CHECKING:
     from .covering import BorderedRibbonGraph
 
-ARROW_PREFIX = "a_"
-
-
-def arrow_name(half_edge: str) -> str:
-    return ARROW_PREFIX + half_edge
+ARROW_PREFIX = "a_"  # the arrow of half-edge h is named ARROW_PREFIX + h
 
 
 @dataclass(frozen=True)
@@ -82,13 +78,13 @@ class Presentation:
             if x < y:
                 edge[x] = edge[y] = x + EDGE_SEP + y  # edge_id_of_pair, as x < y
         # edge.get(None) is None: a dangling arrow has no target
-        return [(arrow_name(h), edge[h], edge.get(g.rotation.get(h))) for h in sorted(edge)]
+        return [(ARROW_PREFIX + h, edge[h], edge.get(g.rotation.get(h))) for h in sorted(edge)]
 
     def zero_relations(self) -> list:
         """``(later, earlier)`` arrow names, sorted: the arrow of
         ``pairing(rotation(h))`` after the arrow of ``h``, per rotation step."""
         g = self.graph
-        name = {h: arrow_name(h) for h in g.pairing}  # each name shared by two relations
+        name = {h: ARROW_PREFIX + h for h in g.pairing}  # each name shared by two relations
         return sorted((name[g.pairing[n]], name[h]) for h, n in g.rotation.items())
 
 
@@ -114,11 +110,11 @@ def walk_texts(pres: Presentation, piece, sep: str, reverse: bool = False) -> di
     last arrow first when ``reverse`` (a right-to-left product).  Each
     star is joined once, in the direction asked for; a window's walks fit
     inside its columns, so none wraps round a chain."""
-    length = dict(w for pair in pres.commutations for w in pair)
+    length = dict(chain.from_iterable(pres.commutations))
     out = {}
     for star in pres.graph.stars.values():
         starts = [(i, h) for i, h in enumerate(star) if h in length]
-        pieces = [piece(h) for h in star]
+        pieces = list(map(piece, star))
         if reverse:  # the walk from i of length n ends on piece i + n - 1
             pieces.reverse()
             walks = [(-(i + length[h]) % len(star), length[h]) for i, h in starts]
@@ -175,8 +171,7 @@ def dimension(a: Afbg) -> int:
 
 # -- basis ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     kind: str        # "idempotent" | "walk" | "socle"
     edge: str        # quiver vertex the element starts at
     start: str       # half-edge of the walk ("" for idempotents)
@@ -192,12 +187,13 @@ def basis(a: Afbg) -> list:
     _check_budget(dimension(a), "algebra of dimension")
     g = a.graph
     out = []
-    for e, x, y in sorted((edge_id_of_pair(x, y), x, y) for x, y in g.pairing.items() if x < y):
+    for e, x, y in sorted((x + EDGE_SEP + y, x, y) for x, y in g.pairing.items() if x < y):
         dx, dy = (a.degrees[g.attach[h]] for h in (x, y))
         out.append(BasisElement("idempotent", e, "", 0))
         out.append(BasisElement("socle", e, x, dx))
-        out += (BasisElement("walk", e, x, m) for m in range(1, dx))
-        out += (BasisElement("walk", e, y, m) for m in range(1, dy))
+        for h, d in ((x, dx), (y, dy)):  # each walk built in C, with no Python __new__ call
+            out += map(tuple.__new__, repeat(BasisElement),
+                       zip(repeat("walk"), repeat(e), repeat(h), range(1, d)))
     return out
 
 
@@ -225,7 +221,7 @@ def oracle_dimension(pres: Presentation) -> int:
     # the arrow names of each relation walk (degrees are positive, so none is
     # empty); exact, as no arrow name holds EDGE_SEP
     walks = {h: tuple(text.split(EDGE_SEP))
-             for h, text in walk_texts(pres, arrow_name, EDGE_SEP).items()}
+             for h, text in walk_texts(pres, ARROW_PREFIX.__add__, EDGE_SEP).items()}
     relations = [(walks[x], walks[y]) for (x, _), (y, _) in pres.commutations]
     comm = []
     for wx, wy in relations:
@@ -303,11 +299,11 @@ def render_text(pres: Presentation) -> str:
     g = pres.graph
     lines = [f"quiver vertices ({len(g.pairing) // 2}): " + ", ".join(pres.quiver_vertices()),
              f"arrows ({len(g.pairing)}):"]
-    lines += (f"  {name}: {source} -> {target}" for name, source, target in pres.arrows())
-    walks = walk_texts(pres, arrow_name, "*", reverse=True)  # each one a product_str
+    lines += [f"  {name}: {source} -> {target}" for name, source, target in pres.arrows()]
+    walks = walk_texts(pres, ARROW_PREFIX.__add__, "*", reverse=True)  # each one a product_str
     lines.append(f"commutation relations ({len(pres.commutations)}):")
     for (x, _), (y, _) in pres.commutations:
         lines.append(f"  {walks[x]} = {walks[y]}")
     lines.append(f"zero relations ({len(g.rotation)}):")
-    lines += (f"  {later}*{earlier} = 0" for later, earlier in pres.zero_relations())
+    lines += [f"  {later}*{earlier} = 0" for later, earlier in pres.zero_relations()]
     return "\n".join(lines)

@@ -98,12 +98,14 @@ class RibbonGraph:
             partner = ends[:]
             partner[::2], partner[1::2] = ends[1::2], ends[::2]
             pairing = dict(zip(ends, partner))
+            "".join(rotations)  # every vertex id is a string
             # equal sizes: no half-edge is listed twice, paired twice or with itself
             ok = (EDGE_SEP not in "".join(attach) and "" not in attach and all(rotations.values())
+                  and {list, tuple}.issuperset(map(type, chain([edges], rotations.values(), edges)))
                   and len(attach) == sum(map(len, rotations.values()))
                   and {2}.issuperset(map(len, edges))
                   and len(pairing) == len(ends) and pairing.keys() == attach.keys())
-        except (TypeError, ValueError):  # a value that is no id, or an odd number of ends
+        except (TypeError, ValueError, AttributeError):  # a value that is no id, or no dict
             ok = False
         if not ok:
             _refuse(rotations, edges)
@@ -186,9 +188,12 @@ def _is_connected(stars, attach, pairing) -> bool:
 def _refuse(rotations, edges):
     """Raise the error of the first fault :meth:`RibbonGraph.build` finds,
     stepping through the half-edges one at a time."""
+    if not isinstance(rotations, dict) or type(edges) not in (list, tuple):
+        raise RibbonStructureError("rotations must be a dict and edges a list")
     attach = {}
-    for v in rotations:
-        cycle = list(rotations[v])
+    for v, cycle in rotations.items():
+        if not isinstance(v, str) or type(cycle) not in (list, tuple):
+            raise RibbonStructureError(f"vertex {v!r} needs a string id and a list of half-edges")
         if not cycle:
             raise OrbitMismatch(f"vertex {v!r} has no half-edges")
         for h in cycle:
@@ -201,7 +206,7 @@ def _refuse(rotations, edges):
             attach[h] = v
     pairing = {}
     for pair in edges:
-        if len(pair) != 2:
+        if type(pair) not in (list, tuple) or len(pair) != 2:
             raise RibbonStructureError(f"edge {pair!r} is not a pair")
         a, b = pair
         if a == b:

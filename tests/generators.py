@@ -60,6 +60,43 @@ def aprime() -> GentlePresentation:
                                     [("y", "x"), ("x", "y")])
 
 
+def linear_an(n: int) -> GentlePresentation:
+    """The path algebra of the linear quiver 1 -> 2 -> ... -> n."""
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
+    return GentlePresentation.build([str(i) for i in range(1, n + 1)], arrows, [])
+
+
+def random_gentle_tree(rng: Random, n: int) -> GentlePresentation:
+    """A gentle algebra on a random tree quiver with n vertices, gentle by
+    construction.  Vertex j joins the tree by one arrow to or from a vertex
+    that still has room (at most two arrows start and two end at a
+    vertex); then at each vertex a random matching pairs arrows in with
+    arrows out, every unmatched composite through the vertex is zero, and
+    a vertex with one arrow in and one out keeps or kills its composite at
+    random."""
+    arrows = []
+    starts, ends = {"0": 0}, {"0": 0}  # arrows that start, end at each vertex
+    for j in map(str, range(1, n)):
+        room = [(v, out) for v in starts for out in (True, False)
+                if (starts if out else ends)[v] < 2]
+        v, out = rng.choice(room)
+        arrows.append((f"a{j}", v, j) if out else (f"a{j}", j, v))
+        starts[j] = ends[j] = 0
+        starts[arrows[-1][1]] += 1
+        ends[arrows[-1][2]] += 1
+    relations = []
+    for v in starts:
+        into = [a for a, _, t in arrows if t == v]
+        out_of = [a for a, s, _ in arrows if s == v]
+        rng.shuffle(into)
+        rng.shuffle(out_of)
+        matched = set(zip(into, out_of))
+        if len(into) == len(out_of) == 1 and rng.random() < 0.5:
+            matched = set()
+        relations += [(b, a) for a in into for b in out_of if (a, b) not in matched]
+    return GentlePresentation.build(list(starts), arrows, relations)
+
+
 def _graph_from_perm(perm) -> RibbonGraph:
     """Ribbon graph whose rotation is the permutation i -> perm[i] on
     half-edges h0..h{2n-1}, with pairing (h_{2i}, h_{2i+1})."""

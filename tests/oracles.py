@@ -22,9 +22,14 @@ from fbga.errors import (
 )
 from fbga.fileio import PATH_CONVENTIONS
 from fbga.gentle import GentlePresentation
-from fbga.presentation import BasisElement, arrow_name, dimension
+from fbga.presentation import BasisElement, dimension
 from fbga.reconstruct import LoewyData, LoewyRow, loewy_labels
 from fbga.ribbon import EDGE_SEP, RibbonGraph, edge_id_of_pair, is_isomorphic, orbits
+
+
+def arrow_name(half_edge: str) -> str:
+    """The name of the arrow of ``half_edge``, as every output writes it."""
+    return "a_" + half_edge
 
 
 def product_str(seq) -> str:
@@ -546,10 +551,14 @@ def _strings(value, where: str) -> list:
 
 def reference_build(rotations, edges) -> RibbonGraph:
     """:meth:`fbga.ribbon.RibbonGraph.build`, every check made per half-edge."""
+    if not isinstance(rotations, dict) or type(edges) not in (list, tuple):
+        raise RibbonStructureError("rotations must be a dict and edges a list")
     attach = {}
     rotation = {}
     stars = {}
     for v in rotations:
+        if not isinstance(v, str) or type(rotations[v]) not in (list, tuple):
+            raise RibbonStructureError(f"vertex {v!r} needs a string id and a list of half-edges")
         cycle = list(rotations[v])
         if not cycle:
             raise OrbitMismatch(f"vertex {v!r} has no half-edges")
@@ -571,7 +580,7 @@ def reference_build(rotations, edges) -> RibbonGraph:
 
     pairing = {}
     for pair in edges:
-        if len(pair) != 2:
+        if type(pair) not in (list, tuple) or len(pair) != 2:
             raise RibbonStructureError(f"edge {pair!r} is not a pair")
         a, b = pair
         if a == b:

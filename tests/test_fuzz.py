@@ -162,6 +162,11 @@ BUILD_INPUTS = [  # (rotations, edges) that no file decodes to
     ({"v": ["a", "b"]}, [["a", "b"], ["a", "b"]]),
     ({"v": ["a", "b"]}, [["a", "a"]]),
     ({"u": ["a"], "v": ["a"]}, [["a", "a"]]),
+    ([("v", ["a", "b"])], [["a", "b"]]),
+    ({"v": ["a", "b"]}, None),
+    ({"v": ["a", "b"]}, "ab"),
+    ({1: ["a", "b"]}, [["a", "b"]]),
+    ({"v": ["a", "b"], "w": "cd"}, [["a", "c"], ["b", "d"]]),
 ]
 
 

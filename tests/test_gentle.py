@@ -339,6 +339,12 @@ REFUSALS = {
         lambda: GentlePresentation.build(
             ["1", "2", "3", "4"], [("a", "1", "2"), ("b", "4", "2"), ("c", "2", "3")], []),
         InputError, "not a gentle presentation: arrow c: several nonzero predecessors ['a', 'b']"),
+    "arrows-none": (lambda: GentlePresentation.build(["1"], None, []),
+                    InputError, "vertices, arrows and zero relations must be lists"),
+    "relations-none": (lambda: GentlePresentation.build(*CHAIN, None),
+                       InputError, "vertices, arrows and zero relations must be lists"),
+    "vertices-a-string": (lambda: GentlePresentation.build("12", [("a", "1", "2")], []),
+                          InputError, "vertices, arrows and zero relations must be lists"),
     "window-bound-true": (lambda: repetitive_window(kronecker(), True, 1),
                           InvalidCut, "window bounds must be integers, got True:1"),
     "window-bound-float": (lambda: repetitive_window(kronecker(), 0, 1.0),

@@ -12,11 +12,10 @@ import fbga
 from fbga.afbg import Afbg
 from fbga.covering import cover_finite, smallest_cut
 from fbga.errors import InvariantError, SizeLimitExceeded
-from fbga.fileio import loewy_json, parse_gentle, parse_loewy
+from fbga.fileio import graph_json, loewy_json, parse_gentle, parse_loewy, presentation_json
 from fbga.gentle import repetitive_window
 from fbga.presentation import (
     WALK_BUDGET,
-    arrow_name,
     basis,
     build_presentation,
     cut_walks,
@@ -37,6 +36,7 @@ from generators import (
     shuffled_copy,
 )
 from oracles import (
+    arrow_name,
     commutation_walks,
     nakayama_on_presentation,
     presentation_isomorphism,
@@ -393,3 +393,52 @@ def test_basis_is_emitted_in_sorted_order():
     assert sorted(star.edge_ids()) != star.edge_ids()  # "a!~c" < "a~z", yet ("a", "z") < ("a!", "c")
     for a in algebras:
         assert basis(a) == reference_basis(a)
+
+
+# -- no Python call per element ------------------------------------------------
+
+def python_calls(fn, *args) -> int:
+    """The Python-level calls that ``fn(*args)`` makes, itself included.
+    Generator expressions are left out: each of their resumptions is a
+    call event.  Calls into C (``map``, ``str.join``, ``sorted``) are not
+    calls here.  Python 3.12 inlines comprehensions (PEP 709), so the
+    counts differ between versions; compare sizes, not constants."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code.co_name != "<genexpr>"
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def dipole_calls(n: int) -> dict:
+    """The Python calls of ``basis`` and of each bulk writer on the dipole
+    with n edges (two vertices of valency n, the same cyclic order at both
+    ends) and degree 3 at both vertices; ``graph_json`` is given the
+    ``edge_labels`` extra that ``reconstruct`` prints."""
+    g = RibbonGraph.build({"u": [f"x{i}" for i in range(n)], "w": [f"y{i}" for i in range(n)]},
+                          [[f"x{i}", f"y{i}"] for i in range(n)])
+    a = Afbg.build(g, {"u": 3, "w": 3})
+    p = build_presentation(a)
+    extra = {"edge_labels": {e: f"s{i}" for i, e in enumerate(g.edge_ids())}, "wirings_tried": 1}
+    return {"basis": python_calls(basis, a),
+            "presentation_json": python_calls(presentation_json, p),
+            "render_text": python_calls(render_text, p),
+            "loewy_json": python_calls(loewy_json, a),
+            "graph_json": python_calls(graph_json, g, a.degrees, extra)}
+
+
+def test_bulk_outputs_make_no_python_call_per_element():
+    """The basis and the writers build their elements in C: a writer makes
+    as many Python calls on 1,000 edges as on 100, and ``basis`` at most
+    four per edge, not one per element (the dimension is 6 per edge)."""
+    small, large = dipole_calls(100), dipole_calls(1000)
+    assert large["basis"] <= 4 * 1000
+    for writer in ("presentation_json", "render_text", "loewy_json", "graph_json"):
+        assert large[writer] == small[writer], writer

@@ -470,6 +470,18 @@ REFUSALS = {
         MissingDegree, "vertex 'u' has no degree"),
     "code-with-degrees-a-list": (lambda: canonical_code(lambda_afbg().graph, [2, 2]), MissingDegree,
                                  "degrees must map each vertex to a degree, got list"),
+    "rotation-a-string": (
+        lambda: RibbonGraph.build({"u": "hx", "w": "ab"}, [["h", "a"], ["x", "b"]]),
+        RibbonStructureError, "vertex 'u' needs a string id and a list of half-edges"),
+    "rotations-a-list": (lambda: RibbonGraph.build([("u", ["h", "x"])], [["h", "x"]]),
+                         RibbonStructureError, "rotations must be a dict and edges a list"),
+    "edges-none": (lambda: RibbonGraph.build({"u": ["h", "x"]}, None),
+                   RibbonStructureError, "rotations must be a dict and edges a list"),
+    "vertex-id-an-int": (
+        lambda: RibbonGraph.build({1: ["h"], "a": ["x"]}, [["h", "x"]]),
+        RibbonStructureError, "vertex 1 needs a string id and a list of half-edges"),
+    "edge-a-string": (lambda: RibbonGraph.build({"u": ["h", "x"]}, ["hx"]),
+                      RibbonStructureError, "edge 'hx' is not a pair"),
 }
 
 
