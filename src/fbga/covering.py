@@ -40,10 +40,6 @@ from .ribbon import RibbonGraph
 SHEET_SEP = "@"
 
 
-def sheet_name(half_edge: str, j: int) -> str:
-    return f"{half_edge}{SHEET_SEP}{j}"
-
-
 def ordering_from_cut(graph: RibbonGraph, cut: dict) -> dict:
     """Star ordering (h_1, ..., h_n) per vertex with h_n = cut(v) and
     h_1 = rotation(cut(v))."""
@@ -75,11 +71,9 @@ def _sheets(base: Afbg, cut: dict, lo: int, hi: int):
     its star ordering repeated sheet by sheet; every sheet copies every
     edge."""
     ordering = ordering_from_cut(base.graph, cut)
-    sheets = range(lo, hi + 1)
-    columns = {v: [sheet_name(h, j) for j in sheets for h in order]
-               for v, order in ordering.items()}
-    edges = [[sheet_name(x, j), sheet_name(y, j)]
-             for x, y in base.graph.edge_pairs() for j in sheets]
+    suffixes = [f"{SHEET_SEP}{j}" for j in range(lo, hi + 1)]  # sheet j's copy of h is h@j
+    columns = {v: [h + s for s in suffixes for h in order] for v, order in ordering.items()}
+    edges = [[x + s, y + s] for x, y in base.graph.edge_pairs() for s in suffixes]
     return columns, edges
 
 

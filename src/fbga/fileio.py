@@ -12,7 +12,10 @@ files are ``{"vertices": [...], "arrows": [{"id","from","to"}],
 composite later∘earlier.  Loewy files are a list of ``{"id", "strands",
 "socle"}`` rows; "uniserial" is derived from the strands, and a row
 that gives it must agree.  Ids, half-edges and labels are strings and
-degrees are positive integers; anything else is a :class:`ParseError`.
+degrees are positive integers.  The structure of a graph or gentle file (its
+keys, a graph's vertex ids) is checked here, as a :class:`ParseError`, and its
+values by the builder that takes them; a cut or Loewy file's types are
+ParseErrors too.
 
 Exported paths list arrows in application order (first arrow first);
 exported zero relations are ``[later, earlier]`` pairs.  Every JSON output
@@ -29,7 +32,6 @@ sees only the fixed-size fields (``conventions``, ``window``, ``dimension``,
 from __future__ import annotations
 
 import json
-from itertools import chain
 
 from .afbg import Afbg
 from .errors import InconsistentInput, InvariantError, ParseError
@@ -37,7 +39,7 @@ from .gentle import GentlePresentation
 from .presentation import (ARROW_PREFIX, Presentation, _check_budget, cut_walks, dimension,
                            walk_texts)
 from .reconstruct import LoewyData, LoewyRow, loewy_labels
-from .ribbon import EDGE_SEP, RibbonGraph
+from .ribbon import EDGE_SEP, RibbonGraph, _check_degrees
 
 PATH_CONVENTIONS = {
     "paths": "arrow lists are in application order (first arrow first)",
@@ -53,13 +55,12 @@ def _load(text: str, object_hook=None):
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
-_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
-          bool: "true or false"}
+_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "true or false"}
 
 
 def _typed(value, kind, where: str):
-    """``value`` if it is a ``kind`` (an int is never a bool), else a ParseError."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    """``value`` if it is a ``kind``, else a ParseError."""
+    if not isinstance(value, kind):
         raise ParseError(f"{where}: expected {_KINDS[kind]}, got {value!r:.60}")
     return value
 
@@ -83,47 +84,25 @@ def _strings(value, where: str) -> list:
 # -- ribbon graphs -------------------------------------------------------------
 
 def parse_ribbon(text: str):
-    """Returns (RibbonGraph, degrees-or-None).  Each check covers all rows at
-    once; when one fails, :func:`_refuse_ribbon` names the first fault."""
+    """Returns (RibbonGraph, degrees-or-None).  One pass over the rows checks the
+    keys and ids; ``RibbonGraph.build`` and ``_check_degrees`` check the values."""
     obj = _load(text)
     vrows = _typed(_need(obj, "vertices", "graph file"), list, "graph vertices")
     erows = _typed(_need(obj, "edges", "graph file"), list, "graph edges")
-    try:
-        rotations = {row["id"]: row["rotation"] for row in vrows}
-        degrees = {row["id"]: row["degree"] for row in vrows if "degree" in row}
-        "".join(chain(rotations, *rotations.values(), *erows))  # fails on an item that is no str
-        ok = (len(rotations) == len(vrows) and len(degrees) in (0, len(vrows))
-              and {list}.issuperset(map(type, chain(rotations.values(), erows)))
-              and {int}.issuperset(map(type, degrees.values()))  # an int, never a bool
-              and min(degrees.values(), default=1) >= 1)
-    except (KeyError, TypeError):  # a row that is no object, or a key it lacks
-        ok = False
-    if not ok:
-        _refuse_ribbon(vrows, erows)
-    return RibbonGraph.build(rotations, erows), (degrees or None)
-
-
-def _refuse_ribbon(vrows: list, erows: list):
-    """Raise the error of the first fault in a graph file's rows, stepping
-    through them one at a time."""
-    rotations = {}
-    degrees = {}
+    rotations, degrees = {}, {}
     for row in vrows:
         vid = _typed(_need(row, "id", "vertex entry"), str, "vertex id")
         if vid in rotations:
             raise ParseError(f"graph file: vertex {vid!r} listed twice")
-        rotations[vid] = _strings(_need(row, "rotation", f"vertex {vid!r}"),
-                                  f"rotation of {vid!r}")
+        if "rotation" not in row:  # as _need says it, with no message made for a good row
+            raise ParseError(f"vertex {vid!r}: missing key 'rotation'")
+        rotations[vid] = row["rotation"]
         if "degree" in row:
-            degrees[vid] = _typed(row["degree"], int, f"degree of {vid!r}")
-            if degrees[vid] < 1:
-                raise ParseError(f"degree of {vid!r}: expected a positive integer, "
-                                 f"got {degrees[vid]}")
-    if degrees and set(degrees) != set(rotations):
-        missing = sorted(set(rotations) - set(degrees))
-        raise ParseError(f"degrees given for some vertices but not {missing}")
-    [_strings(e, "edge") for e in erows]
-    raise InvariantError("the bulk checks refused a valid graph file")
+            degrees[vid] = row["degree"]
+    graph = RibbonGraph.build(rotations, erows)
+    if degrees:
+        _check_degrees(graph, degrees)
+    return graph, (degrees or None)
 
 
 def ribbon_to_dict(graph: RibbonGraph, degrees=None) -> dict:
@@ -187,17 +166,13 @@ def parse_cut(text: str) -> dict:
 # -- gentle presentations ------------------------------------------------------
 
 def parse_gentle(text: str) -> GentlePresentation:
+    """The file's keys are checked here, its values by ``GentlePresentation.build``."""
     obj = _load(text)
-    vertices = _strings(_need(obj, "vertices", "gentle file"), "gentle vertices")
-    arrows = [tuple(_typed(_need(a, key, "arrow entry"), str, f"arrow {key!r}")
-                    for key in ("id", "from", "to"))
-              for a in _typed(_need(obj, "arrows", "gentle file"), list, "gentle arrows")]
-    rels = []
-    for pair in _typed(obj.get("zero_relations", []), list, "gentle zero_relations"):
-        if len(_strings(pair, "gentle relation")) != 2:
-            raise ParseError(f"gentle file: bad relation {pair!r}")
-        rels.append((pair[0], pair[1]))
-    return GentlePresentation.build(vertices, arrows, rels)
+    vertices, arrows = (_need(obj, key, "gentle file") for key in ("vertices", "arrows"))
+    if type(arrows) is list:  # anything else is for build to refuse
+        arrows = [tuple(_need(a, key, "arrow entry") for key in ("id", "from", "to"))
+                  for a in arrows]
+    return GentlePresentation.build(vertices, arrows, obj.get("zero_relations", []))
 
 
 # -- Loewy data ----------------------------------------------------------------

@@ -48,26 +48,26 @@ class GentlePresentation:
         vs = {}  # a dict keeps the order and tests membership in O(1)
         for v in vertices:
             if not isinstance(v, str) or not v or EDGE_SEP in v:
-                raise InputError(f"bad quiver vertex id {v!r}")
+                raise InputError(f"bad quiver vertex id {v!r:.60}")
             if v in vs:
-                raise InputError(f"duplicate quiver vertex {v!r}")
+                raise InputError(f"duplicate quiver vertex {v!r:.60}")
             vs[v] = None
         amap = {}
         for row in arrows:  # a row that is not (id, source, target) is its own bad id
             name, src, tgt = row if type(row) in (tuple, list) and len(row) == 3 else (row, "", "")
             if not isinstance(name, str) or not name or EDGE_SEP in name:
-                raise InputError(f"bad arrow id {name!r}")
+                raise InputError(f"bad arrow id {name!r:.60}")
             if name in amap:
-                raise InputError(f"duplicate arrow {name!r}")
+                raise InputError(f"duplicate arrow {name!r:.60}")
             if not all(isinstance(x, str) and x in vs for x in (src, tgt)):  # ids are strings
-                raise InputError(f"arrow {name!r} has unknown endpoint")
+                raise InputError(f"arrow {name!r:.60} has unknown endpoint")
             amap[name] = (src, tgt)
         rels = []
         for row in zero_relations:  # one not (later, earlier) is its own unknown arrow
             pair = tuple(row) if type(row) in (tuple, list) and len(row) == 2 else (row,)
             for x in pair:
                 if not isinstance(x, str) or x not in amap:
-                    raise InputError(f"relation references unknown arrow {x!r}")
+                    raise InputError(f"relation references unknown arrow {x!r:.60}")
             rels.append(pair)
         p = cls(tuple(vs), amap, tuple(rels))
         if problems := _gentle_problems(p):

@@ -112,22 +112,27 @@ class LoewyData:
         a row lists at most two strands, and a missing one is empty."""
         rows = []
         labels = set()
-        for label, strands, socle in raw_rows:
+        for row in raw_rows:
+            if not isinstance(row, (list, tuple)) or len(row) != 3:
+                raise InputError(f"loewy row {row!r:.60} is not (label, strands, socle)")
+            label, strands, socle = row
             if not isinstance(label, str) or not label or EDGE_SEP in label:
                 raise InputError(f"bad simple label {label!r}")
             if label in labels:
                 raise InputError(f"duplicate simple label {label!r}")
             labels.add(label)
+            if type(strands) not in (list, tuple) or not {list, tuple}.issuperset(
+                    map(type, strands)):
+                raise InputError(f"strands of {label!r} must be a list of label lists")
             strands = tuple(strands)
             if len(strands) > 2:
                 raise InputError(f"simple {label!r} lists {len(strands)} strands (max 2)")
             rows.append((label, strands + ((),) * (2 - len(strands)), socle))
         for label, strands, socle in rows:
-            for s in strands:
-                if not labels.issuperset(s):
-                    x = next(x for x in s if x not in labels)
-                    raise InputError(f"strand of {label!r} mentions unknown label {x!r}")
-            if socle not in labels:
+            for s in strands:  # labels are strings: no other entry is looked up
+                if unknown := [x for x in s if type(x) is not str or x not in labels]:
+                    raise InputError(f"strand of {label!r} mentions unknown label {unknown[0]!r}")
+            if type(socle) is not str or socle not in labels:
                 raise InputError(f"socle of {label!r} is unknown label {socle!r}")
         if sorted(socle for _, _, socle in rows) != sorted(labels):
             raise InconsistentInput(

@@ -193,29 +193,30 @@ def _refuse(rotations, edges):
     attach = {}
     for v, cycle in rotations.items():
         if not isinstance(v, str) or type(cycle) not in (list, tuple):
-            raise RibbonStructureError(f"vertex {v!r} needs a string id and a list of half-edges")
+            raise RibbonStructureError(
+                f"vertex {v!r:.60} needs a string id and a list of half-edges")
         if not cycle:
-            raise OrbitMismatch(f"vertex {v!r} has no half-edges")
+            raise OrbitMismatch(f"vertex {v!r:.60} has no half-edges")
         for h in cycle:
             if not isinstance(h, str) or not h:
-                raise RibbonStructureError(f"bad half-edge id {h!r}")
+                raise RibbonStructureError(f"bad half-edge id {h!r:.60}")
             if EDGE_SEP in h:
-                raise RibbonStructureError(f"half-edge id {h!r} contains reserved {EDGE_SEP!r}")
+                raise RibbonStructureError(f"half-edge id {h!r:.60} contains reserved {EDGE_SEP!r}")
             if h in attach:
-                raise DuplicateHalfEdge(f"half-edge {h!r} listed twice")
+                raise DuplicateHalfEdge(f"half-edge {h!r:.60} listed twice")
             attach[h] = v
     pairing = {}
     for pair in edges:
         if type(pair) not in (list, tuple) or len(pair) != 2:
-            raise RibbonStructureError(f"edge {pair!r} is not a pair")
+            raise RibbonStructureError(f"edge {pair!r:.60} is not a pair")
         a, b = pair
         if a == b:
-            raise FixedPointPairing(f"edge pairs half-edge {a!r} with itself")
-        for h in (a, b):
+            raise FixedPointPairing(f"edge pairs half-edge {a!r:.60} with itself")
+        for h in (a, b):  # only a string can be attached, so h is hashable when paired
+            if not isinstance(h, str) or h not in attach:
+                raise OrbitMismatch(f"edge uses unattached half-edge {h!r:.60}")
             if h in pairing:
-                raise DuplicateHalfEdge(f"half-edge {h!r} paired twice")
-            if h not in attach:
-                raise OrbitMismatch(f"edge uses unattached half-edge {h!r}")
+                raise DuplicateHalfEdge(f"half-edge {h!r:.60} paired twice")
         pairing[a] = b
         pairing[b] = a
     unpaired = set(attach) - set(pairing)
@@ -237,7 +238,7 @@ def _check_degrees(graph, degrees):
         if d is None:
             raise MissingDegree(f"vertex {v!r} has no degree")
         if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-            raise MissingDegree(f"degree of {v!r} must be a positive integer, got {d!r}")
+            raise MissingDegree(f"degree of {v!r} must be a positive integer, got {d!r:.60}")
 
 
 # -- canonical form and isomorphism ------------------------------------------

@@ -16,6 +16,7 @@ from fbga.errors import (
     InconsistentInput,
     InputError,
     InvariantError,
+    MissingDegree,
     OrbitMismatch,
     ParseError,
     RibbonStructureError,
@@ -558,19 +559,20 @@ def reference_build(rotations, edges) -> RibbonGraph:
     stars = {}
     for v in rotations:
         if not isinstance(v, str) or type(rotations[v]) not in (list, tuple):
-            raise RibbonStructureError(f"vertex {v!r} needs a string id and a list of half-edges")
+            raise RibbonStructureError(
+                f"vertex {v!r:.60} needs a string id and a list of half-edges")
         cycle = list(rotations[v])
         if not cycle:
-            raise OrbitMismatch(f"vertex {v!r} has no half-edges")
+            raise OrbitMismatch(f"vertex {v!r:.60} has no half-edges")
         for h in cycle:
             if not isinstance(h, str) or not h:
-                raise RibbonStructureError(f"bad half-edge id {h!r}")
+                raise RibbonStructureError(f"bad half-edge id {h!r:.60}")
             if EDGE_SEP in h:
                 raise RibbonStructureError(
-                    f"half-edge id {h!r} contains reserved {EDGE_SEP!r}"
+                    f"half-edge id {h!r:.60} contains reserved {EDGE_SEP!r}"
                 )
             if h in attach:
-                raise DuplicateHalfEdge(f"half-edge {h!r} listed twice")
+                raise DuplicateHalfEdge(f"half-edge {h!r:.60} listed twice")
             attach[h] = v
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             rotation[a] = b
@@ -581,15 +583,15 @@ def reference_build(rotations, edges) -> RibbonGraph:
     pairing = {}
     for pair in edges:
         if type(pair) not in (list, tuple) or len(pair) != 2:
-            raise RibbonStructureError(f"edge {pair!r} is not a pair")
+            raise RibbonStructureError(f"edge {pair!r:.60} is not a pair")
         a, b = pair
         if a == b:
-            raise FixedPointPairing(f"edge pairs half-edge {a!r} with itself")
+            raise FixedPointPairing(f"edge pairs half-edge {a!r:.60} with itself")
         for h in (a, b):
+            if not isinstance(h, str) or h not in attach:
+                raise OrbitMismatch(f"edge uses unattached half-edge {h!r:.60}")
             if h in pairing:
-                raise DuplicateHalfEdge(f"half-edge {h!r} paired twice")
-            if h not in attach:
-                raise OrbitMismatch(f"edge uses unattached half-edge {h!r}")
+                raise DuplicateHalfEdge(f"half-edge {h!r:.60} paired twice")
         pairing[a] = b
         pairing[b] = a
 
@@ -603,7 +605,7 @@ def reference_build(rotations, edges) -> RibbonGraph:
 
 def reference_parse_ribbon(text: str):
     """:func:`fbga.fileio.parse_ribbon`, every row checked on its own, then
-    :func:`reference_build`."""
+    :func:`reference_build`, then each degree, vertex by vertex."""
     obj = _load(text)
     vrows = _typed(_need(obj, "vertices", "graph file"), list, "graph vertices")
     erows = _typed(_need(obj, "edges", "graph file"), list, "graph edges")
@@ -613,17 +615,16 @@ def reference_parse_ribbon(text: str):
         vid = _typed(_need(row, "id", "vertex entry"), str, "vertex id")
         if vid in rotations:
             raise ParseError(f"graph file: vertex {vid!r} listed twice")
-        rotations[vid] = _strings(_need(row, "rotation", f"vertex {vid!r}"),
-                                  f"rotation of {vid!r}")
+        rotations[vid] = _need(row, "rotation", f"vertex {vid!r}")
         if "degree" in row:
-            degrees[vid] = _typed(row["degree"], int, f"degree of {vid!r}")
-            if degrees[vid] < 1:
-                raise ParseError(f"degree of {vid!r}: expected a positive integer, "
-                                 f"got {degrees[vid]}")
-    if degrees and set(degrees) != set(rotations):
-        missing = sorted(set(rotations) - set(degrees))
-        raise ParseError(f"degrees given for some vertices but not {missing}")
-    graph = reference_build(rotations, [_strings(e, "edge") for e in erows])
+            degrees[vid] = row["degree"]
+    graph = reference_build(rotations, erows)
+    for v in graph.vertices if degrees else ():
+        d = degrees.get(v)
+        if d is None:
+            raise MissingDegree(f"vertex {v!r} has no degree")
+        if type(d) is not int or d < 1:
+            raise MissingDegree(f"degree of {v!r} must be a positive integer, got {d!r:.60}")
     return graph, (degrees or None)
 
 

@@ -10,10 +10,10 @@ stderr, 1, 2 and 4 with exactly one ``error:`` or ``ambiguous:`` line.
 ``validate`` reports an inadmissible graph (exit 2) on stdout instead.
 
 The same mutants, and more that give a flag or a degree an odd value or
-rename an id everywhere, are read by the bulk-checking readers and by
-their one-item-at-a-time references in ``tests/oracles.py``: both must
-accept the same files with the same result, and refuse the rest with the
-same error and message.
+rename an id everywhere, are read by ``parse_ribbon`` and ``parse_loewy``,
+and by their one-item-at-a-time references in ``tests/oracles.py``: both
+must accept the same files with the same result, and refuse the rest with
+the same error and message.
 """
 
 import contextlib

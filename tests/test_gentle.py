@@ -330,6 +330,9 @@ REFUSALS = {
                             InputError, "relation references unknown arrow ('a',)"),
     "relation-arrow-unhashable": (lambda: GentlePresentation.build(*CHAIN, [(["a"], "a")]),
                                   InputError, "relation references unknown arrow ['a']"),
+    "arrow-id-a-long-list": (  # a value is quoted up to 60 characters
+        lambda: GentlePresentation.build(["1"], [([*range(100)], "1", "1")], []), InputError,
+        "bad arrow id [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 1"),
     "duplicate-arrow": (lambda: GentlePresentation.build(["1", "2"], [("a", "1", "2")] * 2, []),
                         InputError, "duplicate arrow 'a'"),
     "relation-listed-twice": (

@@ -1,8 +1,10 @@
 """Byte-for-byte CLI output on the sample files.
 
 ``golden/cases.txt`` lists one case per line: a name, then the fbga
-arguments (paths relative to the repository root).  Every case runs in
-each of the three formats; ``<name>.<format>.out`` holds the exact
+arguments (paths relative to the repository root).  An input that is no
+sample file, such as one a reader refuses, lives in ``golden/inputs``: the
+fuzz tests and the generators load every file under ``data/``.  Every case
+runs in each of the three formats; ``<name>.<format>.out`` holds the exact
 stdout, and ``<name>.<format>.err`` the exact stderr followed by the line
 ``exit <code>``.  Every non-empty ``*.json.out`` must also parse as JSON.
 

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -193,6 +194,50 @@ def test_compare_is_consistent_on_gentle_trees_and_linear_an():
         assert longer["distinguished_by"] == "num_vertices"
         assert longer["left"]["num_edges"] + 1 == longer["right"]["num_edges"] == n + 1
     assert relations == 212  # the trees are not all path algebras
+
+
+def affine_a(orientation) -> GentlePresentation:
+    """The path algebra of the n-cycle whose arrow i joins vertices i and
+    i + 1 (mod n), pointing forward where ``orientation[i]`` is true.  With
+    p arrows forward and q back, p, q >= 1, it is of type Ã_{p,q}: gentle,
+    with no relations."""
+    n = len(orientation)
+    ends = [(str(i), str((i + 1) % n)) for i in range(n)]
+    arrows = [(f"a{i}", *(e if forward else e[::-1]))
+              for i, (e, forward) in enumerate(zip(ends, orientation))]
+    return GentlePresentation.build([str(i) for i in range(n)], arrows, [])
+
+
+def test_compare_is_consistent_on_affine_a_orientations():
+    """Path algebras of the n-cycle with the same numbers {p, q} of arrows
+    each way are derived equivalent (Assem and Skowroński, 1987), so their
+    trivial extensions are too (Rickard, 1989): on every orientation of an
+    n-cycle, n <= 8, with p, q >= 1, ``compare`` against the first
+    orientation of its type is consistent and the face perimeters are
+    equal.  They are [2p, 2q], so the check is not vacuous."""
+    first, orientations = {}, 0
+    for n in range(2, 9):
+        for orientation in product((True, False), repeat=n):
+            p = sum(orientation)
+            if not 0 < p < n:
+                continue
+            orientations += 1
+            t = ribbon_graph_of_gentle(affine_a(orientation))[0]
+            ref = first.setdefault((min(p, n - p), max(p, n - p)), t)
+            same = compare(t, ref)
+            assert same["consistent"], describe(same)
+            perimeters = t.graph.face_perimeters()
+            assert perimeters == ref.graph.face_perimeters() == sorted([2 * p, 2 * (n - p)])
+    assert (orientations, len(first)) == (494, 16)
+
+
+def test_compare_misses_that_affine_a_13_and_a_22_differ():
+    """A known incompleteness of ``compare``: T(Ã_{1,3}) and T(Ã_{2,2}) agree
+    on every compared field, while their face perimeters differ."""
+    a13, a22 = (ribbon_graph_of_gentle(affine_a(o))[0]
+                for o in ((True, False, False, False), (True, True, False, False)))
+    assert compare(a13, a22)["consistent"]
+    assert (a13.graph.face_perimeters(), a22.graph.face_perimeters()) == ([2, 6], [4, 4])
 
 
 def test_special_orbit_sizes_loop():

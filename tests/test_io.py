@@ -15,6 +15,7 @@ from fbga.errors import (
     InputError,
     InvariantError,
     MathPreconditionError,
+    MissingDegree,
     NotAdmissible,
     ParseError,
 )
@@ -78,8 +79,9 @@ def test_parse_ribbon_without_degrees():
 def test_parse_ribbon_partial_degrees_rejected():
     obj = json.loads(LAMBDA_TEXT)
     del obj["vertices"][0]["degree"]
-    with pytest.raises(ParseError):
+    with pytest.raises(MissingDegree) as exc:
         parse_ribbon(json.dumps(obj))
+    assert (type(exc.value), str(exc.value)) == (MissingDegree, "vertex 'u' has no degree")
 
 
 def test_parse_ribbon_bad_json_and_missing_keys():
@@ -106,9 +108,11 @@ def test_parse_gentle():
     }))
     assert set(p.arrows) == {"x", "y"}
     assert ("y", "x") in p.zero_relations
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError) as exc:
         parse_gentle(json.dumps({"vertices": [], "arrows": [],
                                  "zero_relations": [["x"]]}))
+    assert (type(exc.value), str(exc.value)) == (InputError,
+                                                 "relation references unknown arrow ['x']")
 
 
 def test_loewy_roundtrip_through_json():
@@ -421,6 +425,10 @@ def test_graph_json_cases_cover_every_command():
 REFUSALS = {
     "cut-not-a-list": (lambda: parse_cut('{"vertex": "u", "half_edge": "h"}'),
                        ParseError, "cut file: expected a list of {vertex, half_edge}"),
+    "degree-a-long-list": (  # quoted up to 60 characters, as the readers quote a value
+        lambda: parse_ribbon(LAMBDA_TEXT.replace('"degree": 2', f'"degree": {[*range(100)]}', 1)),
+        MissingDegree, "degree of 'u' must be a positive integer, got "
+                       "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 1"),
 }
 
 

@@ -87,6 +87,30 @@ def test_build_pads_missing_strand():
     assert data.rows[0].strands == ("a", "")
 
 
+# rows of a shape no reader hands over, each refused with its one-line message
+REFUSALS = {
+    "strands-none": (lambda: LoewyData.build([("a", None, "a")]),
+                     InputError, "strands of 'a' must be a list of label lists"),
+    "strand-an-int": (lambda: LoewyData.build([("a", (5,), "a")]),
+                      InputError, "strands of 'a' must be a list of label lists"),
+    "row-none": (lambda: LoewyData.build([None]),
+                 InputError, "loewy row None is not (label, strands, socle)"),
+    "row-a-string": (lambda: LoewyData.build(["x"]),
+                     InputError, "loewy row 'x' is not (label, strands, socle)"),
+    "socle-unhashable": (lambda: LoewyData.build([("a", ((), ()), ["x"])]),
+                         InputError, "socle of 'a' is unknown label ['x']"),
+    "strand-entry-unhashable": (lambda: LoewyData.build([("a", ((["x"],), ()), "a")]),
+                                InputError, "strand of 'a' mentions unknown label ['x']"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_a_refusal_names_what_it_refuses(call, error, message):
+    with pytest.raises(FbgaError) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (error, message)
+
+
 # ------------------------------------------------------------ reconstruction
 
 def test_reconstruct_double_edge_unique():

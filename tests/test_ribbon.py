@@ -482,6 +482,11 @@ REFUSALS = {
         RibbonStructureError, "vertex 1 needs a string id and a list of half-edges"),
     "edge-a-string": (lambda: RibbonGraph.build({"u": ["h", "x"]}, ["hx"]),
                       RibbonStructureError, "edge 'hx' is not a pair"),
+    "edge-half-edge-unhashable": (lambda: RibbonGraph.build({"v": ["a", "b"]}, [["a", ["x"]]]),
+                                  OrbitMismatch, "edge uses unattached half-edge ['x']"),
+    "half-edge-a-long-list": (  # a value is quoted up to 60 characters
+        lambda: RibbonGraph.build({"v": [[*range(100)]]}, []), RibbonStructureError,
+        "bad half-edge id [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 1"),
 }
 
 
